@@ -30,6 +30,11 @@ Subpackages
 - :mod:`repro.experiments` — the per-claim experiment registry
 """
 
+# Defined before the subpackage imports: outside a git checkout,
+# obs.provenance reads it (as the ``pkg-<version>`` code version) while
+# this package is still initialising.
+__version__ = "1.0.0"
+
 from repro import (
     analysis,
     apps,
@@ -52,8 +57,6 @@ from repro.types import (
     SimulationError,
     Slot,
 )
-
-__version__ = "1.0.0"
 
 __all__ = [
     "Channel",

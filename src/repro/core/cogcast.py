@@ -26,9 +26,10 @@ from typing import Any, Optional
 from repro.core.messages import InitPayload
 from repro.sim.actions import Action, Broadcast, Listen, SlotOutcome
 from repro.sim.protocol import NodeView, Protocol
-from repro.types import NodeId, Slot
+from repro.types import NodeId, Slot, slot_init
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class LogEntry:
     """One slot of a node's COGCAST execution record.

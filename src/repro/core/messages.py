@@ -15,9 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from repro.types import NodeId, Slot
+from repro.types import NodeId, Slot, slot_init
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class InitPayload:
     """Phase-one / COGCAST broadcast message.
@@ -30,6 +31,7 @@ class InitPayload:
     body: Any = None
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class CountPayload:
     """Phase-two census message: ``<u, r>`` in the paper's notation.
@@ -42,6 +44,7 @@ class CountPayload:
     informed_slot: Slot
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class ClusterSizePayload:
     """Phase-three rewind message: a cluster reports its size to its informer.
@@ -54,6 +57,7 @@ class ClusterSizePayload:
     size: int
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class MediatorAnnouncePayload:
     """Phase-four slot-1 message: the channel mediator names the cluster
@@ -62,6 +66,7 @@ class MediatorAnnouncePayload:
     cluster_slot: Slot
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class ValueReportPayload:
     """Phase-four slot-2 message: a sender passes its subtree aggregate
@@ -73,6 +78,7 @@ class ValueReportPayload:
     value: Any
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class AckPayload:
     """Phase-four slot-3 message: the receiver echoes the identity of the

@@ -24,9 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from repro.types import LocalLabel, NodeId
+from repro.types import LocalLabel, NodeId, slot_init
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class Envelope:
     """A message in flight: sender identity plus opaque payload.
@@ -40,6 +41,7 @@ class Envelope:
     payload: Any
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class Broadcast:
     """Broadcast *payload* on the node's local channel *label* this slot."""
@@ -48,6 +50,7 @@ class Broadcast:
     payload: Any
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class Listen:
     """Listen on the node's local channel *label* this slot."""
@@ -68,6 +71,7 @@ class Idle:
 Action = Broadcast | Listen | Idle
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class SlotOutcome:
     """What one node observed at the end of one slot.

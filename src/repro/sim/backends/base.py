@@ -30,6 +30,7 @@ by :func:`set_default_backend` (the CLI's ``--backend`` flag), which
 from __future__ import annotations
 
 import abc
+import functools
 import importlib.util
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -142,9 +143,9 @@ class VectorContract:
     """The declared export/import field set for one ``vector_kind``.
 
     A protocol advertising *kind* must export at least these fields
-    from ``vector_export()``; the kernel validates the first export
-    against the contract and falls back to the exact engine (never
-    crashes, never silently drops state) when fields are missing.
+    from ``vector_export()``; the kernel validates every export against
+    the contract and falls back to the exact engine (never crashes,
+    never silently drops state) when any of them misses fields.
     Lint rule R11 checks the same property statically, and
     ``repro sanitize`` checks it dynamically — three layers, one
     contract.
@@ -153,12 +154,14 @@ class VectorContract:
     kind: str
     fields: tuple[VectorField, ...]
 
+    @functools.cached_property
     def field_names(self) -> frozenset[str]:
+        """The contract's field names, computed once per contract."""
         return frozenset(field.name for field in self.fields)
 
     def missing_fields(self, export: Mapping[str, Any]) -> list[str]:
         """Contract fields absent from one protocol's export dict."""
-        return sorted(self.field_names() - set(export))
+        return sorted(self.field_names.difference(export))
 
 
 #: Declared contracts, keyed by ``vector_kind``.  The epidemic

@@ -187,7 +187,7 @@ class VectorEngine:
 
         Effects: rng.
         """
-        reason = self._vector_ineligible_reason(stop_when)
+        reason, exports = self._vector_ineligible_reason(stop_when)
         self.vector_fallback_reason = reason
         self.vector_engaged = reason is None
         if reason is not None:
@@ -210,7 +210,7 @@ class VectorEngine:
             )
         self._vector_run_active = True
         try:
-            executed, completed = self._run_vector(max_slots, stop_when)
+            executed, completed = self._run_vector(max_slots, stop_when, exports)
         finally:
             self._vector_run_active = False
         if probe is not None:
@@ -225,7 +225,9 @@ class VectorEngine:
 
     # -- eligibility ----------------------------------------------------
 
-    def _vector_ineligible_reason(self, stop_when: Any) -> str | None:
+    def _vector_ineligible_reason(
+        self, stop_when: Any
+    ) -> tuple[str | None, list[dict[str, Any]]]:
         """Why this run must take the exact engine (``None`` = columnar).
 
         Mirrors the fast path's discipline: exact types only, because a
@@ -233,32 +235,54 @@ class VectorEngine:
         hard-codes.  Unknown protocols or stop conditions are not an
         error — the exact engine handles everything — so requesting the
         vector backend never changes observable behavior, only speed.
+
+        Also returns the protocols' ``vector_export()`` snapshots, which
+        the last two checks read and the kernel starts from (empty when
+        an earlier check already failed).  Every check runs before any
+        state mutates, so falling back is always safe.
         """
         if self.trace is not None:
-            return "event trace attached"
+            return "event trace attached", []
         if self.profiler is not None:
-            return "profiler attached"
+            return "profiler attached", []
         probe = self._probe
         if probe is not None and not callable(getattr(probe, "on_vector_run", None)):
-            return "probe without aggregate (on_vector_run) support"
+            return "probe without aggregate (on_vector_run) support", []
         if type(self.jammer) is not NullJammer:
-            return "jamming adversary attached"
+            return "jamming adversary attached", []
         if type(self.collision) is not SingleWinnerCollision:
-            return "non-default collision model"
+            return "non-default collision model", []
         if type(self.network) is not Network:
-            return "network subclass"
+            return "network subclass", []
         if self.network.translation_probe is not None:
-            return "translation probe attached"
+            return "translation probe attached", []
         if type(self.network.schedule) not in (StaticSchedule, DynamicSchedule):
-            return "unknown schedule type"
+            return "unknown schedule type", []
         if stop_when is not None and (
             getattr(stop_when, "vector_condition", None) != "all_informed"
         ):
-            return "stop condition has no columnar form"
+            return "stop condition has no columnar form", []
         for protocol in self.protocols:
             if type(protocol).__dict__.get("vector_kind") not in VECTOR_KINDS:
-                return "protocol has no columnar program"
-        return None
+                return "protocol has no columnar program", []
+        exports = [protocol.vector_export() for protocol in self.protocols]
+        contract = vector_contract("epidemic-broadcast")
+        if contract is not None:
+            for export in exports:
+                # A protocol whose export omits fields the kernel
+                # materializes is not an error either: name the missing
+                # fields so the gap is visible.
+                missing = contract.missing_fields(export)
+                if missing:
+                    return (
+                        "vector export missing contract fields: " + ", ".join(missing),
+                        [],
+                    )
+        if any(export.get("keep_log") for export in exports):
+            # Logs are per-slot Python records; populations that keep
+            # them (COGCOMP phase one) take the exact engine.
+            return "protocol keeps a per-slot log", []
+        return None, exports
 
     def _exact_engine(self) -> Engine:
         """The lazily built fallback engine, sharing the collision stream."""
@@ -282,8 +306,10 @@ class VectorEngine:
 
     # -- the columnar kernel --------------------------------------------
 
-    def _run_vector(self, max_slots: int, stop_when: Any) -> tuple[int, bool]:
-        """Run the ``epidemic-broadcast`` columnar program.
+    def _run_vector(
+        self, max_slots: int, stop_when: Any, exports: list[dict[str, Any]]
+    ) -> tuple[int, bool]:
+        """Run the ``epidemic-broadcast`` columnar program from *exports*.
 
         Effects: rng.
         """
@@ -292,38 +318,6 @@ class VectorEngine:
         n = network.num_nodes
         c = network.channels_per_node
         protocols = self.protocols
-        exports = [protocol.vector_export() for protocol in protocols]
-        contract = vector_contract("epidemic-broadcast")
-        if contract is not None:
-            for export in exports:
-                missing = contract.missing_fields(export)
-                if missing:
-                    # A declared-contract violation (a protocol whose
-                    # export omits fields the kernel materializes) is
-                    # not an error: fall back before any state mutates,
-                    # exactly like the other ineligibility paths, and
-                    # name the missing fields so the gap is visible.
-                    self.vector_engaged = False
-                    self.vector_fallback_reason = (
-                        "vector export missing contract fields: "
-                        + ", ".join(missing)
-                    )
-                    engine = self._exact_engine()
-                    result = engine.run(max_slots, stop_when=stop_when)
-                    self.fast_path_engaged = engine.fast_path_engaged
-                    self.slot = engine.slot
-                    return result.slots, result.completed
-        if any(export.get("keep_log") for export in exports):
-            # Logs are per-slot Python records; populations that keep
-            # them (COGCOMP phase one) take the exact engine.  Checked
-            # here, before any state mutates, so falling back is safe.
-            self.vector_engaged = False
-            self.vector_fallback_reason = "protocol keeps a per-slot log"
-            engine = self._exact_engine()
-            result = engine.run(max_slots, stop_when=stop_when)
-            self.fast_path_engaged = engine.fast_path_engaged
-            self.slot = engine.slot
-            return result.slots, result.completed
 
         informed = np.array([bool(e["informed"]) for e in exports], dtype=bool)
         messages: list[Any] = [e["message"] for e in exports]

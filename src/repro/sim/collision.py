@@ -21,8 +21,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.sim.actions import Envelope
+from repro.types import slot_init
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class Resolution:
     """The outcome of contention on one channel in one slot.

@@ -18,9 +18,10 @@ from dataclasses import dataclass, field
 from typing import Iterator, MutableSequence
 
 from repro.sim.actions import Envelope
-from repro.types import Channel, NodeId, Slot
+from repro.types import Channel, NodeId, Slot, slot_init
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class ChannelEvent:
     """Everything that happened on one physical channel in one slot.

@@ -507,6 +507,31 @@ class TestR5FrozenMutation:
         )
         assert "R5" not in rules_hit(findings)
 
+    def test_descriptor_writes_flagged(self, tmp_path):
+        findings = lint_snippet(
+            tmp_path,
+            """
+            from repro.sim.actions import SlotOutcome
+
+            def forget(outcome):
+                type(outcome).__dict__["received"].__set__(outcome, None)
+
+            clear_success = SlotOutcome.success.__delete__
+            """,
+        )
+        assert [f.line for f in findings if f.rule == "R5"] == [5, 7]
+
+    def test_descriptor_setters_in_slot_init_module_clean(self, tmp_path):
+        findings = lint_snippet(
+            tmp_path,
+            """
+            def setters(cls, names):
+                return [getattr(cls, name).__set__ for name in names]
+            """,
+            name="repro/types.py",
+        )
+        assert "R5" not in rules_hit(findings)
+
 
 class TestR6UnorderedIteration:
     def test_for_over_set_flagged(self, tmp_path):

@@ -12,11 +12,17 @@ bit-identical repeated output, the live ``follow`` tail, the anomaly
 from __future__ import annotations
 
 import json
+import os
+import pathlib
 import random
 import re
+import shutil
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.assignment import shared_core
 from repro.core.runners import run_local_broadcast
 from repro.experiments.campaign import Campaign
@@ -95,6 +101,37 @@ class TestProvenance:
     def test_code_version_falls_back_outside_a_repo(self, tmp_path):
         """Pointing detection at a non-repo yields the pkg- fallback."""
         assert detect_code_version(tmp_path) == _pkg_version()
+
+    def test_import_outside_a_git_checkout(self, tmp_path):
+        """A plain copy of the package imports and takes the pkg fallback.
+
+        The fallback reads ``repro.__version__`` while ``repro`` is still
+        importing its subpackages, so the version must be set first.
+        """
+        package = pathlib.Path(repro.__file__).parent
+        shutil.copytree(package, tmp_path / "repro")
+        env = {
+            key: value
+            for key, value in os.environ.items()
+            if not key.startswith("GIT_") and key != "PYTHONPATH"
+        }
+        env["PYTHONPATH"] = str(tmp_path)
+        env["GIT_CEILING_DIRECTORIES"] = str(tmp_path)
+        probe = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import repro; from repro.obs.provenance import CODE_VERSION; "
+                "print(CODE_VERSION)",
+            ],
+            capture_output=True,
+            text=True,
+            cwd=tmp_path,
+            env=env,
+            timeout=120,
+        )
+        assert probe.returncode == 0, probe.stderr
+        assert probe.stdout.strip() == "pkg-1.0.0"
 
     def test_import_time_code_version_shape(self):
         """Either a 12-hex git SHA (maybe -dirty) or the pkg fallback."""

@@ -1,0 +1,90 @@
+"""The vector backend's export-based fallbacks.
+
+Two checks read the protocols' ``vector_export()`` snapshots rather
+than the engine configuration: a declared-contract violation (an export
+missing fields the kernel materializes) and a population that keeps
+per-slot logs.  Both must fall back to the exact engine like every
+other ineligible configuration: same reason strings, same results, and
+one engine run per ``run()`` in whatever a probe observes.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from repro.assignment import shared_core
+from repro.core import CogCast
+from repro.obs.metrics import MetricsProbe, MetricsRegistry
+from repro.sim import Network
+from repro.sim.backends import AllInformed, BACKEND_NAMES, numpy_available
+from repro.sim.engine import build_engine
+
+pytestmark = pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
+
+
+class PartialExport(CogCast):
+    """COGCAST whose export omits two of the contract's fields."""
+
+    vector_kind = "epidemic-broadcast"
+
+    def vector_export(self):
+        export = super().vector_export()
+        del export["rng"], export["parent"]
+        return export
+
+    def vector_import(self, state):
+        """Unchanged; a ``vector_kind`` class defines the pair (lint R11)."""
+        super().vector_import(state)
+
+
+def logging_factory(view):
+    return CogCast(view, is_source=(view.node_id == 0), keep_log=True)
+
+
+def partial_factory(view):
+    return PartialExport(view, is_source=(view.node_id == 0))
+
+
+def network(seed: int = 5) -> Network:
+    return Network.static(shared_core(24, 6, 2, random.Random(seed)))
+
+
+def drive(factory, backend, probe=None):
+    engine = build_engine(network(), factory, seed=5, probe=probe, backend=backend)
+    result = engine.run(10_000, stop_when=AllInformed(engine.protocols))
+    return engine, result
+
+
+@pytest.mark.parametrize(
+    ("factory", "reason"),
+    [
+        (logging_factory, "protocol keeps a per-slot log"),
+        (partial_factory, "vector export missing contract fields: parent, rng"),
+    ],
+)
+@pytest.mark.parametrize("backend", ["vector", "vector-replay"])
+def test_export_checks_fall_back_with_their_reason(factory, reason, backend):
+    engine, result = drive(factory, backend)
+    assert not engine.vector_engaged
+    assert engine.vector_fallback_reason == reason
+    exact_engine, exact_result = drive(factory, "exact")
+    assert result == exact_result
+    assert engine.fast_path_engaged == exact_engine.fast_path_engaged
+    assert engine.slot == exact_engine.slot
+    assert [p.parent for p in engine.protocols] == [p.parent for p in exact_engine.protocols]
+
+
+@pytest.mark.parametrize("factory", [logging_factory, partial_factory])
+def test_fallback_counts_one_engine_run(factory):
+    """A fallback run is one run: every backend's registry snapshot agrees."""
+    snapshots = {}
+    for backend in BACKEND_NAMES:
+        registry = MetricsRegistry()
+        drive(factory, backend, probe=MetricsProbe(registry, protocol="cogcast"))
+        snapshots[backend] = registry.snapshot()
+    runs = snapshots["exact"]["metrics"]["sim_runs"]
+    assert [series["value"] for series in runs["series"]] == [1]
+    for backend in BACKEND_NAMES:
+        assert snapshots[backend] == snapshots["exact"], backend
