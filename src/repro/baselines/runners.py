@@ -9,13 +9,13 @@ asymmetry made structural: protocol modules hold only node-side code
 and global channel ids.
 
 As in :mod:`repro.core.runners`, every runner takes optional
-observability instruments (probe, profiler, telemetry sink) so baseline
-runs leave the same ``kind="run"`` manifests as the core protocols.
+observability instruments (probe, profiler, telemetry sink) and runs
+through :func:`repro.core.runners.run_protocol`, so baseline runs leave
+the same ``kind="run"`` manifests as the core protocols.
 """
 
 from __future__ import annotations
 
-from time import perf_counter
 from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.baselines.aggregation import (
@@ -27,13 +27,10 @@ from repro.baselines.deterministic import StayAndScanBroadcast
 from repro.baselines.hopping import HoppingTogether
 from repro.baselines.rendezvous import RendezvousBroadcast
 from repro.core.cogcast import BroadcastResult
-from repro.obs.metrics import MetricsProbe
-from repro.obs.probe import MultiProbe
-from repro.obs.telemetry import run_record
-from repro.sim.backends import AllInformed, resolve_backend
+from repro.core.runners import _broadcast_result, run_protocol
+from repro.sim.backends import AllInformed
 from repro.sim.channels import ChannelAssignment, Network
 from repro.sim.collision import CollisionModel
-from repro.sim.engine import Engine, build_engine, make_views
 from repro.sim.protocol import NodeView, Protocol
 from repro.types import NodeId
 
@@ -42,74 +39,7 @@ if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.obs.probe import SlotProbe
     from repro.obs.profiler import Profiler
     from repro.obs.telemetry import TelemetrySink
-    from repro.sim.backends import EngineBackend
-
-
-def _engine_probe(
-    probe: "SlotProbe | None",
-    metrics: "MetricsRegistry | None",
-    protocol: str,
-) -> "SlotProbe | None":
-    """Compose the user probe with a metrics probe when a registry is given."""
-    if metrics is None:
-        return probe
-    metrics_probe = MetricsProbe(metrics, protocol=protocol)
-    if probe is None:
-        return metrics_probe
-    return MultiProbe([probe, metrics_probe])
-
-
-def _emit_run(
-    telemetry: "TelemetrySink | None",
-    *,
-    protocol: str,
-    seed: int,
-    network: Network,
-    slots: int,
-    completed: bool,
-    probe: "SlotProbe | None",
-    profiler: "Profiler | None",
-    metrics: "MetricsRegistry | None" = None,
-    resources: "ResourceSampler | None" = None,
-    elapsed_s: float | None = None,
-    fast_path: bool | None = None,
-    backend: str | None = None,
-    vector_fallback_reason: str | None = None,
-) -> None:
-    """Emit one run manifest when a telemetry sink is attached.
-
-    *backend* / *vector_fallback_reason* record the execution path, as
-    in :func:`repro.core.runners._emit_run`.
-    """
-    if telemetry is not None:
-        telemetry.emit(
-            run_record(
-                protocol=protocol,
-                seed=seed,
-                network=network,
-                slots=slots,
-                outcome="completed" if completed else "budget",
-                probe=probe,
-                profiler=profiler,
-                metrics=metrics,
-                resources=None if resources is None else resources.delta(),
-                elapsed_s=elapsed_s,
-                fast_path=fast_path,
-                backend=backend,
-                vector_fallback_reason=vector_fallback_reason,
-            )
-        )
-
-
-def _broadcast_result(result: Any, protocols: Sequence[Any]) -> BroadcastResult:
-    """Fold per-node informed state into a :class:`BroadcastResult`."""
-    return BroadcastResult(
-        slots=result.slots,
-        completed=result.completed,
-        informed_count=sum(protocol.informed for protocol in protocols),
-        parents=tuple(protocol.parent for protocol in protocols),
-        informed_slots=tuple(protocol.informed_slot for protocol in protocols),
-    )
+    from repro.sim.backends import EngineBackend, StopCondition
 
 
 def run_rendezvous_broadcast(
@@ -134,35 +64,20 @@ def run_rendezvous_broadcast(
             view, is_source=(view.node_id == source), body=body
         )
 
-    engine = build_engine(
+    protocols, result = run_protocol(
         network,
         factory,
-        seed=seed,
-        collision=collision,
-        probe=_engine_probe(probe, metrics, "rendezvous-broadcast"),
-        profiler=profiler,
-        backend=backend,
-    )
-    protocols: list[RendezvousBroadcast] = engine.protocols  # type: ignore[assignment]
-
-    run_start = perf_counter()
-    result = engine.run(max_slots, stop_when=AllInformed(protocols))
-    elapsed_s = perf_counter() - run_start
-    _emit_run(
-        telemetry,
         protocol="rendezvous-broadcast",
         seed=seed,
-        network=network,
-        slots=result.slots,
-        completed=result.completed,
+        max_slots=max_slots,
+        stop=AllInformed,
+        collision=collision,
         probe=probe,
         profiler=profiler,
         metrics=metrics,
         resources=resources,
-        elapsed_s=elapsed_s,
-        fast_path=engine.fast_path_engaged,
-        backend=resolve_backend(backend).name,
-        vector_fallback_reason=getattr(engine, "vector_fallback_reason", None),
+        telemetry=telemetry,
+        backend=backend,
     )
     return _broadcast_result(result, protocols)
 
@@ -191,35 +106,20 @@ def run_stay_and_scan_broadcast(
             view, is_source=(view.node_id == source), body=body
         )
 
-    engine = build_engine(
+    protocols, result = run_protocol(
         network,
         factory,
-        seed=seed,
-        collision=collision,
-        probe=_engine_probe(probe, metrics, "stay-and-scan"),
-        profiler=profiler,
-        backend=backend,
-    )
-    protocols: list[StayAndScanBroadcast] = engine.protocols  # type: ignore[assignment]
-
-    run_start = perf_counter()
-    result = engine.run(budget, stop_when=AllInformed(protocols))
-    elapsed_s = perf_counter() - run_start
-    _emit_run(
-        telemetry,
         protocol="stay-and-scan",
         seed=seed,
-        network=network,
-        slots=result.slots,
-        completed=result.completed,
+        max_slots=budget,
+        stop=AllInformed,
+        collision=collision,
         probe=probe,
         profiler=profiler,
         metrics=metrics,
         resources=resources,
-        elapsed_s=elapsed_s,
-        fast_path=engine.fast_path_engaged,
-        backend=resolve_backend(backend).name,
-        vector_fallback_reason=getattr(engine, "vector_fallback_reason", None),
+        telemetry=telemetry,
+        backend=backend,
     )
     return _broadcast_result(result, protocols)
 
@@ -249,43 +149,29 @@ def run_rendezvous_aggregation(
             return RendezvousCollector(view)
         return RendezvousReporter(view, values[view.node_id])
 
-    engine = build_engine(
+    def all_collected(protocols: list[Any]) -> StopCondition:
+        collector = protocols[source]
+        return lambda _: len(collector.collected) >= n - 1
+
+    protocols, result = run_protocol(
         network,
         factory,
-        seed=seed,
-        collision=collision,
-        probe=_engine_probe(probe, metrics, "rendezvous-aggregation"),
-        profiler=profiler,
-        backend=backend,
-    )
-    collector: RendezvousCollector = engine.protocols[source]  # type: ignore[assignment]
-
-    def all_collected(_: Engine) -> bool:
-        return len(collector.collected) >= n - 1
-
-    run_start = perf_counter()
-    result = engine.run(max_slots, stop_when=all_collected)
-    elapsed_s = perf_counter() - run_start
-    _emit_run(
-        telemetry,
         protocol="rendezvous-aggregation",
         seed=seed,
-        network=network,
-        slots=result.slots,
-        completed=result.completed,
+        max_slots=max_slots,
+        stop=all_collected,
+        collision=collision,
         probe=probe,
         profiler=profiler,
         metrics=metrics,
         resources=resources,
-        elapsed_s=elapsed_s,
-        fast_path=engine.fast_path_engaged,
-        backend=resolve_backend(backend).name,
-        vector_fallback_reason=getattr(engine, "vector_fallback_reason", None),
+        telemetry=telemetry,
+        backend=backend,
     )
     return BaselineAggregationResult(
         slots=result.slots,
         completed=result.completed,
-        collected=dict(collector.collected),
+        collected=dict(protocols[source].collected),
     )
 
 
@@ -311,45 +197,30 @@ def run_hopping_together(
     ids; the scan period is ``max(universe) + 1``, matching the dense
     global numbering the generators produce.
     """
-    network = Network.static(assignment)
     universe_size = max(assignment.universe) + 1
-    views = make_views(network, seed)
-    protocols = [
-        HoppingTogether(
+
+    def factory(view: NodeView) -> HoppingTogether:
+        return HoppingTogether(
             view,
             assignment.channels[view.node_id],
             universe_size,
             is_source=(view.node_id == source),
             body=body,
         )
-        for view in views
-    ]
-    engine = resolve_backend(backend).build(
-        network,
-        protocols,
-        seed=seed,
-        collision=collision,
-        probe=_engine_probe(probe, metrics, "hopping-together"),
-        profiler=profiler,
-    )
 
-    run_start = perf_counter()
-    result = engine.run(max_slots, stop_when=AllInformed(protocols))
-    elapsed_s = perf_counter() - run_start
-    _emit_run(
-        telemetry,
+    protocols, result = run_protocol(
+        Network.static(assignment),
+        factory,
         protocol="hopping-together",
         seed=seed,
-        network=network,
-        slots=result.slots,
-        completed=result.completed,
+        max_slots=max_slots,
+        stop=AllInformed,
+        collision=collision,
         probe=probe,
         profiler=profiler,
         metrics=metrics,
         resources=resources,
-        elapsed_s=elapsed_s,
-        fast_path=engine.fast_path_engaged,
-        backend=resolve_backend(backend).name,
-        vector_fallback_reason=getattr(engine, "vector_fallback_reason", None),
+        telemetry=telemetry,
+        backend=backend,
     )
     return _broadcast_result(result, protocols)

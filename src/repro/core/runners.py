@@ -18,12 +18,18 @@ paper's invariants live, and a *telemetry* sink that receives one
 ``kind="run"`` manifest per call — emitted even when
 ``require_completion`` raises, so failed runs leave a record.  Watchdog
 anomalies flow into the same sink as ``kind="anomaly"`` records.
+
+Every runner — these and the baselines' in
+:mod:`repro.baselines.runners` — goes through :func:`run_protocol`,
+which builds, times and records the run; a runner supplies a node
+factory, a stop condition and, when its protocol can fail, an outcome
+function.
 """
 
 from __future__ import annotations
 
 from time import perf_counter
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.core.aggregation import Aggregator, CollectAggregator
 from repro.core.cogcast import BroadcastResult, CogCast
@@ -37,8 +43,8 @@ from repro.sim.adversary import Jammer
 from repro.sim.backends import AllInformed, resolve_backend
 from repro.sim.channels import Network
 from repro.sim.collision import CollisionModel
-from repro.sim.engine import Engine, build_engine
-from repro.sim.protocol import NodeView
+from repro.sim.engine import RunResult, build_engine
+from repro.sim.protocol import NodeView, Protocol
 from repro.sim.trace import EventTrace
 from repro.types import NodeId, SimulationError
 
@@ -49,82 +55,107 @@ if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.obs.spans import SpanProbe
     from repro.obs.telemetry import TelemetrySink
     from repro.obs.watchdog import WatchdogProbe
-    from repro.sim.backends import EngineBackend
+    from repro.sim.backends import EngineBackend, StopCondition
 
 
-def _compose_probe(
-    probe: "SlotProbe | None",
-    spans: "SpanProbe | None",
-    watchdogs: "Sequence[WatchdogProbe]",
-    *extra: "SlotProbe | None",
-) -> "SlotProbe | None":
-    """Fold the separate instrument kwargs into one engine probe."""
-    instruments = [
-        instrument
-        for instrument in (probe, spans, *watchdogs, *extra)
-        if instrument is not None
-    ]
-    if not instruments:
-        return None
-    if len(instruments) == 1:
-        return instruments[0]
-    return MultiProbe(instruments)
+def _broadcast_result(result: RunResult, protocols: Sequence[Any]) -> BroadcastResult:
+    """Fold per-node informed state into a :class:`BroadcastResult`."""
+    return BroadcastResult(
+        slots=result.slots,
+        completed=result.completed,
+        informed_count=sum(protocol.informed for protocol in protocols),
+        parents=tuple(protocol.parent for protocol in protocols),
+        informed_slots=tuple(protocol.informed_slot for protocol in protocols),
+    )
 
 
-def _metrics_probe(
-    metrics: "MetricsRegistry | None", protocol: str
-) -> MetricsProbe | None:
-    """A registry-feeding engine probe, when a registry was supplied."""
-    return None if metrics is None else MetricsProbe(metrics, protocol=protocol)
+def _budget_outcome(protocols: list[Any], result: RunResult) -> str:
+    """The run outcome of a protocol that cannot fail: stopped or out of slots."""
+    return "completed" if result.completed else "budget"
 
 
-def _emit_run(
-    telemetry: "TelemetrySink | None",
+def run_protocol(
+    network: Network,
+    factory: Callable[[NodeView], Protocol],
     *,
     protocol: str,
     seed: int,
-    network: Network,
-    slots: int,
-    outcome: str,
-    probe: "SlotProbe | None",
-    profiler: "Profiler | None",
+    max_slots: int,
+    stop: "Callable[[list[Any]], StopCondition]",
+    outcome: Callable[[list[Any], RunResult], str] = _budget_outcome,
+    collision: CollisionModel | None = None,
+    trace: EventTrace | None = None,
+    jammer: Jammer | None = None,
+    probe: "SlotProbe | None" = None,
+    profiler: "Profiler | None" = None,
     spans: "SpanProbe | None" = None,
     watchdogs: "Sequence[WatchdogProbe]" = (),
     metrics: "MetricsRegistry | None" = None,
     resources: "ResourceSampler | None" = None,
-    elapsed_s: float | None = None,
-    fast_path: bool | None = None,
-    backend: str | None = None,
-    vector_fallback_reason: str | None = None,
-) -> None:
-    """Emit one run manifest (plus any anomalies) when a sink is attached.
+    telemetry: "TelemetrySink | None" = None,
+    backend: "str | EngineBackend | None" = None,
+) -> tuple[list[Any], RunResult]:
+    """Build, run and record one protocol run: the path every runner shares.
 
-    *backend* is the resolved backend name and *vector_fallback_reason*
-    the engine's reason for declining the columnar kernel (``None`` for
-    the exact engine, which has no such attribute) — together with
-    ``fast_path`` they record the execution path queries filter by.
+    Builds the engine from *factory*, composes *probe*, *spans*, each
+    watchdog and (given *metrics*) a :class:`MetricsProbe` into one
+    probe, and times :meth:`Engine.run` under ``stop(protocols)`` with
+    ``perf_counter``, which leaves the fast kernel engaged.  Broadcast
+    runners pass :class:`AllInformed` itself as *stop*: the columnar
+    kernel recognises it, and a closure around it would run exact.
+    Given *telemetry*, emits the run record (``outcome(protocols,
+    result)`` as its outcome), then this run's watchdog anomalies.
+    Returns the protocols and the :class:`RunResult`; the caller checks
+    completion, so a run that misses its budget still leaves a record.
     """
+    instruments = [
+        instrument
+        for instrument in (
+            probe,
+            spans,
+            *watchdogs,
+            None if metrics is None else MetricsProbe(metrics, protocol=protocol),
+        )
+        if instrument is not None
+    ]
+    if len(instruments) > 1:
+        instruments = [MultiProbe(instruments)]
+    engine = build_engine(
+        network,
+        factory,
+        seed=seed,
+        collision=collision,
+        trace=trace,
+        jammer=jammer,
+        probe=instruments[0] if instruments else None,
+        profiler=profiler,
+        backend=backend,
+    )
+    protocols: list[Any] = engine.protocols
+    run_start = perf_counter()
+    result = engine.run(max_slots, stop_when=stop(protocols))
+    elapsed_s = perf_counter() - run_start
     if telemetry is not None:
         telemetry.emit(
             run_record(
                 protocol=protocol,
                 seed=seed,
                 network=network,
-                slots=slots,
-                outcome=outcome,
+                slots=result.slots,
+                outcome=outcome(protocols, result),
                 probe=probe,
                 profiler=profiler,
                 spans=spans,
                 metrics=metrics,
                 resources=None if resources is None else resources.delta(),
                 elapsed_s=elapsed_s,
-                fast_path=fast_path,
-                backend=backend,
-                vector_fallback_reason=vector_fallback_reason,
+                fast_path=engine.fast_path_engaged,
+                backend=resolve_backend(backend).name,
+                vector_fallback_reason=getattr(engine, "vector_fallback_reason", None),
             )
         )
-        if watchdogs:
-            flush_anomalies(telemetry, watchdogs, seed=seed, protocol=protocol)
+        flush_anomalies(telemetry, watchdogs, seed=seed, protocol=protocol)
+    return protocols, result
 
 
 def run_local_broadcast(
@@ -171,52 +202,31 @@ def run_local_broadcast(
     def factory(view: NodeView) -> CogCast:
         return CogCast(view, is_source=(view.node_id == source), body=body)
 
-    engine = build_engine(
+    protocols, result = run_protocol(
         network,
         factory,
+        protocol="cogcast",
         seed=seed,
+        max_slots=max_slots,
+        stop=AllInformed,
         collision=collision,
         trace=trace,
         jammer=jammer,
-        probe=_compose_probe(probe, spans, watchdogs, _metrics_probe(metrics, "cogcast")),
-        profiler=profiler,
-        backend=backend,
-    )
-    protocols: list[CogCast] = engine.protocols  # type: ignore[assignment]
-
-    run_start = perf_counter()
-    result = engine.run(max_slots, stop_when=AllInformed(protocols))
-    elapsed_s = perf_counter() - run_start
-    _emit_run(
-        telemetry,
-        protocol="cogcast",
-        seed=seed,
-        network=network,
-        slots=result.slots,
-        outcome="completed" if result.completed else "budget",
         probe=probe,
         profiler=profiler,
         spans=spans,
         watchdogs=watchdogs,
         metrics=metrics,
         resources=resources,
-        elapsed_s=elapsed_s,
-        fast_path=engine.fast_path_engaged,
-        backend=resolve_backend(backend).name,
-        vector_fallback_reason=getattr(engine, "vector_fallback_reason", None),
+        telemetry=telemetry,
+        backend=backend,
     )
     if require_completion and not result.completed:
         raise SimulationError(
             f"local broadcast incomplete after {max_slots} slots "
             f"({sum(p.informed for p in protocols)}/{len(protocols)} informed)"
         )
-    return BroadcastResult(
-        slots=result.slots,
-        completed=result.completed,
-        informed_count=sum(protocol.informed for protocol in protocols),
-        parents=tuple(protocol.parent for protocol in protocols),
-        informed_slots=tuple(protocol.informed_slot for protocol in protocols),
-    )
+    return _broadcast_result(result, protocols)
 
 
 def run_data_aggregation(
@@ -295,48 +305,36 @@ def run_data_aggregation(
             is_source=(view.node_id == source),
         )
 
-    engine = build_engine(
+    def source_done(protocols: list[CogComp]) -> StopCondition:
+        source_protocol = protocols[source]
+        return lambda _: source_protocol.done
+
+    def outcome(protocols: list[CogComp], result: RunResult) -> str:
+        if any(protocol.failed for protocol in protocols):
+            return "failed"
+        return _budget_outcome(protocols, result)
+
+    protocols, result = run_protocol(
         network,
         factory,
-        seed=seed,
-        collision=collision,
-        trace=trace,
-        probe=_compose_probe(probe, spans, watchdogs, _metrics_probe(metrics, "cogcomp")),
-        profiler=profiler,
-        backend=backend,
-    )
-    protocols: list[CogComp] = engine.protocols  # type: ignore[assignment]
-    source_protocol = protocols[source]
-
-    run_start = perf_counter()
-    result = engine.run(max_slots, stop_when=lambda _: source_protocol.done)
-    elapsed_s = perf_counter() - run_start
-    failures = tuple(
-        node for node, protocol in enumerate(protocols) if protocol.failed
-    )
-    if failures:
-        outcome = "failed"
-    elif result.completed:
-        outcome = "completed"
-    else:
-        outcome = "budget"
-    _emit_run(
-        telemetry,
         protocol="cogcomp",
         seed=seed,
-        network=network,
-        slots=result.slots,
+        max_slots=max_slots,
+        stop=source_done,
         outcome=outcome,
+        collision=collision,
+        trace=trace,
         probe=probe,
         profiler=profiler,
         spans=spans,
         watchdogs=watchdogs,
         metrics=metrics,
         resources=resources,
-        elapsed_s=elapsed_s,
-        fast_path=engine.fast_path_engaged,
-        backend=resolve_backend(backend).name,
-        vector_fallback_reason=getattr(engine, "vector_fallback_reason", None),
+        telemetry=telemetry,
+        backend=backend,
+    )
+    failures = tuple(
+        node for node, protocol in enumerate(protocols) if protocol.failed
     )
     if require_completion and (not result.completed or failures):
         raise SimulationError(
@@ -345,7 +343,7 @@ def run_data_aggregation(
         )
     phase4_slots = max(0, result.slots - (2 * l + n))
     return AggregationResult(
-        value=source_protocol.aggregate if result.completed else None,
+        value=protocols[source].aggregate if result.completed else None,
         completed=result.completed and not failures,
         total_slots=result.slots,
         phase1_slots=l,
@@ -393,39 +391,25 @@ def run_gossip(
         initial = [sources[view.node_id]] if view.node_id in sources else []
         return GossipCast(view, initial)
 
-    engine = build_engine(
-        network,
-        factory,
-        seed=seed,
-        collision=collision,
-        probe=_compose_probe(probe, None, (), _metrics_probe(metrics, "gossip")),
-        profiler=profiler,
-        backend=backend,
-    )
-    protocols: list[GossipCast] = engine.protocols  # type: ignore[assignment]
     want = set(sources)
 
-    def all_covered(_: Engine) -> bool:
-        return all(want <= set(protocol.known) for protocol in protocols)
+    def all_covered(protocols: list[GossipCast]) -> StopCondition:
+        return lambda _: all(want <= set(protocol.known) for protocol in protocols)
 
-    run_start = perf_counter()
-    result = engine.run(max_slots, stop_when=all_covered)
-    elapsed_s = perf_counter() - run_start
-    _emit_run(
-        telemetry,
+    protocols, result = run_protocol(
+        network,
+        factory,
         protocol="gossip",
         seed=seed,
-        network=network,
-        slots=result.slots,
-        outcome="completed" if result.completed else "budget",
+        max_slots=max_slots,
+        stop=all_covered,
+        collision=collision,
         probe=probe,
         profiler=profiler,
         metrics=metrics,
         resources=resources,
-        elapsed_s=elapsed_s,
-        fast_path=engine.fast_path_engaged,
-        backend=resolve_backend(backend).name,
-        vector_fallback_reason=getattr(engine, "vector_fallback_reason", None),
+        telemetry=telemetry,
+        backend=backend,
     )
     return GossipResult(
         slots=result.slots,

@@ -86,7 +86,6 @@ class Campaign:
         seed: int = 0,
         telemetry: Any = None,
         jobs: int | None = 1,
-        watchdogs: Sequence[Any] = (),
         metrics: Any = None,
         backend: str | None = None,
     ) -> list[PointResult]:
@@ -98,13 +97,10 @@ class Campaign:
         completes, with the point, its trial count, the sample mean, and
         the point's ``perf_counter`` wall time.
 
-        *watchdogs* are invariant monitors
-        (:class:`repro.obs.watchdog.WatchdogProbe`) the measure function
-        attached to its runs; after the grid completes, their
-        accumulated anomalies are flushed to *telemetry* as
-        ``kind="anomaly"`` records.  Watchdog state lives in this
-        process, so combine watchdogs with ``jobs=1`` (worker processes
-        cannot report back through a probe object).
+        Watchdogs belong to the runs, not the campaign: a measure
+        function that hands a runner ``watchdogs=`` and a sink gets
+        each run's anomalies written right after that run's record,
+        under the trial's seed.
 
         *jobs* fans the flattened ``(point, trial)`` work list across a
         process pool via :func:`repro.perf.pmap_trials`; every trial's
@@ -214,10 +210,6 @@ class Campaign:
                     ci_high=high,
                 )
             )
-        if telemetry is not None and watchdogs:
-            from repro.obs.watchdog import flush_anomalies
-
-            flush_anomalies(telemetry, watchdogs, seed=seed)
         return results
 
     def table(

@@ -103,7 +103,6 @@ def run_with_telemetry(
     fast: bool = False,
     profiler: Any = None,
     spans: Any = None,
-    watchdogs: Sequence[Any] = (),
     metrics: Any = None,
     resources: Any = None,
 ) -> Table:
@@ -121,13 +120,13 @@ def run_with_telemetry(
     (anything with ``as_dict()``, e.g. :class:`repro.obs.Profiler`)
     becomes the record's ``timings``, *spans* (anything with
     ``summary()``, e.g. :class:`repro.obs.spans.SpanProbe`) becomes its
-    ``spans``, and each watchdog's accumulated anomalies are flushed to
-    *sink* as ``kind="anomaly"`` records after the manifest.  *metrics*
-    (a :class:`repro.obs.metrics.MetricsRegistry` or snapshot dict)
-    embeds as the record's validated ``metrics`` field; *resources*
-    (a :class:`repro.obs.metrics.ResourceSampler`, started here when
-    not already started, or a plain delta mapping) embeds as
-    ``resources``.
+    ``spans``, *metrics* (a :class:`repro.obs.metrics.MetricsRegistry`
+    or snapshot dict) embeds as the record's validated ``metrics``
+    field, and *resources* (a started
+    :class:`repro.obs.metrics.ResourceSampler`, as on the runners)
+    embeds its delta as ``resources``.  Watchdog anomalies come from
+    the runs: a runner given ``watchdogs=`` and *sink* writes each
+    run's anomalies right after that run's record.
     """
     from time import perf_counter
 
@@ -136,9 +135,6 @@ def run_with_telemetry(
     kwargs: dict[str, Any] = {"seed": seed, "fast": fast}
     if trials is not None:
         kwargs["trials"] = trials
-    sampler = resources if hasattr(resources, "delta") else None
-    if sampler is not None and getattr(sampler, "_start", None) is None:
-        sampler.start()
     start = perf_counter()
     table = spec.run(**kwargs)
     elapsed = perf_counter() - start
@@ -153,13 +149,9 @@ def run_with_telemetry(
             profiler=profiler,
             spans=spans,
             metrics=metrics,
-            resources=sampler.delta() if sampler is not None else resources,
+            resources=None if resources is None else resources.delta(),
         )
     )
-    if watchdogs:
-        from repro.obs.watchdog import flush_anomalies
-
-        flush_anomalies(sink, watchdogs, seed=seed)
     return table
 
 

@@ -637,23 +637,6 @@ def dispatch(args: argparse.Namespace) -> int:
     raise ValueError(f"unknown obs command {command!r}")
 
 
-def run(obs_command: str, files: Sequence[str], *, limit: int = 10) -> int:
-    """Dispatch one telemetry-file subcommand by name (compat shim).
-
-    Kept for callers that predate :func:`dispatch`; covers only the
-    file-oriented subcommands.
-    """
-    if obs_command == "validate":
-        return validate_files(files)
-    if obs_command == "summary":
-        return summarize_files(files)
-    if obs_command == "tail":
-        return tail_files(files, limit)
-    if obs_command == "anomalies":
-        return anomalies_files(files)
-    raise ValueError(f"unknown obs command {obs_command!r}")
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     """Entry point for the ``repro-obs`` console script."""
     return dispatch(build_parser().parse_args(argv))

@@ -188,6 +188,37 @@ def _type_names(types: tuple[type, ...]) -> str:
     return " | ".join("null" if t is type(None) else t.__name__ for t in types)
 
 
+def _attach(
+    record: dict[str, Any],
+    *,
+    probe: Any = None,
+    profiler: Any = None,
+    spans: Any = None,
+    metrics: Any = None,
+    resources: Mapping[str, float] | None = None,
+) -> None:
+    """Embed the instrument snapshots every record kind may carry.
+
+    ``counters`` only takes a probe snapshot that maps names to integers.
+    """
+    if probe is not None and hasattr(probe, "as_dict"):
+        counters = probe.as_dict()
+        if all(isinstance(value, int) for value in counters.values()):
+            record["counters"] = counters
+    if profiler is not None and hasattr(profiler, "as_dict"):
+        record["timings"] = profiler.as_dict()
+    if spans is not None:
+        record["spans"] = (
+            spans.summary() if hasattr(spans, "summary") else dict(spans)
+        )
+    if metrics is not None:
+        record["metrics"] = (
+            metrics.snapshot() if hasattr(metrics, "snapshot") else dict(metrics)
+        )
+    if resources is not None:
+        record["resources"] = dict(resources)
+
+
 def run_record(
     *,
     protocol: str,
@@ -210,7 +241,8 @@ def run_record(
 
     The network supplies ``(n, c, k)`` and the slot-0 universe size
     ``C``.  When *probe* or *profiler* expose ``as_dict()``, their
-    snapshots ride along as ``counters`` / ``timings``; when *spans*
+    snapshots ride along as ``counters`` (integer-valued snapshots
+    only, so not a ``HistogramProbe``'s) / ``timings``; when *spans*
     exposes ``summary()`` (a :class:`repro.obs.spans.SpanProbe`) or is
     already a mapping, it rides along as ``spans``.  *metrics* is a
     :class:`repro.obs.metrics.MetricsRegistry` (or its snapshot dict),
@@ -241,20 +273,14 @@ def run_record(
         "slots": slots,
         "outcome": outcome,
     }
-    if probe is not None and hasattr(probe, "as_dict"):
-        record["counters"] = probe.as_dict()
-    if profiler is not None and hasattr(profiler, "as_dict"):
-        record["timings"] = profiler.as_dict()
-    if spans is not None:
-        record["spans"] = (
-            spans.summary() if hasattr(spans, "summary") else dict(spans)
-        )
-    if metrics is not None:
-        record["metrics"] = (
-            metrics.snapshot() if hasattr(metrics, "snapshot") else dict(metrics)
-        )
-    if resources is not None:
-        record["resources"] = dict(resources)
+    _attach(
+        record,
+        probe=probe,
+        profiler=profiler,
+        spans=spans,
+        metrics=metrics,
+        resources=resources,
+    )
     if elapsed_s is not None:
         record["elapsed_s"] = round(float(elapsed_s), 6)
     if fast_path is not None:
@@ -328,18 +354,9 @@ def experiment_record(
             }
         ),
     }
-    if profiler is not None and hasattr(profiler, "as_dict"):
-        record["timings"] = profiler.as_dict()
-    if spans is not None:
-        record["spans"] = (
-            spans.summary() if hasattr(spans, "summary") else dict(spans)
-        )
-    if metrics is not None:
-        record["metrics"] = (
-            metrics.snapshot() if hasattr(metrics, "snapshot") else dict(metrics)
-        )
-    if resources is not None:
-        record["resources"] = dict(resources)
+    _attach(
+        record, profiler=profiler, spans=spans, metrics=metrics, resources=resources
+    )
     return record
 
 
@@ -426,10 +443,7 @@ def campaign_record(
             }
         ),
     }
-    if metrics is not None:
-        record["metrics"] = (
-            metrics.snapshot() if hasattr(metrics, "snapshot") else dict(metrics)
-        )
+    _attach(record, metrics=metrics)
     return record
 
 

@@ -55,6 +55,52 @@ class TestCampaignRun:
         with pytest.raises(ValueError):
             self.campaign().run([{"x": 1}], trials=0)
 
+    def test_watchdog_anomalies_written_per_run_under_trial_seed(self):
+        import io
+        import json
+
+        from repro.assignment import shared_core
+        from repro.core.runners import run_local_broadcast
+        from repro.obs import SlotBudgetWatchdog, TelemetrySink
+        from repro.sim.channels import Network
+        from repro.sim.rng import derive_rng, derive_seed
+
+        handle = io.StringIO()
+        sink = TelemetrySink(handle)
+
+        def measure(point, seed):
+            network = Network.static(
+                shared_core(point["n"], 6, 2, derive_rng(seed, "network"))
+            )
+            return run_local_broadcast(
+                network,
+                seed=seed,
+                max_slots=5000,
+                watchdogs=[SlotBudgetWatchdog(budget=1)],
+                telemetry=sink,
+            ).slots
+
+        grid = [{"n": 8}, {"n": 12}]
+        Campaign(name="dogs", measure=measure).run(
+            grid, trials=3, seed=0, telemetry=sink
+        )
+        records = [json.loads(line) for line in handle.getvalue().splitlines()]
+        trial_seeds = [
+            derive_seed(0, "campaign", "dogs", index, trial)
+            for index in range(len(grid))
+            for trial in range(3)
+        ]
+        runs = [r["seed"] for r in records if r["kind"] == "run"]
+        anomalies = [r for r in records if r["kind"] == "anomaly"]
+        assert runs == trial_seeds
+        assert [r["seed"] for r in anomalies] == trial_seeds
+        assert {r["rule"] for r in anomalies} == {"slot-budget"}
+        # Each anomaly directly follows the record of the run that saw it.
+        for anomaly in anomalies:
+            before = records[records.index(anomaly) - 1]
+            assert (before["kind"], before["seed"]) == ("run", anomaly["seed"])
+        assert sum(r["kind"] == "campaign" for r in records) == len(grid)
+
 
 class TestCampaignTable:
     def test_table_shape(self):

@@ -44,12 +44,14 @@ from repro.obs import (
     validate_record,
 )
 from repro.sim.adversary import RandomJammer
+from repro.sim.backends import numpy_available
 from repro.sim.channels import Network
 from repro.sim.collision import DestructiveCollision, ProbedCollision
 from repro.sim.engine import build_engine
 from repro.sim.metrics import compute_metrics
 from repro.sim.rng import derive_rng
 from repro.sim.trace import EventTrace
+from tests import runner_golden
 
 
 def small_network(n=16, c=8, k=2, seed=3) -> Network:
@@ -699,6 +701,44 @@ class TestRunnerTelemetry:
                 require_completion=True,
             )
         assert json.loads(handle.getvalue())["outcome"] == "budget"
+
+    def test_non_integer_probe_snapshot_is_not_embedded(self):
+        # A HistogramProbe's snapshot holds nested distributions, which the
+        # schema's integer-valued ``counters`` cannot carry: the run must
+        # still return and record, just without ``counters``.
+        handle = io.StringIO()
+        sink = TelemetrySink(handle)
+        hist = HistogramProbe()
+        result = run_local_broadcast(
+            small_network(), seed=1, max_slots=5000, probe=hist, telemetry=sink
+        )
+        assert result.completed
+        assert hist.nodes_heard > 0
+        records = [json.loads(line) for line in handle.getvalue().splitlines()]
+        assert len(records) == 1
+        assert validate_record(records[0]) == []
+        assert "counters" not in records[0]
+
+    def test_activity_probe_counters_are_embedded(self):
+        handle = io.StringIO()
+        activity = ActivityProbe()
+        run_local_broadcast(
+            small_network(),
+            seed=1,
+            max_slots=5000,
+            probe=activity,
+            telemetry=TelemetrySink(handle),
+        )
+        assert json.loads(handle.getvalue())["counters"] == activity.as_dict()
+
+    @pytest.mark.parametrize("case_id", runner_golden.case_ids())
+    def test_records_match_golden_fixture(self, case_id):
+        # Records with timing fields stripped are pinned byte for byte;
+        # tests/runner_golden.py documents the cases and regeneration.
+        if "/vector-replay/" in case_id and not numpy_available():
+            pytest.skip("numpy not installed")
+        expected = runner_golden.load_fixture()[case_id]
+        assert runner_golden.capture_case(case_id) == expected
 
 
 class TestHarnessTelemetry:

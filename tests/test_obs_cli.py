@@ -336,6 +336,18 @@ class TestRunTelemetryFlag:
         # The experiment output itself still prints.
         assert "E16" in capsys.readouterr().out
 
+    def test_run_record_carries_metrics_and_resources(self, tmp_path, capsys):
+        path = tmp_path / "t.jsonl"
+        argv = ["run", "E01", "--fast", "--trials", "2", "--telemetry", str(path)]
+        assert repro_main(argv) == 0
+        records = read_telemetry(path)
+        assert [record["kind"] for record in records] == ["experiment"]
+        record = records[0]
+        series = record["metrics"]["metrics"]["experiments_run"]["series"]
+        assert series == [{"labels": ["E01"], "value": 1.0}]
+        assert {"gc_collections", "gc_objects"} <= set(record["resources"])
+        assert record["resources"]["gc_objects"] > 0
+
     def test_run_without_flag_writes_nothing(self, tmp_path, capsys):
         assert repro_main(["run", "E16", "--fast", "--trials", "2"]) == 0
         assert not list(tmp_path.iterdir())
