@@ -1,10 +1,11 @@
-"""Benchmarks for the observability subsystem: probe overhead.
+"""Benchmarks for the observability subsystem: instrument overhead.
 
 The ``repro.obs`` design promise is that an unattached probe costs the
 engine one ``is None`` check per hook site.  These benchmarks time the
-same seeded COGCAST run bare, with a streaming ``CountersProbe``, and
-with the full instrument stack, so a hot-path regression shows up as a
-ratio between adjacent rows of ``pytest benchmarks/ --benchmark-only``.
+same seeded COGCAST run bare, with the streaming counter a runner
+attaches for ``metrics=``, and with spans, metrics and a profiler
+together, so a hot-path regression shows up as a ratio between adjacent
+rows of ``pytest benchmarks/ --benchmark-only``.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import random
 
 from repro import assignment, sim
 from repro.core import run_local_broadcast
-from repro.obs import CountersProbe, HistogramProbe, MultiProbe, Profiler
+from repro.obs import MetricsRegistry, Profiler, SpanProbe
 
 SEED = 5
 MAX_SLOTS = 2_000
@@ -37,35 +38,41 @@ def test_broadcast_bare(benchmark):
     assert result.completed
 
 
-def test_broadcast_counters_probe(benchmark):
+def test_broadcast_metrics(benchmark):
     network = _network()
 
     def run():
-        probe = CountersProbe()
+        registry = MetricsRegistry()
         result = run_local_broadcast(
-            network, seed=SEED, max_slots=MAX_SLOTS, probe=probe
+            network, seed=SEED, max_slots=MAX_SLOTS, metrics=registry
         )
-        return result, probe
+        return result, registry
 
-    result, probe = benchmark.pedantic(run, rounds=ROUNDS, iterations=1)
-    # The probe observes without perturbing: same run, same counters.
+    result, registry = benchmark.pedantic(run, rounds=ROUNDS, iterations=1)
+    # The probe observes without perturbing: same run, counted slots.
     assert result.completed
-    assert probe.metrics().successes > 0
+    slots = registry.counter("sim_slots", "slots executed", labels=("protocol",))
+    assert slots.value(protocol="cogcast") == result.slots
 
 
 def test_broadcast_full_instrumentation(benchmark):
     network = _network()
 
     def run():
-        probe = MultiProbe([CountersProbe(), HistogramProbe()])
-        profiler = Profiler()
+        spans, registry, profiler = SpanProbe(), MetricsRegistry(), Profiler()
         result = run_local_broadcast(
-            network, seed=SEED, max_slots=MAX_SLOTS, probe=probe, profiler=profiler
+            network,
+            seed=SEED,
+            max_slots=MAX_SLOTS,
+            spans=spans,
+            metrics=registry,
+            profiler=profiler,
         )
-        return result, profiler
+        return result, spans, profiler
 
-    result, profiler = benchmark.pedantic(run, rounds=ROUNDS, iterations=1)
+    result, spans, profiler = benchmark.pedantic(run, rounds=ROUNDS, iterations=1)
     assert result.completed
+    assert len(spans.informed) == result.informed_count
     assert set(profiler.sections()) == {
         "engine.collect",
         "engine.resolve",

@@ -143,7 +143,6 @@ def run_protocol(
                 network=network,
                 slots=result.slots,
                 outcome=outcome(protocols, result),
-                probe=probe,
                 profiler=profiler,
                 spans=spans,
                 metrics=metrics,

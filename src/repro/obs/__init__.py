@@ -6,16 +6,15 @@ run took the slots it did previously required recording a full
 analysing it after the fact.  This package provides the always-on,
 constant-memory alternative:
 
-- **Probes** (:class:`SlotProbe`, :class:`ProtocolProbe`) — hook
-  objects the engine fires per slot / channel event / node action.
-  With no probe attached the engine pays only a ``None`` check, so
-  production sweeps keep their benchmark numbers.
+- **Probes** (:class:`SlotProbe`, :class:`ProtocolProbe`,
+  :class:`MultiProbe`) — hook objects the engine fires per slot /
+  channel event / node action.  With no probe attached the engine pays
+  only a ``None`` check, so production sweeps keep their benchmark
+  numbers.
 - **Streaming aggregators** (:class:`StreamingStat`,
-  :class:`FixedHistogram`) and the concrete probes built on them
-  (:class:`CountersProbe`, :class:`HistogramProbe`,
-  :class:`ActivityProbe`).  :meth:`CountersProbe.metrics` reproduces
-  :class:`~repro.sim.metrics.TraceMetrics` exactly, without retaining
-  a single event.
+  :class:`FixedHistogram`) — constant-memory moments and buckets, the
+  building blocks of the metrics histograms, span statistics and query
+  stats.
 - **Profiler** (:class:`Profiler`) — ``time.perf_counter``-based wall
   time attribution to engine sections and harness phases (R2-safe:
   monotonic counters only, never the wall clock).
@@ -34,7 +33,7 @@ constant-memory alternative:
   of crashing the run.
 - **Telemetry** (:class:`TelemetrySink`) — machine-readable JSONL run
   manifests (seed, ``n``/``c``/``k``/``C``, protocol, slot count,
-  outcome, counters, timings, span summaries) emitted by the runner
+  outcome, metrics, timings, span summaries) emitted by the runner
   harnesses, plus a ``python -m repro obs`` CLI that validates, tails,
   and summarizes telemetry files and surfaces anomalies.
 - **Metrics** (:class:`MetricsRegistry` with :class:`Counter`,
@@ -42,9 +41,11 @@ constant-memory alternative:
   instrument registry with label sets, snapshot/restore/merge (so
   :func:`repro.perf.pmap_trials` workers consolidate
   deterministically), a Prometheus text exporter
-  (:func:`render_prometheus`), an engine-hook feeder
-  (:class:`MetricsProbe`), and a :class:`ResourceSampler` (RSS, CPU
-  time, GC) whose deltas ride on run records.
+  (:func:`render_prometheus`), the one streaming counter
+  (:class:`MetricsProbe`, whose ``sim_*`` counters equal
+  :func:`~repro.sim.metrics.compute_metrics` over a full trace of the
+  same run), and a :class:`ResourceSampler` (RSS, CPU time, GC) whose
+  deltas ride on run records.
 - **Regression plane** (:mod:`repro.obs.regress`) — ``repro obs diff``
   compares two telemetry files per metric (protocol-class series must
   match; timing-class series are reported with bootstrap CIs), and
@@ -86,8 +87,7 @@ from repro.obs.export import (
     validate_chrome_trace,
     write_chrome_trace,
 )
-from repro.obs.probe import MultiProbe, ProtocolProbe, SlotProbe, attach
-from repro.obs.probes import ActivityProbe, CountersProbe, HistogramProbe
+from repro.obs.probe import MultiProbe, ProtocolProbe, SlotProbe
 from repro.obs.profiler import Profiler, SectionStat
 from repro.obs.provenance import (
     CODE_VERSION,
@@ -135,17 +135,14 @@ from repro.obs.watchdog import (
 )
 
 __all__ = [
-    "ActivityProbe",
     "Anomaly",
     "CODE_VERSION",
     "ClusterSizeAgreementWatchdog",
     "Counter",
-    "CountersProbe",
     "Filter",
     "FixedHistogram",
     "Gauge",
     "Histogram",
-    "HistogramProbe",
     "InformEdge",
     "InformedSetWatchdog",
     "IngestReport",
@@ -172,7 +169,6 @@ __all__ = [
     "TelemetrySink",
     "WatchdogProbe",
     "anomaly_record",
-    "attach",
     "campaign_record",
     "canonical_json",
     "chrome_trace",

@@ -54,6 +54,7 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Sequence
 
 from repro.obs.aggregators import FixedHistogram, StreamingStat
+from repro.obs.probe import SlotProbe
 
 #: Version stamped into (and required of) every metrics snapshot.
 METRICS_SCHEMA_VERSION = 1
@@ -565,20 +566,21 @@ def _number(value: float) -> str:
 # ----------------------------------------------------------------------
 
 
-class MetricsProbe:
+class MetricsProbe(SlotProbe):
     """Feed a :class:`MetricsRegistry` from the engine's hook points.
 
-    A :class:`~repro.obs.probe.SlotProbe`-compatible observer (duck
-    typed, like every engine instrument) that maintains the standard
-    simulation instrument set — slots, broadcasts, collisions,
-    deliveries, wasted listens, contention distribution — labelled by
-    protocol name.  Attaching any probe disengages the engine fast
-    path, which is exactly right: instrumented runs use the general
-    kernel, and the registry's protocol-category values stay a pure
-    function of ``(config, seed)``.
+    The one streaming counter: it maintains the standard simulation
+    instrument set — slots, broadcasts, collisions, deliveries, wasted
+    listens, contention distribution — labelled by protocol name, with
+    the accounting of :func:`repro.sim.metrics.compute_metrics`, so
+    ``sim_broadcasts`` / ``sim_collisions`` / ``sim_deliveries`` /
+    ``sim_wasted_listens`` / ``sim_peak_contention`` equal the matching
+    :class:`~repro.sim.metrics.TraceMetrics` fields of a full trace of
+    the same run, jamming included.  Attaching any probe disengages the
+    engine fast path, which is exactly right: instrumented runs use the
+    general kernel, and the registry's protocol-category values stay a
+    pure function of ``(config, seed)``.
     """
-
-    observes_nodes = False
 
     def __init__(self, registry: MetricsRegistry, *, protocol: str = "unknown") -> None:
         self.registry = registry
@@ -633,13 +635,14 @@ class MetricsProbe:
                 self.peak_contention.set(contenders, protocol=protocol)
         if contenders >= 2:
             self.collisions.inc(protocol=protocol)
-        live_listeners = sum(
-            1 for node in event.listeners if node not in event.jammed_nodes
-        )
-        if event.winner is not None:
-            self.deliveries.inc(live_listeners, protocol=protocol)
-        else:
-            self.wasted_listens.inc(live_listeners, protocol=protocol)
+        if event.winner is None:
+            # Nobody on the channel heard anything, jammed or not.
+            self.wasted_listens.inc(len(event.listeners), protocol=protocol)
+            return
+        jammed = sum(1 for node in event.listeners if node in event.jammed_nodes)
+        self.deliveries.inc(len(event.listeners) - jammed, protocol=protocol)
+        if jammed:
+            self.wasted_listens.inc(jammed, protocol=protocol)
 
     def on_vector_run(
         self,
@@ -682,18 +685,6 @@ class MetricsProbe:
             self.deliveries.inc(deliveries, protocol=protocol)
         if wasted_listens:
             self.wasted_listens.inc(wasted_listens, protocol=protocol)
-
-    def on_contention(self, contenders: int, resolution: Any) -> None:
-        """Unused deeper hook (collision-layer attach)."""
-
-    def on_translation(self, slot: int, node: int, label: int, channel: int) -> None:
-        """Unused deeper hook (network attach)."""
-
-    def on_slot_end(self, slot: int, active_nodes: int) -> None:
-        """Unused; slots are counted at begin."""
-
-    def on_run_end(self, slots: int) -> None:
-        """Unused; run boundaries need no extra accounting."""
 
 
 # ----------------------------------------------------------------------

@@ -6,15 +6,15 @@ A probe is the streaming counterpart of an
 constant memory.  Two granularities exist:
 
 - :class:`SlotProbe` — slot- and channel-level hooks: run start/end,
-  slot begin/end, one call per :class:`~repro.sim.trace.ChannelEvent`,
-  plus the optional deeper hooks fired by the label-translation path
-  (:meth:`~repro.sim.channels.Network.attach_probe`) and the collision
-  layer (:class:`~repro.sim.collision.ProbedCollision`).
-- :class:`ProtocolProbe` — adds per-node hooks: every action a node
-  takes and every outcome it observes.
+  slot begin, and one call per :class:`~repro.sim.trace.ChannelEvent`.
+- :class:`ProtocolProbe` — adds the per-node hook: every action a node
+  takes.
 
-All hooks are no-ops on the base classes; subclass and override what
-you need.  The engine checks ``probe is None`` before every hook, so an
+The hook set is exactly what the instruments in :mod:`repro.obs`
+consume: :class:`~repro.obs.metrics.MetricsProbe` (the one streaming
+counter), :class:`~repro.obs.spans.SpanProbe` and the watchdogs.  All
+hooks are no-ops on the base classes; subclass and override what you
+need.  The engine checks ``probe is None`` before every hook, so an
 un-probed run pays nothing beyond that check, and it consults
 :attr:`SlotProbe.observes_nodes` once at attach time so slot-level
 probes never pay the per-node dispatch.
@@ -30,11 +30,9 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterable
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
-    from repro.sim.actions import Action, SlotOutcome
-    from repro.sim.collision import Resolution
-    from repro.sim.engine import Engine
+    from repro.sim.actions import Action
     from repro.sim.trace import ChannelEvent
-    from repro.types import Channel, LocalLabel, NodeId, Slot
+    from repro.types import NodeId, Slot
 
 
 class SlotProbe:
@@ -42,15 +40,14 @@ class SlotProbe:
 
     Subclass and override the hooks you need; unoverridden hooks cost
     one no-op call.  The engine guarantees hook order within a run:
-    ``on_run_start``, then per slot ``on_slot_begin``, zero or more
-    ``on_channel_event`` (in ascending channel order), ``on_slot_end``,
-    and finally ``on_run_end``.  Slots arrive in strictly increasing
-    order.
+    ``on_run_start``, then per slot ``on_slot_begin`` and zero or more
+    ``on_channel_event`` (in ascending channel order), and finally
+    ``on_run_end``.  Slots arrive in strictly increasing order.
     """
 
-    #: Whether the engine should also fire the per-node hooks
-    #: (:meth:`ProtocolProbe.on_action` / :meth:`ProtocolProbe.on_outcome`).
-    #: Checked once at attach time, not per slot.
+    #: Whether the engine should also fire the per-node hook
+    #: (:meth:`ProtocolProbe.on_action`).  Checked once at attach time,
+    #: not per slot.
     observes_nodes = False
 
     def on_run_start(self, *, num_nodes: int, num_channels: int, overlap: int) -> None:
@@ -67,38 +64,17 @@ class SlotProbe:
         streaming counters can reproduce trace metrics exactly.
         """
 
-    def on_contention(self, contenders: int, resolution: "Resolution") -> None:
-        """The collision layer resolved *contenders* concurrent broadcasts.
-
-        Fired only when the engine's collision model is wrapped in a
-        :class:`~repro.sim.collision.ProbedCollision` (see :func:`attach`
-        with ``collision=True``).
-        """
-
-    def on_translation(
-        self, slot: "Slot", node: "NodeId", label: "LocalLabel", channel: "Channel"
-    ) -> None:
-        """The network translated *node*'s local *label* to *channel*.
-
-        Fired only when the probe is attached to the network
-        (:meth:`~repro.sim.channels.Network.attach_probe`, or
-        :func:`attach` with ``channels=True``).
-        """
-
-    def on_slot_end(self, slot: "Slot", active_nodes: int) -> None:
-        """Slot *slot* finished; *active_nodes* protocols participated."""
-
     def on_run_end(self, slots: int) -> None:
         """The run finished after executing *slots* slots."""
 
 
 class ProtocolProbe(SlotProbe):
-    """A probe that additionally observes every node's actions and outcomes.
+    """A probe that additionally observes every node's actions.
 
-    Use for per-node accounting (airtime, listen/broadcast mix, idle
-    fraction) that slot-level hooks cannot reconstruct.  Costs one call
-    per live node per slot, so prefer :class:`SlotProbe` when channel
-    events suffice.
+    Use for per-node accounting that slot-level hooks cannot
+    reconstruct (e.g. :class:`~repro.obs.spans.SpanProbe`'s per-node
+    activity extents).  Costs one call per live node per slot, so
+    prefer :class:`SlotProbe` when channel events suffice.
     """
 
     observes_nodes = True
@@ -106,14 +82,11 @@ class ProtocolProbe(SlotProbe):
     def on_action(self, slot: "Slot", node: "NodeId", action: "Action") -> None:
         """*node* chose *action* for *slot*."""
 
-    def on_outcome(self, slot: "Slot", node: "NodeId", outcome: "SlotOutcome") -> None:
-        """*node* observed *outcome* at the end of *slot*."""
-
 
 class MultiProbe(ProtocolProbe):
     """Fan one stream of hooks out to several probes.
 
-    Per-node hooks are forwarded only to children that observe nodes;
+    The per-node hook is forwarded only to children that observe nodes;
     :attr:`observes_nodes` is the OR over children so a set of pure
     slot-probes still skips the per-node dispatch entirely.
     """
@@ -142,23 +115,6 @@ class MultiProbe(ProtocolProbe):
         for probe in self.probes:
             probe.on_channel_event(event)
 
-    def on_contention(self, contenders: int, resolution: "Resolution") -> None:
-        """Forward to every child probe."""
-        for probe in self.probes:
-            probe.on_contention(contenders, resolution)
-
-    def on_translation(
-        self, slot: "Slot", node: "NodeId", label: "LocalLabel", channel: "Channel"
-    ) -> None:
-        """Forward to every child probe."""
-        for probe in self.probes:
-            probe.on_translation(slot, node, label, channel)
-
-    def on_slot_end(self, slot: "Slot", active_nodes: int) -> None:
-        """Forward to every child probe."""
-        for probe in self.probes:
-            probe.on_slot_end(slot, active_nodes)
-
     def on_run_end(self, slots: int) -> None:
         """Forward to every child probe."""
         for probe in self.probes:
@@ -168,36 +124,3 @@ class MultiProbe(ProtocolProbe):
         """Forward to the node-observing children only."""
         for probe in self._node_probes:
             probe.on_action(slot, node, action)  # type: ignore[attr-defined]
-
-    def on_outcome(self, slot: "Slot", node: "NodeId", outcome: "SlotOutcome") -> None:
-        """Forward to the node-observing children only."""
-        for probe in self._node_probes:
-            probe.on_outcome(slot, node, outcome)  # type: ignore[attr-defined]
-
-
-def attach(
-    engine: "Engine",
-    probe: SlotProbe,
-    *,
-    channels: bool = False,
-    collision: bool = False,
-) -> "Engine":
-    """Wire *probe* into *engine*'s observation points; returns the engine.
-
-    Always sets the engine-level probe (slot/channel-event hooks).
-    ``channels=True`` additionally attaches the probe to the network so
-    :meth:`SlotProbe.on_translation` fires per label translation;
-    ``collision=True`` wraps the engine's collision model in a
-    :class:`~repro.sim.collision.ProbedCollision` so
-    :meth:`SlotProbe.on_contention` fires per resolution.  Both deeper
-    hooks cost one call per action per slot — leave them off unless a
-    probe consumes them.
-    """
-    from repro.sim.collision import ProbedCollision
-
-    engine.probe = probe
-    if channels:
-        engine.network.attach_probe(probe)
-    if collision:
-        engine.collision = ProbedCollision(engine.collision, probe)
-    return engine

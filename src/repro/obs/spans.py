@@ -1,7 +1,7 @@
 """Causal spans: distribution trees and phase spans from engine ground truth.
 
-The flat probes in :mod:`repro.obs.probes` answer *how much* (counters,
-histograms); this module answers *why* and *in what order*.  A
+The streaming counter (:class:`repro.obs.metrics.MetricsProbe`)
+answers *how much*; this module answers *why* and *in what order*.  A
 :class:`SpanProbe` watches the same :class:`~repro.sim.trace.ChannelEvent`
 stream and reconstructs the run's causal structure:
 

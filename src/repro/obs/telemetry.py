@@ -2,7 +2,7 @@
 
 Every instrumented run emits one machine-readable record — the seed,
 the network shape ``(n, c, k, C)``, the protocol, the slot count, the
-outcome, and optionally a probe's counters and a profiler's timings.
+outcome, and optionally a metrics snapshot and a profiler's timings.
 Records accumulate as JSON lines in a telemetry file that the
 ``python -m repro obs`` CLI can validate, tail, and summarize, and
 that CI uploads as a build artifact.
@@ -86,8 +86,11 @@ def validate_record(record: Any) -> list[str]:
     (``schema``, ``kind``, ``seed``), the per-kind required fields and
     their types, a run record's ``outcome`` vocabulary, and the shape
     of the optional ``counters`` / ``timings`` / ``provenance``
-    attachments.  The ``provenance`` block is optional (records written
-    before stamping existed omit it) but validated when present.
+    attachments.  ``counters`` is no longer written (a run's counts
+    ride in its ``metrics`` snapshot) but is still checked in records
+    written before that change.  The ``provenance`` block is optional
+    (records written before stamping existed omit it) but validated
+    when present.
     """
     problems: list[str] = []
     if not isinstance(record, dict):
@@ -191,20 +194,12 @@ def _type_names(types: tuple[type, ...]) -> str:
 def _attach(
     record: dict[str, Any],
     *,
-    probe: Any = None,
     profiler: Any = None,
     spans: Any = None,
     metrics: Any = None,
     resources: Mapping[str, float] | None = None,
 ) -> None:
-    """Embed the instrument snapshots every record kind may carry.
-
-    ``counters`` only takes a probe snapshot that maps names to integers.
-    """
-    if probe is not None and hasattr(probe, "as_dict"):
-        counters = probe.as_dict()
-        if all(isinstance(value, int) for value in counters.values()):
-            record["counters"] = counters
+    """Embed the instrument snapshots every record kind may carry."""
     if profiler is not None and hasattr(profiler, "as_dict"):
         record["timings"] = profiler.as_dict()
     if spans is not None:
@@ -226,7 +221,6 @@ def run_record(
     network: "Network",
     slots: int,
     outcome: str,
-    probe: Any = None,
     profiler: Any = None,
     spans: Any = None,
     metrics: Any = None,
@@ -240,11 +234,10 @@ def run_record(
     """Build a ``kind="run"`` manifest for one engine run.
 
     The network supplies ``(n, c, k)`` and the slot-0 universe size
-    ``C``.  When *probe* or *profiler* expose ``as_dict()``, their
-    snapshots ride along as ``counters`` (integer-valued snapshots
-    only, so not a ``HistogramProbe``'s) / ``timings``; when *spans*
-    exposes ``summary()`` (a :class:`repro.obs.spans.SpanProbe`) or is
-    already a mapping, it rides along as ``spans``.  *metrics* is a
+    ``C``.  When *profiler* exposes ``as_dict()``, its section stats
+    ride along as ``timings``; when *spans* exposes ``summary()`` (a
+    :class:`repro.obs.spans.SpanProbe`) or is already a mapping, it
+    rides along as ``spans``.  *metrics* is a
     :class:`repro.obs.metrics.MetricsRegistry` (or its snapshot dict),
     embedded as the validated ``metrics`` field; *resources* is a
     :meth:`repro.obs.metrics.ResourceSampler.delta` mapping; timing
@@ -275,7 +268,6 @@ def run_record(
     }
     _attach(
         record,
-        probe=probe,
         profiler=profiler,
         spans=spans,
         metrics=metrics,

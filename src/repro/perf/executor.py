@@ -102,17 +102,16 @@ def _init_worker(backend_name: str) -> None:
     Per-process defaults (``set_default_backend``, i.e. the CLI's
     ``--backend``) don't cross the process boundary on spawn-start
     platforms, so the pool snapshots the parent's default at fan-out
-    time.  Deliberately exception-proof: an initializer that raises
-    breaks the whole pool, and backend selection is an optimization —
-    a worker that falls back to the default backend still returns
-    correct results.
+    time.  A failure here is never swallowed: the parent already
+    validated the name, so an error can only mean a broken worker, and
+    a worker silently left on another backend would return numbers
+    from a different random stream (``vector`` draws from numpy) than
+    a serial run.  The raise breaks the pool and :func:`pmap_trials`
+    raises with it.
     """
-    try:
-        from repro.sim.backends import set_default_backend
+    from repro.sim.backends import set_default_backend
 
-        set_default_backend(backend_name)
-    except Exception:
-        pass
+    set_default_backend(backend_name)
 
 
 def pmap_trials(

@@ -254,8 +254,6 @@ class VectorEngine:
             return "non-default collision model", []
         if type(self.network) is not Network:
             return "network subclass", []
-        if self.network.translation_probe is not None:
-            return "translation probe attached", []
         if type(self.network.schedule) not in (StaticSchedule, DynamicSchedule):
             return "unknown schedule type", []
         if stop_when is not None and (

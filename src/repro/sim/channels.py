@@ -308,22 +308,6 @@ class Network:
 
     def __init__(self, schedule: AssignmentSchedule) -> None:
         self.schedule = schedule
-        self._probe: object | None = None
-
-    def attach_probe(self, probe: object | None) -> None:
-        """Attach (or, with ``None``, detach) a translation observer.
-
-        The observer's ``on_translation(slot, node, label, channel)``
-        hook fires on every successful label translation.  Duck-typed so
-        this module never imports :mod:`repro.obs`; costs one ``is
-        None`` check per translation when detached.
-        """
-        self._probe = probe
-
-    @property
-    def translation_probe(self) -> object | None:
-        """The attached translation observer, if any (read-only)."""
-        return self._probe
 
     @classmethod
     def static(cls, assignment: ChannelAssignment, *, validate: bool = True) -> "Network":
@@ -353,10 +337,7 @@ class Network:
                 f"node {node} used local label {label}; "
                 f"valid labels are 0..{self.channels_per_node - 1}"
             )
-        channel = self.schedule.at(slot).physical(node, label)
-        if self._probe is not None:
-            self._probe.on_translation(slot, node, label, channel)
-        return channel
+        return self.schedule.at(slot).physical(node, label)
 
     def assignment_at(self, slot: int) -> ChannelAssignment:
         return self.schedule.at(slot)

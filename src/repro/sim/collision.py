@@ -93,24 +93,3 @@ class DestructiveCollision(CollisionModel):
         if len(broadcasts) == 1:
             return Resolution(winner=broadcasts[0])
         return Resolution(winner=None)
-
-
-class ProbedCollision(CollisionModel):
-    """Wraps another model, reporting every resolution to an observer.
-
-    The observer's ``on_contention(contenders, resolution)`` hook fires
-    after each :meth:`resolve` with the contender count and the inner
-    model's :class:`Resolution`.  Duck-typed (any object with the hook
-    works) so this module never imports :mod:`repro.obs`; attach via
-    :func:`repro.obs.probe.attach` rather than constructing directly.
-    """
-
-    def __init__(self, inner: CollisionModel, observer: object) -> None:
-        self.inner = inner
-        self.observer = observer
-
-    def resolve(self, broadcasts: Sequence[Envelope], rng: random.Random) -> Resolution:
-        """Delegate to the inner model, then report to the observer."""
-        resolution = self.inner.resolve(broadcasts, rng)
-        self.observer.on_contention(len(broadcasts), resolution)
-        return resolution

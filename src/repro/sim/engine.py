@@ -13,14 +13,16 @@ who collided with whom) lives here and, optionally, in an
 :class:`~repro.sim.trace.EventTrace` for analysis.
 
 Observability: the engine carries two optional, duck-typed instruments
-from :mod:`repro.obs` — a *probe* (fired per slot, per channel event,
-and, for node-observing probes, per action/outcome) and a *profiler*
-(``perf_counter`` wall time attributed to the ``engine.collect`` /
-``engine.resolve`` / ``engine.deliver`` sections).  Both default to
-``None`` and cost exactly one ``is None`` check per hook site when
-absent, so un-instrumented runs keep their benchmark numbers.  The
-engine deliberately does not import :mod:`repro.obs` (the dependency
-points the other way); any object with the right hooks works.
+from :mod:`repro.obs` — a *probe* and a *profiler* (``perf_counter``
+wall time attributed to the ``engine.collect`` / ``engine.resolve`` /
+``engine.deliver`` sections).  The probe hooks are exactly the ones
+some instrument consumes: run start and end, slot begin, one call per
+channel event, and, for node-observing probes, one per action.  Both
+instruments default to ``None`` and cost exactly one ``is None`` check
+per hook site when absent, so un-instrumented runs keep their
+benchmark numbers.  The engine deliberately does not import
+:mod:`repro.obs` (the dependency points the other way); any object
+with the right hooks works.
 
 Performance: :meth:`Engine.run` detects the common configuration —
 static schedule, no jammer, the paper's single-winner collision model,
@@ -91,7 +93,7 @@ class Engine:
         Optional streaming probe (see :mod:`repro.obs.probe`).  Fired
         per slot and per channel event; probes whose
         ``observes_nodes`` attribute is true additionally receive every
-        node's action and outcome.  These hook points are the engine's
+        node's action.  These hook points are the engine's
         whole instrumentation surface: spans, watchdogs, and the
         metrics registry feeder
         (:class:`repro.obs.metrics.MetricsProbe` — slots, broadcasts,
@@ -300,11 +302,7 @@ class Engine:
 
         for node, outcome in outcomes.items():
             self.protocols[node].end_slot(slot, outcome)
-            if node_probe is not None:
-                node_probe.on_outcome(slot, node, outcome)
 
-        if probe is not None:
-            probe.on_slot_end(slot, len(actions))
         if profiler is not None:
             profiler.add("engine.deliver", perf_counter() - section_start)
 
@@ -331,7 +329,6 @@ class Engine:
             and type(self.collision) is SingleWinnerCollision
             and type(self.network) is Network
             and type(self.network.schedule) is StaticSchedule
-            and self.network.translation_probe is None
         )
 
     def _run_fast(

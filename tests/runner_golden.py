@@ -7,9 +7,11 @@
 - ``telemetry`` — a sink only, so the fast kernel stays engaged;
 - ``metrics`` — a sink plus a :class:`~repro.obs.metrics.MetricsRegistry`,
   the shape the benchmark uses, so the columnar kernel stays engaged;
-- ``all`` — every instrument the runner accepts (probe, profiler,
-  spans, a budget-1 :class:`~repro.obs.watchdog.SlotBudgetWatchdog`,
-  metrics, resources), so anomaly records are covered too.
+- ``all`` — every instrument the runner accepts (a bare
+  :class:`~repro.obs.probe.SlotProbe` as ``probe``, profiler, spans, a
+  budget-1 :class:`~repro.obs.watchdog.SlotBudgetWatchdog`, metrics,
+  resources), so ``probe=`` composition and anomaly records are covered
+  too.
 
 plus one COGCAST run whose ``require_completion`` raises after the
 record is written.  Every emitted record is stripped of the fields that
@@ -39,11 +41,11 @@ from repro.baselines.runners import (
 )
 from repro.core.runners import run_data_aggregation, run_gossip, run_local_broadcast
 from repro.obs import (
-    CountersProbe,
     MetricsRegistry,
     Profiler,
     ResourceSampler,
     SlotBudgetWatchdog,
+    SlotProbe,
     SpanProbe,
     TelemetrySink,
 )
@@ -89,7 +91,7 @@ def _instruments(runner: Callable[..., Any], instrument_set: str) -> dict[str, A
     if instrument_set == "metrics":
         return {"metrics": MetricsRegistry()}
     every = {
-        "probe": CountersProbe(),
+        "probe": SlotProbe(),
         "profiler": Profiler(),
         "spans": SpanProbe(),
         "watchdogs": [SlotBudgetWatchdog(budget=1)],

@@ -1,16 +1,20 @@
 """API-surface and documentation-coverage tests.
 
 Deliverable guardrails: every name exported via ``__all__`` must
-resolve, and every public module, class, and function must carry a
-docstring.  These tests fail the build when a new public item lands
-undocumented.
+resolve, every public module, class, and function must carry a
+docstring, and every benchmark and example module imports against the
+current API.  These tests fail the build when a new public item lands
+undocumented, or when a name is deleted while a script still uses it.
 """
 
 from __future__ import annotations
 
 import importlib
+import importlib.util
 import inspect
+import pathlib
 import pkgutil
+import sys
 
 import pytest
 
@@ -32,6 +36,13 @@ PACKAGES = [
     "repro.sim",
     "repro.spectrum",
 ]
+
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+#: The scripts outside ``src/`` that import the package: every
+#: benchmark module and every example.
+SCRIPTS = sorted([*ROOT.glob("benchmarks/bench_*.py"), *ROOT.glob("examples/*.py")])
 
 
 def walk_modules() -> list[str]:
@@ -91,3 +102,19 @@ def test_public_classes_have_documented_methods():
 
 def test_version_exposed():
     assert repro.__version__ == "1.0.0"
+
+
+@pytest.mark.parametrize(
+    "path", SCRIPTS, ids=lambda path: f"{path.parent.name}/{path.name}"
+)
+def test_script_imports(path, monkeypatch):
+    """Each benchmark and example module loads against the current API.
+
+    Loading runs only module-level code: examples guard their work
+    behind ``__main__`` and benchmarks are test functions.
+    """
+    name = f"_script_{path.parent.name}_{path.stem}"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)
+    spec.loader.exec_module(module)

@@ -311,7 +311,7 @@ class TestR4ProtocolIsolation:
         findings = lint_snippet(
             tmp_path,
             """
-            from repro.obs.probes import CountersProbe
+            from repro.obs.metrics import MetricsProbe
             from repro.sim.protocol import Protocol
 
             class Watching(Protocol):

@@ -4,7 +4,7 @@ Covers the registry's declaration contract (idempotent, conflicting
 re-declarations rejected), each instrument's semantics, the
 snapshot/restore/merge cycle the parallel layer depends on, Prometheus
 text rendering, the engine-facing :class:`MetricsProbe` (checked
-against :class:`CountersProbe` ground truth), the
+against :func:`~repro.sim.metrics.compute_metrics` ground truth), the
 :class:`ResourceSampler`, and the telemetry embedding of snapshots.
 """
 
@@ -16,7 +16,7 @@ import pytest
 
 from repro.assignment import shared_core
 from repro.core.runners import run_local_broadcast
-from repro.obs import CountersProbe, TelemetrySink
+from repro.obs import TelemetrySink
 from repro.obs.metrics import (
     METRICS_SCHEMA_VERSION,
     MetricsError,
@@ -29,7 +29,9 @@ from repro.obs.metrics import (
 )
 from repro.obs.telemetry import read_telemetry, run_record, validate_record
 from repro.sim.channels import Network
+from repro.sim.metrics import compute_metrics
 from repro.sim.rng import derive_rng
+from repro.sim.trace import EventTrace
 
 
 def small_network(seed: int = 0, n: int = 10, c: int = 5, k: int = 2) -> Network:
@@ -230,22 +232,23 @@ class TestPrometheusExport:
 
 
 class TestMetricsProbe:
-    def test_probe_matches_counters_probe_ground_truth(self):
+    def test_probe_matches_trace_ground_truth(self):
         registry = MetricsRegistry()
-        counters = CountersProbe()
+        trace = EventTrace()
         network = small_network()
-        run_local_broadcast(
-            network, seed=3, max_slots=60, probe=counters, metrics=registry
+        result = run_local_broadcast(
+            network, seed=3, max_slots=60, trace=trace, metrics=registry
         )
-        truth = counters.as_dict()
+        truth = compute_metrics(trace)
         probe = MetricsProbe(registry, protocol="cogcast")
-        assert probe.slots.value(protocol="cogcast") == truth["slots_observed"]
-        assert probe.broadcasts.value(protocol="cogcast") == truth["transmissions"]
-        assert probe.collisions.value(protocol="cogcast") == truth["collisions"]
-        assert probe.deliveries.value(protocol="cogcast") == truth["deliveries"]
+        assert probe.slots.value(protocol="cogcast") == result.slots
+        assert probe.broadcasts.value(protocol="cogcast") == truth.transmissions
+        assert probe.collisions.value(protocol="cogcast") == truth.collisions
+        assert probe.deliveries.value(protocol="cogcast") == truth.deliveries
+        assert probe.wasted_listens.value(protocol="cogcast") == truth.wasted_listens
         assert (
-            probe.wasted_listens.value(protocol="cogcast")
-            == truth["wasted_listens"]
+            probe.peak_contention.value(protocol="cogcast")
+            == truth.peak_channel_contention
         )
 
     def test_same_seed_runs_produce_equal_snapshots(self):

@@ -1,10 +1,11 @@
 """Tests for repro.obs — probes, aggregators, profiler, telemetry.
 
-The load-bearing guarantee is probe/trace parity: a
-:class:`~repro.obs.probes.CountersProbe` attached to a run must produce
-*exactly* the :class:`~repro.sim.metrics.TraceMetrics` that analysing a
-full :class:`~repro.sim.trace.EventTrace` of the same seeded run does,
-including under jamming and under the destructive collision model.
+The load-bearing guarantee is probe/trace parity: the counters a
+:class:`~repro.obs.metrics.MetricsProbe` streams into its registry
+must equal *exactly* the :class:`~repro.sim.metrics.TraceMetrics` that
+analysing a full :class:`~repro.sim.trace.EventTrace` of the same
+seeded run does, including under jamming and under the destructive
+collision model.
 """
 
 from __future__ import annotations
@@ -24,18 +25,17 @@ from repro.baselines.runners import (
 )
 from repro.core.runners import run_data_aggregation, run_gossip, run_local_broadcast
 from repro.obs import (
-    ActivityProbe,
-    CountersProbe,
     FixedHistogram,
-    HistogramProbe,
+    MetricsProbe,
+    MetricsRegistry,
     MultiProbe,
     Profiler,
     ProtocolProbe,
     SlotProbe,
+    SpanProbe,
     StreamingStat,
     TelemetryError,
     TelemetrySink,
-    attach,
     campaign_record,
     experiment_record,
     read_telemetry,
@@ -43,20 +43,62 @@ from repro.obs import (
     summarize_records,
     validate_record,
 )
+from repro.sim.actions import Envelope
 from repro.sim.adversary import RandomJammer
 from repro.sim.backends import numpy_available
 from repro.sim.channels import Network
-from repro.sim.collision import DestructiveCollision, ProbedCollision
+from repro.sim.collision import DestructiveCollision
 from repro.sim.engine import build_engine
-from repro.sim.metrics import compute_metrics
+from repro.sim.metrics import TraceMetrics, compute_metrics
 from repro.sim.rng import derive_rng
-from repro.sim.trace import EventTrace
+from repro.sim.trace import ChannelEvent, EventTrace
 from tests import runner_golden
 
 
 def small_network(n=16, c=8, k=2, seed=3) -> Network:
     rng = derive_rng(seed, "test-obs-network")
     return Network.static(shared_core(n, c, k, rng).shuffled_labels(rng))
+
+
+def streamed_counts(registry: MetricsRegistry, protocol: str) -> dict[str, float]:
+    """A MetricsProbe's counts, keyed by the matching TraceMetrics field."""
+    probe = MetricsProbe(registry, protocol=protocol)
+    return {
+        "transmissions": probe.broadcasts.value(protocol=protocol),
+        "collisions": probe.collisions.value(protocol=protocol),
+        "deliveries": probe.deliveries.value(protocol=protocol),
+        "wasted_listens": probe.wasted_listens.value(protocol=protocol),
+        "peak_channel_contention": probe.peak_contention.value(protocol=protocol),
+    }
+
+
+def trace_counts(metrics: TraceMetrics) -> dict[str, int]:
+    """The TraceMetrics fields a MetricsProbe streams."""
+    return {
+        name: getattr(metrics, name)
+        for name in (
+            "transmissions",
+            "collisions",
+            "deliveries",
+            "wasted_listens",
+            "peak_channel_contention",
+        )
+    }
+
+
+def streamed_slots(registry: MetricsRegistry, protocol: str) -> float:
+    """The ``sim_slots`` count a MetricsProbe streamed for *protocol*."""
+    return MetricsProbe(registry, protocol=protocol).slots.value(protocol=protocol)
+
+
+class ChannelEventCounter(SlotProbe):
+    """Counts channel events: a minimal slot-level probe."""
+
+    def __init__(self):
+        self.events = 0
+
+    def on_channel_event(self, event):
+        self.events += 1
 
 
 class TestStreamingStat:
@@ -159,48 +201,92 @@ class TestFixedHistogram:
 
 
 class TestProbeTraceParity:
-    """CountersProbe must reproduce compute_metrics exactly."""
+    """MetricsProbe must reproduce compute_metrics exactly."""
 
     def assert_parity(self, **run_kwargs):
         network = run_kwargs.pop("network", small_network())
         trace = EventTrace()
-        counters = CountersProbe()
+        registry = MetricsRegistry()
         result = run_local_broadcast(
             network,
             seed=11,
             max_slots=5000,
             trace=trace,
-            probe=counters,
+            metrics=registry,
             **run_kwargs,
         )
-        assert compute_metrics(trace) == counters.metrics()
-        return result, counters
+        truth = compute_metrics(trace)
+        assert streamed_counts(registry, "cogcast") == trace_counts(truth)
+        # sim_slots counts every executed slot, including slots with no
+        # channel event, which slots_observed skips.
+        assert streamed_slots(registry, "cogcast") == result.slots
+        return result, truth, trace
 
     def test_clean_run(self):
-        result, counters = self.assert_parity()
+        result, truth, _ = self.assert_parity()
         assert result.completed
-        assert counters.successes > 0
+        assert truth.successes > 0
 
     def test_jammed_run(self):
         network = small_network()
         universe = sorted(network.assignment_at(0).universe)
         jammer = RandomJammer(universe, 3, derive_rng(9, "test-obs-jam"))
-        _, counters = self.assert_parity(network=network, jammer=jammer)
-        # A random jammer at this budget reliably burns some listens.
-        assert counters.wasted_listens > 0
+        _, truth, trace = self.assert_parity(network=network, jammer=jammer)
+        # A random jammer at this budget reliably jams some listeners.
+        assert truth.wasted_listens > 0
+        assert any(
+            node in event.jammed_nodes for event in trace for node in event.listeners
+        )
+
+    def test_jammed_listeners_count_as_wasted(self):
+        # Jammed listeners hear nothing, whether or not the channel had
+        # a winner: one event of each kind, folded both ways.
+        winner = Envelope(sender=0, payload="m")
+        events = [
+            ChannelEvent(0, 5, (0,), (1, 2), winner, frozenset({2})),
+            ChannelEvent(0, 6, (), (3, 4), None, frozenset({4})),
+            ChannelEvent(1, 5, (0, 3), (1,), None, frozenset({0, 3})),
+        ]
+        trace = EventTrace()
+        registry = MetricsRegistry()
+        probe = MetricsProbe(registry, protocol="p")
+        for event in events:
+            trace.record(event)
+            probe.on_channel_event(event)
+        truth = compute_metrics(trace)
+        assert (truth.deliveries, truth.wasted_listens) == (1, 4)
+        assert streamed_counts(registry, "p") == trace_counts(truth)
 
     def test_destructive_collisions(self):
-        _, counters = self.assert_parity(collision=DestructiveCollision())
+        _, truth, _ = self.assert_parity(collision=DestructiveCollision())
         # Destructive contention is exactly the undelivered-contended case.
-        assert counters.undelivered_contended == counters.collisions
+        assert truth.undelivered_contended == truth.collisions > 0
+
+    def test_cogcomp_run(self):
+        network = small_network()
+        trace = EventTrace()
+        registry = MetricsRegistry()
+        result = run_data_aggregation(
+            network,
+            list(range(network.num_nodes)),
+            seed=11,
+            trace=trace,
+            metrics=registry,
+        )
+        assert result.completed
+        truth = compute_metrics(trace)
+        assert streamed_counts(registry, "cogcomp") == trace_counts(truth)
+        assert streamed_slots(registry, "cogcomp") == result.total_slots
 
     def test_probe_without_trace_matches_trace_only_run(self):
         network = small_network()
-        counters = CountersProbe()
-        run_local_broadcast(network, seed=11, max_slots=5000, probe=counters)
+        registry = MetricsRegistry()
+        run_local_broadcast(network, seed=11, max_slots=5000, metrics=registry)
         trace = EventTrace()
         run_local_broadcast(network, seed=11, max_slots=5000, trace=trace)
-        assert counters.metrics() == compute_metrics(trace)
+        assert streamed_counts(registry, "cogcast") == trace_counts(
+            compute_metrics(trace)
+        )
 
     def test_probe_does_not_perturb_run(self):
         network = small_network()
@@ -209,7 +295,8 @@ class TestProbeTraceParity:
             network,
             seed=11,
             max_slots=5000,
-            probe=MultiProbe([CountersProbe(), HistogramProbe(), ActivityProbe()]),
+            probe=MultiProbe([ChannelEventCounter(), SpanProbe()]),
+            metrics=MetricsRegistry(),
             profiler=Profiler(),
         )
         assert (bare.slots, bare.completed, bare.informed_slots) == (
@@ -219,55 +306,16 @@ class TestProbeTraceParity:
         )
 
 
-class TestHistogramProbe:
-    def test_latency_counts_first_deliveries(self):
-        network = small_network()
-        hist = HistogramProbe()
-        result = run_local_broadcast(network, seed=4, max_slots=5000, probe=hist)
-        assert result.completed
-        # Every node except the source first hears at some slot.
-        assert hist.nodes_heard == network.num_nodes - 1
-        assert hist.latency.total == hist.nodes_heard
-
-    def test_contention_distribution(self):
-        hist = HistogramProbe(contention_buckets=4)
-        run_local_broadcast(small_network(), seed=4, max_slots=5000, probe=hist)
-        assert hist.contention.total > 0
-        assert hist.contention_stat.count == hist.contention.total
-        assert hist.contention_stat.minimum >= 1
-
-    def test_as_dict_json_ready(self):
-        hist = HistogramProbe()
-        run_local_broadcast(small_network(), seed=4, max_slots=5000, probe=hist)
-        snapshot = json.loads(json.dumps(hist.as_dict()))
-        assert snapshot["nodes_heard"] == hist.nodes_heard
-
-
-class TestActivityProbe:
-    def test_per_node_accounting(self):
-        network = small_network()
-        act = ActivityProbe()
-        result = run_local_broadcast(network, seed=4, max_slots=5000, probe=act)
-        assert result.completed
-        totals = act.as_dict()
-        assert totals["nodes_seen"] == network.num_nodes
-        # Every node acts every slot (COGCAST never idles).
-        assert (
-            totals["broadcast_slots"] + totals["listen_slots"] + totals["idle_slots"]
-            == network.num_nodes * result.slots
-        )
-        assert act.active_slots(0) > 0
-        assert len(act.busiest(3)) == 3
-
-
 class TestMultiProbe:
     def test_fans_out_to_all_children(self):
-        counters, hist = CountersProbe(), HistogramProbe()
-        multi = MultiProbe([counters, hist])
+        registry = MetricsRegistry()
+        metrics = MetricsProbe(registry, protocol="cogcast")
+        events = ChannelEventCounter()
+        multi = MultiProbe([metrics, events])
         assert not multi.observes_nodes
         run_local_broadcast(small_network(), seed=11, max_slots=5000, probe=multi)
-        assert counters.successes > 0
-        assert hist.contention.total > 0
+        assert metrics.deliveries.value(protocol="cogcast") > 0
+        assert events.events > 0
 
     def test_node_hooks_only_reach_node_observers(self):
         class CountingSlotProbe(SlotProbe):
@@ -296,8 +344,8 @@ class TestMultiProbe:
             def on_slot_begin(self, slot):
                 calls.append((self.tag, "slot_begin"))
 
-            def on_slot_end(self, slot, active):
-                calls.append((self.tag, "slot_end"))
+            def on_run_end(self, slots):
+                calls.append((self.tag, "run_end"))
 
         class OrderedNode(ProtocolProbe):
             def __init__(self, tag):
@@ -316,61 +364,53 @@ class TestMultiProbe:
         multi.on_action(0, 1, None)
         assert calls == [("b", "action")]  # slot-level children skipped
         calls.clear()
-        multi.on_slot_end(0, 3)
-        assert calls == [("a", "slot_end"), ("c", "slot_end")]
+        multi.on_run_end(3)
+        assert calls == [("a", "run_end"), ("c", "run_end")]
 
     def test_parity_through_multiprobe(self):
         network = small_network()
         trace = EventTrace()
-        counters = CountersProbe()
+        registry = MetricsRegistry()
         run_local_broadcast(
             network,
             seed=11,
             max_slots=5000,
             trace=trace,
-            probe=MultiProbe([counters, ActivityProbe()]),
+            probe=MultiProbe([MetricsProbe(registry, protocol="cogcast"), SpanProbe()]),
         )
-        assert compute_metrics(trace) == counters.metrics()
+        assert streamed_counts(registry, "cogcast") == trace_counts(
+            compute_metrics(trace)
+        )
 
 
 class TestAttach:
-    def test_translation_hook(self):
-        class Translations(SlotProbe):
-            def __init__(self):
-                self.seen = 0
+    def test_engine_fires_only_probe_api_hooks(self):
+        fired: set[str] = set()
 
-            def on_translation(self, slot, node, label, channel):
-                self.seen += 1
+        class Recorder(ProtocolProbe):
+            def __getattribute__(self, name):
+                if name.startswith("on_"):
+                    fired.add(name)
+                return object.__getattribute__(self, name)
 
         network = small_network()
-        probe = Translations()
-        engine = build_engine(network, _cogcast_factory(), seed=2)
-        attach(engine, probe, channels=True)
+        universe = sorted(network.assignment_at(0).universe)
+        engine = build_engine(
+            network,
+            _cogcast_factory(),
+            seed=2,
+            probe=Recorder(),
+            jammer=RandomJammer(universe, 3, derive_rng(9, "test-obs-jam")),
+            collision=DestructiveCollision(),
+        )
         engine.run(20, stop_when=lambda _: False)
-        assert probe.seen > 0
-        # Detaching restores the zero-cost path.
-        network.attach_probe(None)
-        before = probe.seen
-        engine.run(5, stop_when=lambda _: False)
-        assert probe.seen == before
-
-    def test_contention_hook(self):
-        class Contentions(SlotProbe):
-            def __init__(self):
-                self.calls = 0
-                self.max_contenders = 0
-
-            def on_contention(self, contenders, resolution):
-                self.calls += 1
-                self.max_contenders = max(self.max_contenders, contenders)
-
-        probe = Contentions()
-        engine = build_engine(small_network(), _cogcast_factory(), seed=2)
-        attach(engine, probe, collision=True)
-        assert isinstance(engine.collision, ProbedCollision)
-        engine.run(50, stop_when=lambda _: False)
-        assert probe.calls > 0
-        assert probe.max_contenders >= 1
+        assert fired == {
+            "on_run_start",
+            "on_slot_begin",
+            "on_channel_event",
+            "on_action",
+            "on_run_end",
+        }
 
     def test_run_lifecycle_hooks(self):
         class Lifecycle(SlotProbe):
@@ -444,13 +484,13 @@ class TestTelemetryRecords:
         assert record["n"] == network.num_nodes
         assert record["universe"] == len(network.assignment_at(0).universe)
 
-    def test_run_record_attaches_probe_and_profiler(self):
-        counters, profiler = CountersProbe(), Profiler()
+    def test_run_record_attaches_metrics_and_profiler(self):
+        registry, profiler = MetricsRegistry(), Profiler()
         run_local_broadcast(
             small_network(),
             seed=7,
             max_slots=5000,
-            probe=counters,
+            metrics=registry,
             profiler=profiler,
         )
         record = run_record(
@@ -459,12 +499,13 @@ class TestTelemetryRecords:
             network=small_network(),
             slots=10,
             outcome="completed",
-            probe=counters,
+            metrics=registry,
             profiler=profiler,
         )
         assert validate_record(record) == []
-        assert record["counters"]["successes"] == counters.successes
+        assert record["metrics"] == registry.snapshot()
         assert "engine.resolve" in record["timings"]
+        assert "counters" not in record
 
     def test_records_embed_span_summaries_and_profiler_timings(self):
         from repro.obs import SpanProbe
@@ -566,6 +607,18 @@ class TestTelemetryRecords:
         missing = dict(record)
         del missing["protocol"]
         assert any("protocol" in p for p in validate_record(missing))
+
+    def test_counters_from_older_records_still_validate(self):
+        # Records no longer carry ``counters``; files written before
+        # that change do, and must stay readable.
+        record = run_record(
+            protocol="cogcast",
+            seed=0,
+            network=small_network(),
+            slots=1,
+            outcome="completed",
+        )
+        assert validate_record({**record, "counters": {"successes": 3}}) == []
 
 
 class TestTelemetrySink:
@@ -703,33 +756,32 @@ class TestRunnerTelemetry:
         assert json.loads(handle.getvalue())["outcome"] == "budget"
 
     def test_non_integer_probe_snapshot_is_not_embedded(self):
-        # A HistogramProbe's snapshot holds nested distributions, which the
-        # schema's integer-valued ``counters`` cannot carry: the run must
-        # still return and record, just without ``counters``.
+        # A probe's own snapshot is never copied into the run record
+        # (counts ride in the ``metrics`` snapshot): the run must still
+        # return and record, just without ``counters``.
+        class Snapshotting(SlotProbe):
+            def __init__(self):
+                self.contention: dict[int, int] = {}
+
+            def on_channel_event(self, event):
+                contenders = len(event.broadcasters)
+                self.contention[contenders] = self.contention.get(contenders, 0) + 1
+
+            def as_dict(self):
+                return {"contention": dict(self.contention)}
+
         handle = io.StringIO()
-        sink = TelemetrySink(handle)
-        hist = HistogramProbe()
+        probe = Snapshotting()
         result = run_local_broadcast(
-            small_network(), seed=1, max_slots=5000, probe=hist, telemetry=sink
+            small_network(), seed=1, max_slots=5000, probe=probe,
+            telemetry=TelemetrySink(handle),
         )
         assert result.completed
-        assert hist.nodes_heard > 0
+        assert probe.contention
         records = [json.loads(line) for line in handle.getvalue().splitlines()]
         assert len(records) == 1
         assert validate_record(records[0]) == []
         assert "counters" not in records[0]
-
-    def test_activity_probe_counters_are_embedded(self):
-        handle = io.StringIO()
-        activity = ActivityProbe()
-        run_local_broadcast(
-            small_network(),
-            seed=1,
-            max_slots=5000,
-            probe=activity,
-            telemetry=TelemetrySink(handle),
-        )
-        assert json.loads(handle.getvalue())["counters"] == activity.as_dict()
 
     @pytest.mark.parametrize("case_id", runner_golden.case_ids())
     def test_records_match_golden_fixture(self, case_id):

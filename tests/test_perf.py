@@ -10,8 +10,11 @@ the CLI ``--jobs`` flag) must leave results untouched.
 
 from __future__ import annotations
 
+from concurrent.futures.process import BrokenProcessPool
+
 import pytest
 
+import repro.sim.backends
 from repro.experiments.campaign import Campaign
 from repro.experiments.harness import map_trials, trial_seeds
 from repro.obs.telemetry import TelemetrySink, read_telemetry, run_record
@@ -24,6 +27,7 @@ from repro.perf import (
     set_default_jobs,
     worker_telemetry_path,
 )
+from repro.perf.executor import _init_worker
 
 
 def square(x):
@@ -68,6 +72,19 @@ class TestPmapTrials:
     def test_negative_jobs_rejected(self):
         with pytest.raises(ValueError):
             pmap_trials(square, [(1,)], jobs=-2)
+
+    def test_worker_initializer_raises_on_unknown_backend(self):
+        # A worker left on another backend would return numbers from a
+        # different random stream than a serial run: never swallow this.
+        with pytest.raises(ValueError):
+            _init_worker("no-such-backend")
+
+    def test_failing_worker_initializer_fails_the_map(self, monkeypatch):
+        monkeypatch.setattr(
+            repro.sim.backends, "default_backend_name", lambda: "no-such-backend"
+        )
+        with pytest.raises(BrokenProcessPool):
+            pmap_trials(square, [(i,) for i in range(4)], jobs=2)
 
 
 class TestJobsResolution:

@@ -35,7 +35,7 @@ from repro.obs.export import (
     validate_chrome_trace,
     write_chrome_trace,
 )
-from repro.obs.probes import CountersProbe
+from repro.obs.probe import SlotProbe
 from repro.obs.spans import InformEdge, Span, SpanProbe, SpanTree, payload_kind
 from repro.sim.actions import Envelope
 from repro.sim.engine import build_engine
@@ -280,10 +280,10 @@ class TestFastPathInteraction:
         assert engine.fast_path_engaged is False
 
     def test_late_attached_probe_is_honoured_next_run(self, small_network):
-        class SlotCounter(CountersProbe):
+        class SlotCounter(SlotProbe):
             seen = 0
 
-            def on_slot_end(self, slot, active):
+            def on_slot_begin(self, slot):
                 self.seen += 1
 
         engine = self._engine(small_network)
@@ -299,7 +299,7 @@ class TestFastPathInteraction:
         engine = self._engine(small_network)
 
         def sabotage(running_engine):
-            running_engine.probe = CountersProbe()
+            running_engine.probe = SlotProbe()
             return False
 
         with pytest.raises(SimulationError):
