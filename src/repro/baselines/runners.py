@@ -9,9 +9,9 @@ asymmetry made structural: protocol modules hold only node-side code
 and global channel ids.
 
 As in :mod:`repro.core.runners`, every runner takes optional
-observability instruments (probe, profiler, telemetry sink) and runs
-through :func:`repro.core.runners.run_protocol`, so baseline runs leave
-the same ``kind="run"`` manifests as the core protocols.
+observability instruments (probe, metrics registry, telemetry sink) and
+runs through :func:`repro.core.runners.run_protocol`, so baseline runs
+leave the same ``kind="run"`` manifests as the core protocols.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from repro.types import NodeId
 if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.obs.metrics import MetricsRegistry, ResourceSampler
     from repro.obs.probe import SlotProbe
-    from repro.obs.profiler import Profiler
     from repro.obs.telemetry import TelemetrySink
     from repro.sim.backends import EngineBackend, StopCondition
 
@@ -51,7 +50,6 @@ def run_rendezvous_broadcast(
     body: Any = None,
     collision: CollisionModel | None = None,
     probe: "SlotProbe | None" = None,
-    profiler: "Profiler | None" = None,
     metrics: "MetricsRegistry | None" = None,
     resources: "ResourceSampler | None" = None,
     telemetry: "TelemetrySink | None" = None,
@@ -73,7 +71,6 @@ def run_rendezvous_broadcast(
         stop=AllInformed,
         collision=collision,
         probe=probe,
-        profiler=profiler,
         metrics=metrics,
         resources=resources,
         telemetry=telemetry,
@@ -91,7 +88,6 @@ def run_stay_and_scan_broadcast(
     body: Any = None,
     collision: CollisionModel | None = None,
     probe: "SlotProbe | None" = None,
-    profiler: "Profiler | None" = None,
     metrics: "MetricsRegistry | None" = None,
     resources: "ResourceSampler | None" = None,
     telemetry: "TelemetrySink | None" = None,
@@ -115,7 +111,6 @@ def run_stay_and_scan_broadcast(
         stop=AllInformed,
         collision=collision,
         probe=probe,
-        profiler=profiler,
         metrics=metrics,
         resources=resources,
         telemetry=telemetry,
@@ -133,7 +128,6 @@ def run_rendezvous_aggregation(
     max_slots: int,
     collision: CollisionModel | None = None,
     probe: "SlotProbe | None" = None,
-    profiler: "Profiler | None" = None,
     metrics: "MetricsRegistry | None" = None,
     resources: "ResourceSampler | None" = None,
     telemetry: "TelemetrySink | None" = None,
@@ -162,7 +156,6 @@ def run_rendezvous_aggregation(
         stop=all_collected,
         collision=collision,
         probe=probe,
-        profiler=profiler,
         metrics=metrics,
         resources=resources,
         telemetry=telemetry,
@@ -184,7 +177,6 @@ def run_hopping_together(
     body: Any = None,
     collision: CollisionModel | None = None,
     probe: "SlotProbe | None" = None,
-    profiler: "Profiler | None" = None,
     metrics: "MetricsRegistry | None" = None,
     resources: "ResourceSampler | None" = None,
     telemetry: "TelemetrySink | None" = None,
@@ -217,7 +209,6 @@ def run_hopping_together(
         stop=AllInformed,
         collision=collision,
         probe=probe,
-        profiler=profiler,
         metrics=metrics,
         resources=resources,
         telemetry=telemetry,

@@ -11,10 +11,10 @@ defining :class:`~repro.sim.protocol.Protocol` subclasses must never
 import the engine or the channel world-model.
 
 Every runner optionally takes observability instruments from
-:mod:`repro.obs`: a *probe* and *profiler* handed to the engine, a
-*spans* probe (:class:`repro.obs.spans.SpanProbe`) for causal tracing,
-*watchdogs* (:class:`repro.obs.watchdog.WatchdogProbe`) that check the
-paper's invariants live, and a *telemetry* sink that receives one
+:mod:`repro.obs`: a *probe* handed to the engine, a *spans* probe
+(:class:`repro.obs.spans.SpanProbe`) for causal tracing, *watchdogs*
+(:class:`repro.obs.watchdog.WatchdogProbe`) that check the paper's
+invariants live, and a *telemetry* sink that receives one
 ``kind="run"`` manifest per call — emitted even when
 ``require_completion`` raises, so failed runs leave a record.  Watchdog
 anomalies flow into the same sink as ``kind="anomaly"`` records.
@@ -51,7 +51,6 @@ from repro.types import NodeId, SimulationError
 if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.obs.metrics import MetricsRegistry, ResourceSampler
     from repro.obs.probe import SlotProbe
-    from repro.obs.profiler import Profiler
     from repro.obs.spans import SpanProbe
     from repro.obs.telemetry import TelemetrySink
     from repro.obs.watchdog import WatchdogProbe
@@ -87,7 +86,6 @@ def run_protocol(
     trace: EventTrace | None = None,
     jammer: Jammer | None = None,
     probe: "SlotProbe | None" = None,
-    profiler: "Profiler | None" = None,
     spans: "SpanProbe | None" = None,
     watchdogs: "Sequence[WatchdogProbe]" = (),
     metrics: "MetricsRegistry | None" = None,
@@ -100,7 +98,9 @@ def run_protocol(
     Builds the engine from *factory*, composes *probe*, *spans*, each
     watchdog and (given *metrics*) a :class:`MetricsProbe` into one
     probe, and times :meth:`Engine.run` under ``stop(protocols)`` with
-    ``perf_counter``, which leaves the fast kernel engaged.  Broadcast
+    ``perf_counter``, which leaves the fast kernel engaged.  A lone
+    :class:`MetricsProbe` takes run totals, so a run given only
+    *metrics* keeps the fast (or columnar) kernel too.  Broadcast
     runners pass :class:`AllInformed` itself as *stop*: the columnar
     kernel recognises it, and a closure around it would run exact.
     Given *telemetry*, emits the run record (``outcome(protocols,
@@ -128,7 +128,6 @@ def run_protocol(
         trace=trace,
         jammer=jammer,
         probe=instruments[0] if instruments else None,
-        profiler=profiler,
         backend=backend,
     )
     protocols: list[Any] = engine.protocols
@@ -143,7 +142,6 @@ def run_protocol(
                 network=network,
                 slots=result.slots,
                 outcome=outcome(protocols, result),
-                profiler=profiler,
                 spans=spans,
                 metrics=metrics,
                 resources=None if resources is None else resources.delta(),
@@ -169,7 +167,6 @@ def run_local_broadcast(
     trace: EventTrace | None = None,
     require_completion: bool = False,
     probe: "SlotProbe | None" = None,
-    profiler: "Profiler | None" = None,
     spans: "SpanProbe | None" = None,
     watchdogs: "Sequence[WatchdogProbe]" = (),
     metrics: "MetricsRegistry | None" = None,
@@ -212,7 +209,6 @@ def run_local_broadcast(
         trace=trace,
         jammer=jammer,
         probe=probe,
-        profiler=profiler,
         spans=spans,
         watchdogs=watchdogs,
         metrics=metrics,
@@ -241,7 +237,6 @@ def run_data_aggregation(
     trace: EventTrace | None = None,
     require_completion: bool = False,
     probe: "SlotProbe | None" = None,
-    profiler: "Profiler | None" = None,
     spans: "SpanProbe | None" = None,
     watchdogs: "Sequence[WatchdogProbe]" = (),
     metrics: "MetricsRegistry | None" = None,
@@ -324,7 +319,6 @@ def run_data_aggregation(
         collision=collision,
         trace=trace,
         probe=probe,
-        profiler=profiler,
         spans=spans,
         watchdogs=watchdogs,
         metrics=metrics,
@@ -365,7 +359,6 @@ def run_gossip(
     max_slots: int,
     collision: CollisionModel | None = None,
     probe: "SlotProbe | None" = None,
-    profiler: "Profiler | None" = None,
     metrics: "MetricsRegistry | None" = None,
     resources: "ResourceSampler | None" = None,
     telemetry: "TelemetrySink | None" = None,
@@ -404,7 +397,6 @@ def run_gossip(
         stop=all_covered,
         collision=collision,
         probe=probe,
-        profiler=profiler,
         metrics=metrics,
         resources=resources,
         telemetry=telemetry,

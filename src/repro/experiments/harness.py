@@ -101,7 +101,6 @@ def run_with_telemetry(
     trials: int | None = None,
     seed: int = 0,
     fast: bool = False,
-    profiler: Any = None,
     spans: Any = None,
     metrics: Any = None,
     resources: Any = None,
@@ -116,11 +115,10 @@ def run_with_telemetry(
     table itself stays deterministic in ``(trials, seed, fast)``.
     ``trials=None`` defers to the experiment's own default trial count.
 
-    The optional instruments ride along on the manifest: *profiler*
-    (anything with ``as_dict()``, e.g. :class:`repro.obs.Profiler`)
-    becomes the record's ``timings``, *spans* (anything with
-    ``summary()``, e.g. :class:`repro.obs.spans.SpanProbe`) becomes its
-    ``spans``, *metrics* (a :class:`repro.obs.metrics.MetricsRegistry`
+    The optional instruments ride along on the manifest: *spans*
+    (anything with ``summary()``, e.g.
+    :class:`repro.obs.spans.SpanProbe`) becomes the record's ``spans``,
+    *metrics* (a :class:`repro.obs.metrics.MetricsRegistry`
     or snapshot dict) embeds as the record's validated ``metrics``
     field, and *resources* (a started
     :class:`repro.obs.metrics.ResourceSampler`, as on the runners)
@@ -146,7 +144,6 @@ def run_with_telemetry(
             fast=fast,
             elapsed_s=elapsed,
             rows=len(table.rows),
-            profiler=profiler,
             spans=spans,
             metrics=metrics,
             resources=None if resources is None else resources.delta(),

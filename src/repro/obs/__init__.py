@@ -8,16 +8,14 @@ constant-memory alternative:
 
 - **Probes** (:class:`SlotProbe`, :class:`ProtocolProbe`,
   :class:`MultiProbe`) — hook objects the engine fires per slot /
-  channel event / node action.  With no probe attached the engine pays
-  only a ``None`` check, so production sweeps keep their benchmark
-  numbers.
+  channel event / node action, or once per run with the run's totals
+  for a probe that takes them (:class:`MetricsProbe`).  With no probe
+  attached the engine pays only a ``None`` check, so production sweeps
+  keep their benchmark numbers.
 - **Streaming aggregators** (:class:`StreamingStat`,
   :class:`FixedHistogram`) — constant-memory moments and buckets, the
   building blocks of the metrics histograms, span statistics and query
   stats.
-- **Profiler** (:class:`Profiler`) — ``time.perf_counter``-based wall
-  time attribution to engine sections and harness phases (R2-safe:
-  monotonic counters only, never the wall clock).
 - **Spans** (:class:`SpanProbe`, :class:`SpanTree`, :class:`Span`) —
   the causal layer: reconstructs COGCAST's distribution tree (who
   informed whom, when, on which channel) and COGCOMP's four phase
@@ -33,7 +31,7 @@ constant-memory alternative:
   of crashing the run.
 - **Telemetry** (:class:`TelemetrySink`) — machine-readable JSONL run
   manifests (seed, ``n``/``c``/``k``/``C``, protocol, slot count,
-  outcome, metrics, timings, span summaries) emitted by the runner
+  outcome, metrics, span summaries) emitted by the runner
   harnesses, plus a ``python -m repro obs`` CLI that validates, tails,
   and summarizes telemetry files and surfaces anomalies.
 - **Metrics** (:class:`MetricsRegistry` with :class:`Counter`,
@@ -62,8 +60,8 @@ constant-memory alternative:
   a watchdog anomaly back to its run's span tree and metrics snapshot
   (:func:`explain_records`).
 
-Everything here is analysis-side: protocols never see probes, sinks,
-or profilers (lint rule R4 forbids protocol modules from importing
+Everything here is analysis-side: protocols never see probes, sinks
+or registries (lint rule R4 forbids protocol modules from importing
 this package).
 """
 
@@ -88,7 +86,6 @@ from repro.obs.export import (
     write_chrome_trace,
 )
 from repro.obs.probe import MultiProbe, ProtocolProbe, SlotProbe
-from repro.obs.profiler import Profiler, SectionStat
 from repro.obs.provenance import (
     CODE_VERSION,
     canonical_json,
@@ -152,12 +149,10 @@ __all__ = [
     "MetricsProbe",
     "MetricsRegistry",
     "MultiProbe",
-    "Profiler",
     "ProtocolProbe",
     "ResourceSampler",
     "RunStore",
     "STORE_SCHEMA_VERSION",
-    "SectionStat",
     "SlotBudgetWatchdog",
     "SlotProbe",
     "Span",

@@ -33,10 +33,11 @@ legitimately vary run to run).  The cross-run diff layer
 from protocol metrics while treating timing metrics statistically.
 
 Engine wiring is probe-shaped: :class:`MetricsProbe` subscribes to the
-engine's existing hot-path-safe hook points (slot begin, channel
-events — i.e. broadcasts, collisions, deliveries) and feeds a
-registry, so the engine itself never imports this module and an
-un-instrumented run still pays only the ``probe is None`` checks.
+engine's existing hook points — per slot and per channel event on the
+general kernel, or one ``on_run_totals`` call per run on the fast and
+columnar kernels — and feeds a registry, so the engine itself never
+imports this module and an un-instrumented run still pays only the
+``probe is None`` checks.
 :class:`ResourceSampler` captures RSS / CPU-time / GC deltas around a
 run for the ``resources`` telemetry field.  Prometheus text-format
 export (:func:`render_prometheus`) makes every snapshot scrapeable by
@@ -576,10 +577,13 @@ class MetricsProbe(SlotProbe):
     ``sim_broadcasts`` / ``sim_collisions`` / ``sim_deliveries`` /
     ``sim_wasted_listens`` / ``sim_peak_contention`` equal the matching
     :class:`~repro.sim.metrics.TraceMetrics` fields of a full trace of
-    the same run, jamming included.  Attaching any probe disengages the
-    engine fast path, which is exactly right: instrumented runs use the
-    general kernel, and the registry's protocol-category values stay a
-    pure function of ``(config, seed)``.
+    the same run, jamming included.  It takes run totals
+    (:meth:`on_run_totals`), so attaching it alone keeps the engine's
+    fast kernel (and the vector backend's columnar kernel) engaged;
+    composed with a per-event probe it counts from channel events on
+    the general kernel.  Either way the snapshot is byte-identical, and
+    the registry's protocol-category values stay a pure function of
+    ``(config, seed)``.
     """
 
     def __init__(self, registry: MetricsRegistry, *, protocol: str = "unknown") -> None:
@@ -644,7 +648,7 @@ class MetricsProbe(SlotProbe):
         if jammed:
             self.wasted_listens.inc(jammed, protocol=protocol)
 
-    def on_vector_run(
+    def on_run_totals(
         self,
         *,
         slots: int,
@@ -652,17 +656,18 @@ class MetricsProbe(SlotProbe):
         deliveries: int,
         wasted_listens: int,
     ) -> None:
-        """Fold one vector-backend run's aggregates in bulk.
+        """Fold one run's totals in bulk.
 
-        The vector engine fires no per-slot or per-channel hooks; it
-        accumulates the same quantities columnar and feeds them here
-        once per run.  *contention* is the per-contended-channel
+        The engine's fast kernel and the vector backend's columnar
+        kernel fire no per-slot or per-channel hooks; they accumulate
+        the same quantities and feed them here once per run, just
+        before ``on_run_end``.  *contention* is the per-contended-channel
         contender count in chronological (slot, ascending channel)
-        order, so histogram and streaming-stat state match an exact-
-        engine run observation for observation.  Series are created
+        order, so histogram and streaming-stat state match a general-
+        kernel run observation for observation.  Series are created
         under the same conditions as the per-event path (e.g. no
         ``sim_collisions`` series in a collision-free run), keeping
-        registry snapshots comparable across backends.
+        registry snapshots byte-identical across kernels.
         """
         protocol = self.protocol
         if slots:
@@ -670,15 +675,21 @@ class MetricsProbe(SlotProbe):
         if contention:
             broadcasts = 0
             collisions = 0
-            for contenders in contention:
-                self.contention.observe(contenders, protocol=protocol)
-                broadcasts += contenders
-                if contenders >= 2:
-                    collisions += 1
-                # Gauge min/max track every set() call, so replay the
-                # running-maximum set sequence, not one final set.
-                if contenders > self.peak_contention.value(protocol=protocol):
-                    self.peak_contention.set(contenders, protocol=protocol)
+            # One child lookup for the run, not one per observation.
+            histogram, stat = self.contention._child({"protocol": protocol})
+            peak = self.peak_contention.value(protocol=protocol)
+            with self.contention._lock:
+                for contenders in contention:
+                    histogram.push(contenders)
+                    stat.push(contenders)
+                    broadcasts += contenders
+                    if contenders >= 2:
+                        collisions += 1
+                    # Gauge min/max track every set() call, so replay the
+                    # running-maximum set sequence, not one final set.
+                    if contenders > peak:
+                        peak = contenders
+                        self.peak_contention.set(contenders, protocol=protocol)
             self.broadcasts.inc(broadcasts, protocol=protocol)
             if collisions:
                 self.collisions.inc(collisions, protocol=protocol)

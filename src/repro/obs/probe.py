@@ -19,6 +19,15 @@ un-probed run pays nothing beyond that check, and it consults
 :attr:`SlotProbe.observes_nodes` once at attach time so slot-level
 probes never pay the per-node dispatch.
 
+One more hook lives outside the base classes: a probe whose class
+defines ``on_run_totals`` (:class:`~repro.obs.metrics.MetricsProbe`
+does; see :func:`repro.sim.engine.takes_run_totals`) can be fed a whole
+run's totals in one call, so attaching it alone leaves the engine's
+fast kernel and the vector backend's columnar kernel engaged.  Those
+kernels fire ``on_run_start``, ``on_run_totals`` and ``on_run_end``
+and nothing else.  :class:`MultiProbe` does not define the hook, so a
+composed probe always runs on the general kernel.
+
 Probes are *observers*, never *actors*: they see engine-side ground
 truth (physical channels, global node ids) and therefore live strictly
 on the analysis side of the information barrier.  Protocol modules must
@@ -39,9 +48,9 @@ class SlotProbe:
     """Base probe: slot- and channel-granularity hooks, all no-ops.
 
     Subclass and override the hooks you need; unoverridden hooks cost
-    one no-op call.  The engine guarantees hook order within a run:
-    ``on_run_start``, then per slot ``on_slot_begin`` and zero or more
-    ``on_channel_event`` (in ascending channel order), and finally
+    one no-op call.  The general kernel guarantees hook order within a
+    run: ``on_run_start``, then per slot ``on_slot_begin`` and zero or
+    more ``on_channel_event`` (in ascending channel order), and finally
     ``on_run_end``.  Slots arrive in strictly increasing order.
     """
 

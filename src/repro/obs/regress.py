@@ -7,7 +7,7 @@ Two complementary comparison planes for the campaign era:
    report a structured per-metric delta.  Series are classed as
    *protocol* (deterministic functions of ``(config, seed)``: slots,
    counters, span critical paths, protocol-category registry metrics)
-   or *timing* (``elapsed_s``, profiler sections, resources,
+   or *timing* (``elapsed_s``, older records' ``timings``, resources,
    timing-category metrics).  Protocol series must match — a
    difference is *significant* (bit-inequality for single runs,
    bootstrap-CI-backed for trial-level samples via

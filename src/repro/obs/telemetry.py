@@ -2,7 +2,7 @@
 
 Every instrumented run emits one machine-readable record — the seed,
 the network shape ``(n, c, k, C)``, the protocol, the slot count, the
-outcome, and optionally a metrics snapshot and a profiler's timings.
+outcome, and optionally a metrics snapshot and a span summary.
 Records accumulate as JSON lines in a telemetry file that the
 ``python -m repro obs`` CLI can validate, tail, and summarize, and
 that CI uploads as a build artifact.
@@ -86,11 +86,12 @@ def validate_record(record: Any) -> list[str]:
     (``schema``, ``kind``, ``seed``), the per-kind required fields and
     their types, a run record's ``outcome`` vocabulary, and the shape
     of the optional ``counters`` / ``timings`` / ``provenance``
-    attachments.  ``counters`` is no longer written (a run's counts
-    ride in its ``metrics`` snapshot) but is still checked in records
-    written before that change.  The ``provenance`` block is optional
-    (records written before stamping existed omit it) but validated
-    when present.
+    attachments.  ``counters`` and ``timings`` are no longer written (a
+    run's counts ride in its ``metrics`` snapshot, and the engine no
+    longer times its own sections) but are still checked in records
+    written before those changes.  The ``provenance`` block is
+    optional (records written before stamping existed omit it) but
+    validated when present.
     """
     problems: list[str] = []
     if not isinstance(record, dict):
@@ -194,14 +195,11 @@ def _type_names(types: tuple[type, ...]) -> str:
 def _attach(
     record: dict[str, Any],
     *,
-    profiler: Any = None,
     spans: Any = None,
     metrics: Any = None,
     resources: Mapping[str, float] | None = None,
 ) -> None:
     """Embed the instrument snapshots every record kind may carry."""
-    if profiler is not None and hasattr(profiler, "as_dict"):
-        record["timings"] = profiler.as_dict()
     if spans is not None:
         record["spans"] = (
             spans.summary() if hasattr(spans, "summary") else dict(spans)
@@ -221,7 +219,6 @@ def run_record(
     network: "Network",
     slots: int,
     outcome: str,
-    profiler: Any = None,
     spans: Any = None,
     metrics: Any = None,
     resources: Mapping[str, float] | None = None,
@@ -234,8 +231,7 @@ def run_record(
     """Build a ``kind="run"`` manifest for one engine run.
 
     The network supplies ``(n, c, k)`` and the slot-0 universe size
-    ``C``.  When *profiler* exposes ``as_dict()``, its section stats
-    ride along as ``timings``; when *spans* exposes ``summary()`` (a
+    ``C``.  When *spans* exposes ``summary()`` (a
     :class:`repro.obs.spans.SpanProbe`) or is already a mapping, it
     rides along as ``spans``.  *metrics* is a
     :class:`repro.obs.metrics.MetricsRegistry` (or its snapshot dict),
@@ -266,13 +262,7 @@ def run_record(
         "slots": slots,
         "outcome": outcome,
     }
-    _attach(
-        record,
-        profiler=profiler,
-        spans=spans,
-        metrics=metrics,
-        resources=resources,
-    )
+    _attach(record, spans=spans, metrics=metrics, resources=resources)
     if elapsed_s is not None:
         record["elapsed_s"] = round(float(elapsed_s), 6)
     if fast_path is not None:
@@ -310,18 +300,16 @@ def experiment_record(
     fast: bool,
     elapsed_s: float,
     rows: int,
-    profiler: Any = None,
     spans: Any = None,
     metrics: Any = None,
     resources: Mapping[str, float] | None = None,
 ) -> dict[str, Any]:
     """Build a ``kind="experiment"`` manifest for one table generation.
 
-    When *profiler* exposes ``as_dict()`` its section stats ride along
-    as ``timings``; when *spans* exposes ``summary()`` (or is already a
-    mapping) it rides along as ``spans``; *metrics* (a registry or its
-    snapshot) and *resources* (a sampler delta) embed like they do on
-    run records.  The ``provenance`` block hashes ``(experiment id,
+    When *spans* exposes ``summary()`` (or is already a mapping) it
+    rides along as ``spans``; *metrics* (a registry or its snapshot)
+    and *resources* (a sampler delta) embed like they do on run
+    records.  The ``provenance`` block hashes ``(experiment id,
     trials, fast, backend)``.
     """
     from repro.obs.provenance import provenance_block
@@ -346,9 +334,7 @@ def experiment_record(
             }
         ),
     }
-    _attach(
-        record, profiler=profiler, spans=spans, metrics=metrics, resources=resources
-    )
+    _attach(record, spans=spans, metrics=metrics, resources=resources)
     return record
 
 

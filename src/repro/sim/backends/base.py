@@ -84,7 +84,6 @@ class EngineBackend(abc.ABC):
         trace: "EventTrace | None" = None,
         jammer: "Jammer | None" = None,
         probe: Any = None,
-        profiler: Any = None,
         fast_path: bool = True,
     ) -> Any:
         """Build the engine-like executor for *protocols* over *network*."""

@@ -38,7 +38,6 @@ class ExactBackend(EngineBackend):
         trace: "EventTrace | None" = None,
         jammer: "Jammer | None" = None,
         probe: Any = None,
-        profiler: Any = None,
         fast_path: bool = True,
     ) -> Engine:
         return Engine(
@@ -49,6 +48,5 @@ class ExactBackend(EngineBackend):
             trace=trace,
             jammer=jammer,
             probe=probe,
-            profiler=profiler,
             fast_path=fast_path,
         )

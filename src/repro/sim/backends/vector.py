@@ -36,12 +36,14 @@ columnar program via the duck-typed ``vector_kind`` /
 random label each slot, informed nodes broadcast one message,
 uninformed nodes listen and become informed on any reception, and no
 node ever terminates on its own).  Any configuration it cannot prove
-equivalent — jammers, non-default collision models, traces, profilers,
-per-event probes, unknown protocols, unknown stop conditions — falls
-back to the exact engine transparently, so ``backend="vector"`` is
-always safe to request.  Aggregate-feed probes
-(:class:`repro.obs.metrics.MetricsProbe`) keep working on the vector
-path via the ``on_vector_run`` hook.
+equivalent — jammers, non-default collision models, traces, per-event
+probes, unknown protocols, unknown stop conditions — falls back to the
+exact engine transparently, so ``backend="vector"`` is always safe to
+request.  Probes that take run totals
+(:func:`repro.sim.engine.takes_run_totals`, e.g.
+:class:`repro.obs.metrics.MetricsProbe`) keep working on the columnar
+path: it feeds them once per run through ``on_run_totals``, as the
+exact engine's fast kernel does.
 
 numpy itself is imported lazily: constructing the backend without
 numpy installed raises one actionable error instead of an ImportError
@@ -61,7 +63,7 @@ from repro.sim.backends.base import (
 )
 from repro.sim.channels import DynamicSchedule, Network, StaticSchedule
 from repro.sim.collision import CollisionModel, SingleWinnerCollision
-from repro.sim.engine import Engine, RunResult
+from repro.sim.engine import Engine, RunResult, takes_run_totals
 from repro.sim.rng import derive_rng, derive_seed
 from repro.types import SimulationError
 
@@ -122,7 +124,6 @@ class VectorEngine:
         trace: "EventTrace | None" = None,
         jammer: Jammer | None = None,
         probe: Any = None,
-        profiler: Any = None,
         fast_path: bool = True,
         rng_mode: str = "numpy",
     ) -> None:
@@ -138,7 +139,6 @@ class VectorEngine:
         self.rng = derive_rng(seed, "engine-collision")
         self.trace = trace
         self.jammer = jammer or NullJammer()
-        self.profiler = profiler
         self.fast_path = fast_path
         self.rng_mode = rng_mode
         self.slot = 0
@@ -243,11 +243,9 @@ class VectorEngine:
         """
         if self.trace is not None:
             return "event trace attached", []
-        if self.profiler is not None:
-            return "profiler attached", []
         probe = self._probe
-        if probe is not None and not callable(getattr(probe, "on_vector_run", None)):
-            return "probe without aggregate (on_vector_run) support", []
+        if probe is not None and not takes_run_totals(probe):
+            return "probe without aggregate (on_run_totals) support", []
         if type(self.jammer) is not NullJammer:
             return "jamming adversary attached", []
         if type(self.collision) is not SingleWinnerCollision:
@@ -293,7 +291,6 @@ class VectorEngine:
                 trace=self.trace,
                 jammer=self.jammer,
                 probe=self._probe,
-                profiler=self.profiler,
                 fast_path=self.fast_path,
             )
             # One collision stream across both kernels: a replay-mode
@@ -482,7 +479,7 @@ class VectorEngine:
                 if contention_chunks
                 else []
             )
-            probe.on_vector_run(
+            probe.on_run_totals(
                 slots=executed,
                 contention=contention,
                 deliveries=deliveries,
@@ -520,7 +517,6 @@ class VectorBackend(EngineBackend):
         trace: "EventTrace | None" = None,
         jammer: Jammer | None = None,
         probe: Any = None,
-        profiler: Any = None,
         fast_path: bool = True,
     ) -> VectorEngine:
         _numpy()
@@ -532,7 +528,6 @@ class VectorBackend(EngineBackend):
             trace=trace,
             jammer=jammer,
             probe=probe,
-            profiler=profiler,
             fast_path=fast_path,
             rng_mode=self.rng_mode,
         )

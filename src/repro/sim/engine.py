@@ -12,32 +12,31 @@ labels and their own outcomes.  All global knowledge (physical channels,
 who collided with whom) lives here and, optionally, in an
 :class:`~repro.sim.trace.EventTrace` for analysis.
 
-Observability: the engine carries two optional, duck-typed instruments
-from :mod:`repro.obs` — a *probe* and a *profiler* (``perf_counter``
-wall time attributed to the ``engine.collect`` / ``engine.resolve`` /
-``engine.deliver`` sections).  The probe hooks are exactly the ones
-some instrument consumes: run start and end, slot begin, one call per
-channel event, and, for node-observing probes, one per action.  Both
-instruments default to ``None`` and cost exactly one ``is None`` check
-per hook site when absent, so un-instrumented runs keep their
-benchmark numbers.  The engine deliberately does not import
-:mod:`repro.obs` (the dependency points the other way); any object
-with the right hooks works.
+Observability: the engine carries one optional, duck-typed instrument
+from :mod:`repro.obs`, a *probe*.  The general kernel fires exactly the
+hooks some instrument consumes: run start and end, slot begin, one call
+per channel event, and, for node-observing probes, one per action.  A
+probe whose class defines ``on_run_totals`` (see :func:`takes_run_totals`;
+today :class:`repro.obs.metrics.MetricsProbe`) can instead be fed once
+per run, which is what the fast kernel does.  The probe defaults to
+``None`` and costs exactly one ``is None`` check per hook site when
+absent, so un-instrumented runs keep their benchmark numbers.  The
+engine deliberately does not import :mod:`repro.obs` (the dependency
+points the other way); any object with the right hooks works.
 
 Performance: :meth:`Engine.run` detects the common configuration —
 static schedule, no jammer, the paper's single-winner collision model,
-no instrumentation — and switches to a specialized step kernel that
-precomputes the label→channel tables and skips every hook, while
-producing bit-identical results (same outcomes, same RNG stream, same
-errors).  See :meth:`Engine._fast_path_eligible` and
-``docs/performance.md``.
+no trace, and no probe or only a totals-taking one — and switches to a
+specialized step kernel that precomputes the label→channel tables and
+skips every per-slot hook, while producing bit-identical results (same
+outcomes, same RNG stream, same errors, same run totals).  See
+:meth:`Engine._fast_path_eligible` and ``docs/performance.md``.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from time import perf_counter
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.sim.actions import Action, Broadcast, Envelope, Idle, Listen, SlotOutcome
@@ -51,7 +50,6 @@ from repro.types import Channel, NodeId, ProtocolViolationError, SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover - types only; sim must not import obs
     from repro.obs.probe import SlotProbe
-    from repro.obs.profiler import Profiler
 
 
 @dataclass(frozen=True, slots=True)
@@ -69,6 +67,19 @@ class RunResult:
     slots: int
     completed: bool
     all_done: bool
+
+
+def takes_run_totals(probe: object) -> bool:
+    """Whether *probe* can be fed a whole run's totals in one call.
+
+    Such a probe's class defines ``on_run_totals(*, slots, contention,
+    deliveries, wasted_listens)``, which the engine's fast kernel and
+    the vector backend's columnar kernel call once per run, just before
+    ``on_run_end``, in place of the per-slot and per-channel hooks.
+    The hook is looked up on the class, not the instance, so the check
+    reads no hook off the probe itself.
+    """
+    return callable(getattr(type(probe), "on_run_totals", None))
 
 
 class Engine:
@@ -90,19 +101,17 @@ class Engine:
     jammer:
         Optional jamming adversary.
     probe:
-        Optional streaming probe (see :mod:`repro.obs.probe`).  Fired
-        per slot and per channel event; probes whose
-        ``observes_nodes`` attribute is true additionally receive every
-        node's action.  These hook points are the engine's
-        whole instrumentation surface: spans, watchdogs, and the
-        metrics registry feeder
-        (:class:`repro.obs.metrics.MetricsProbe` — slots, broadcasts,
-        collisions, deliveries) all ride them, so adding an instrument
-        never adds a new hot-path branch.
-    profiler:
-        Optional profiler (see :mod:`repro.obs.profiler`).  Populates
-        the ``engine.collect`` / ``engine.resolve`` / ``engine.deliver``
-        wall-time sections.
+        Optional streaming probe (see :mod:`repro.obs.probe`).  The
+        general kernel fires it per slot and per channel event; probes
+        whose ``observes_nodes`` attribute is true additionally receive
+        every node's action.  A probe that takes run totals
+        (:func:`takes_run_totals`, e.g. the metrics registry feeder
+        :class:`repro.obs.metrics.MetricsProbe`) leaves the fast kernel
+        engaged and receives one ``on_run_totals`` call per run
+        instead.  These hook points are the engine's whole
+        instrumentation surface: spans, watchdogs and the metrics
+        probe all ride them, so adding an instrument never adds a new
+        hot-path branch.
     fast_path:
         Allow :meth:`run` to use the specialized step kernel when the
         configuration permits (see :meth:`_fast_path_eligible`).  The
@@ -122,7 +131,6 @@ class Engine:
         trace: EventTrace | None = None,
         jammer: Jammer | None = None,
         probe: "SlotProbe | None" = None,
-        profiler: "Profiler | None" = None,
         fast_path: bool = True,
     ) -> None:
         if len(protocols) != network.num_nodes:
@@ -135,7 +143,6 @@ class Engine:
         self.rng = derive_rng(seed, "engine-collision")
         self.trace = trace
         self.jammer = jammer or NullJammer()
-        self.profiler = profiler
         self._probe: "SlotProbe | None" = None
         self._node_probe: "SlotProbe | None" = None
         self._fast_run_active = False
@@ -152,11 +159,13 @@ class Engine:
 
     @probe.setter
     def probe(self, probe: "SlotProbe | None") -> None:
-        # The fast kernel fires no hooks, so a probe attached while it
-        # is in flight (e.g. from a stop_when callback) would be
+        # The fast kernel fires no per-slot hooks and feeds run totals
+        # only to the probe it started with, so a probe attached while
+        # it is in flight (e.g. from a stop_when callback) would be
         # silently ignored for the rest of the run — refuse instead.
         # Between runs, attaching is safe: eligibility is re-checked at
-        # the top of every run(), so the next run leaves the fast path.
+        # the top of every run(), so the next run picks its kernel with
+        # the new probe.
         if probe is not None and self._fast_run_active:
             raise SimulationError(
                 "cannot attach a probe while a fast-path run is in flight; "
@@ -177,15 +186,12 @@ class Engine:
     def step(self) -> None:
         """Execute one synchronous slot.
 
-        Effects: rng, perf-counter.
+        Effects: rng.
         """
         slot = self.slot
         num_nodes = self.network.num_nodes
         probe = self._probe
         node_probe = self._node_probe
-        profiler = self.profiler
-        if profiler is not None:
-            section_start = perf_counter()
         if probe is not None:
             probe.on_slot_begin(slot)
 
@@ -218,11 +224,6 @@ class Engine:
                 broadcasters.setdefault(channel, []).append((node, envelope))
             else:
                 listeners.setdefault(channel, []).append(node)
-
-        if profiler is not None:
-            now = perf_counter()
-            profiler.add("engine.collect", now - section_start)
-            section_start = now
 
         # Resolve contention channel by channel.
         outcomes: dict[NodeId, SlotOutcome] = {}
@@ -290,11 +291,6 @@ class Engine:
                 if probe is not None:
                     probe.on_channel_event(event)
 
-        if profiler is not None:
-            now = perf_counter()
-            profiler.add("engine.resolve", now - section_start)
-            section_start = now
-
         # Idle nodes still get an outcome so protocols see every slot.
         for node, action in actions.items():
             if node not in outcomes:
@@ -303,28 +299,25 @@ class Engine:
         for node, outcome in outcomes.items():
             self.protocols[node].end_slot(slot, outcome)
 
-        if profiler is not None:
-            profiler.add("engine.deliver", perf_counter() - section_start)
-
         self.slot += 1
 
     def _fast_path_eligible(self) -> bool:
         """Whether :meth:`run` may use the specialized step kernel.
 
         The common benchmark configuration — a static assignment, no
-        jamming, the paper's single-winner contention model, and no
-        instrumentation — pays for generality it never uses: per-action
-        ``schedule.at`` lookups, the jammer query, and a handful of
-        ``is None`` hook checks every slot.  The fast kernel elides all
-        of that.  Exact types are required (not ``isinstance``) because
-        a subclass overriding any of these hooks would change the
-        semantics the kernel hard-codes.
+        jamming, the paper's single-winner contention model, no trace,
+        and no probe or one that takes run totals — pays for generality
+        it never uses: per-action ``schedule.at`` lookups, the jammer
+        query, and a handful of ``is None`` hook checks every slot.  The
+        fast kernel elides all of that.  Exact types are required (not
+        ``isinstance``) because a subclass overriding any of these hooks
+        would change the semantics the kernel hard-codes.
         """
+        probe = self._probe
         return (
             self.fast_path
             and self.trace is None
-            and self._probe is None
-            and self.profiler is None
+            and (probe is None or takes_run_totals(probe))
             and type(self.jammer) is NullJammer
             and type(self.collision) is SingleWinnerCollision
             and type(self.network) is Network
@@ -347,7 +340,12 @@ class Engine:
           :class:`SingleWinnerCollision` makes — so the RNG stream is
           identical draw for draw;
         - outcomes are constructed with the same field values and
-          delivered in the same order.
+          delivered in the same order;
+        - an attached probe (one that takes run totals) receives, once,
+          the quantities the general kernel's channel events carry:
+          contenders per contended channel in (slot, ascending channel)
+          order, listeners that heard a winner, and listeners on
+          channels nobody broadcast on.
 
         Per-slot scratch dicts are allocated once and cleared, not
         rebuilt, which is safe because nothing retains the containers —
@@ -368,6 +366,11 @@ class Engine:
         listeners: dict[Channel, list[tuple[NodeId, Action]]] = {}
         idles: list[tuple[NodeId, Action]] = []
         outcomes: dict[NodeId, SlotOutcome] = {}
+        probe = self._probe
+        track = probe is not None
+        contention: list[int] = []
+        deliveries = 0
+        wasted_listens = 0
         executed = 0
         completed = condition(self)
         while not completed and executed < max_slots:
@@ -435,6 +438,13 @@ class Engine:
                 if channel_listeners is not None:
                     for node, action in channel_listeners:
                         outcomes[node] = outcome_cls(slot, action, winner)
+                if track:
+                    if channel_broadcasters is None:
+                        wasted_listens += len(channel_listeners)
+                    else:
+                        contention.append(len(channel_broadcasters))
+                        if channel_listeners is not None:
+                            deliveries += len(channel_listeners)
 
             for node, outcome in outcomes.items():
                 protocols[node].end_slot(slot, outcome)
@@ -446,6 +456,13 @@ class Engine:
             self.slot += 1
             executed += 1
             completed = condition(self)
+        if track:
+            probe.on_run_totals(
+                slots=executed,
+                contention=contention,
+                deliveries=deliveries,
+                wasted_listens=wasted_listens,
+            )
         return executed, completed
 
     def run(
@@ -470,12 +487,13 @@ class Engine:
             out before the stop condition is met.
 
         When the configuration allows (static schedule, no jammer, the
-        default collision model, no instrumentation — see
-        :meth:`_fast_path_eligible`), the run uses a specialized kernel
-        that produces bit-identical results faster; whether it engaged
-        is recorded in :attr:`fast_path_engaged`.
+        default collision model, no trace, at most a totals-taking probe
+        — see :meth:`_fast_path_eligible`), the run uses a specialized
+        kernel that produces bit-identical results faster; whether it
+        engaged is recorded in :attr:`fast_path_engaged`.  A probe sees
+        ``on_run_start`` first and ``on_run_end`` last on either kernel.
 
-        Effects: rng, perf-counter.
+        Effects: rng.
         """
         condition = stop_when if stop_when is not None else (lambda engine: engine.all_done)
         probe = self._probe
@@ -531,7 +549,6 @@ def build_engine(
     trace: EventTrace | None = None,
     jammer: Jammer | None = None,
     probe: "SlotProbe | None" = None,
-    profiler: "Profiler | None" = None,
     fast_path: bool = True,
     backend: object = None,
 ) -> Any:
@@ -563,6 +580,5 @@ def build_engine(
         trace=trace,
         jammer=jammer,
         probe=probe,
-        profiler=profiler,
         fast_path=fast_path,
     )

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import random
+from pathlib import Path
 
 import pytest
 
 from repro.assignment import identical, shared_core
+from repro.cli import main, write_report
 from repro.sim import Network
 
 
@@ -36,3 +40,27 @@ def medium_network() -> Network:
     generator = random.Random(99)
     assignment = shared_core(24, 8, 2, generator).shuffled_labels(generator)
     return Network.static(assignment)
+
+
+@pytest.fixture(scope="session")
+def cli_report(tmp_path_factory) -> tuple[int, Path, str]:
+    """One ``repro report --fast --trials 2`` pass: exit code, file, stdout.
+
+    Regenerating every experiment is the suite's most expensive step,
+    so the tests that only read a default-seed report share this pass.
+    """
+    path = tmp_path_factory.mktemp("cli-report") / "out.md"
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main(["report", "--fast", "--trials", "2", "--output", str(path)])
+    return code, path, stdout.getvalue()
+
+
+@pytest.fixture(scope="session")
+def report_pair(tmp_path_factory) -> tuple[Path, Path]:
+    """Two independent ``write_report(trials=2, seed=3, fast=True)`` passes."""
+    directory = tmp_path_factory.mktemp("report-pair")
+    paths = (directory / "a.md", directory / "b.md")
+    for path in paths:
+        write_report(str(path), trials=2, seed=3, fast=True)
+    return paths

@@ -6,12 +6,12 @@
 
 - ``telemetry`` — a sink only, so the fast kernel stays engaged;
 - ``metrics`` — a sink plus a :class:`~repro.obs.metrics.MetricsRegistry`,
-  the shape the benchmark uses, so the columnar kernel stays engaged;
+  the shape the benchmark uses, so the fast or columnar kernel stays
+  engaged;
 - ``all`` — every instrument the runner accepts (a bare
-  :class:`~repro.obs.probe.SlotProbe` as ``probe``, profiler, spans, a
-  budget-1 :class:`~repro.obs.watchdog.SlotBudgetWatchdog`, metrics,
-  resources), so ``probe=`` composition and anomaly records are covered
-  too.
+  :class:`~repro.obs.probe.SlotProbe` as ``probe``, spans, a budget-1
+  :class:`~repro.obs.watchdog.SlotBudgetWatchdog`, metrics, resources),
+  so ``probe=`` composition and anomaly records are covered too.
 
 plus one COGCAST run whose ``require_completion`` raises after the
 record is written.  Every emitted record is stripped of the fields that
@@ -42,7 +42,6 @@ from repro.baselines.runners import (
 from repro.core.runners import run_data_aggregation, run_gossip, run_local_broadcast
 from repro.obs import (
     MetricsRegistry,
-    Profiler,
     ResourceSampler,
     SlotBudgetWatchdog,
     SlotProbe,
@@ -92,7 +91,6 @@ def _instruments(runner: Callable[..., Any], instrument_set: str) -> dict[str, A
         return {"metrics": MetricsRegistry()}
     every = {
         "probe": SlotProbe(),
-        "profiler": Profiler(),
         "spans": SpanProbe(),
         "watchdogs": [SlotBudgetWatchdog(budget=1)],
         "metrics": MetricsRegistry(),
@@ -108,8 +106,6 @@ def strip_volatile(record: dict[str, Any]) -> dict[str, Any]:
     record.pop("elapsed_s", None)
     if "resources" in record:
         record["resources"] = {name: None for name in record["resources"]}
-    for section in record.get("timings", {}).values():
-        section.pop("seconds", None)
     record.get("provenance", {}).pop("code_version", None)
     return record
 

@@ -279,7 +279,7 @@ class TestFallbackTransparency:
         engine = self.run_vector(probe=InformedSetWatchdog(source=0))
         assert not engine.vector_engaged
         assert engine.vector_fallback_reason == (
-            "probe without aggregate (on_vector_run) support"
+            "probe without aggregate (on_run_totals) support"
         )
 
     def test_fallback_matches_exact_bit_for_bit(self):

@@ -4,43 +4,39 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cli import main, write_report
+from repro.cli import main
+from repro.experiments import load_all
 
 
 class TestWriteReport:
-    def test_report_contains_all_experiments(self, tmp_path):
-        path = tmp_path / "report.md"
-        write_report(str(path), trials=2, seed=0, fast=True)
+    def test_report_contains_all_experiments(self, cli_report):
+        _, path, _ = cli_report
         content = path.read_text()
-        for index in range(1, 22):
-            assert f"E{index:02d}" in content
+        for experiment_id in load_all():
+            assert f"## {experiment_id} — " in content
         assert content.startswith("# Reproduction report")
         assert "Claim:" in content
         assert "```" in content
 
-    def test_report_records_invocation(self, tmp_path):
-        path = tmp_path / "report.md"
-        write_report(str(path), trials=3, seed=9, fast=True)
-        content = path.read_text()
-        assert "seed=9" in content
-        assert "trials=3" in content
+    def test_report_records_invocation(self, report_pair):
+        content = report_pair[0].read_text()
+        assert "seed=3" in content
+        assert "trials=2" in content
         assert "fast=True" in content
 
-    def test_report_cli(self, tmp_path, capsys):
-        path = tmp_path / "out.md"
-        code = main(
-            ["report", "--fast", "--trials", "2", "--output", str(path)]
-        )
+    def test_report_cli(self, cli_report):
+        code, path, out = cli_report
         assert code == 0
         assert path.exists()
-        assert str(path) in capsys.readouterr().out
+        assert str(path) in out
 
 
 class TestCliEdges:
     def test_run_all_fast(self, capsys):
         assert main(["run", "all", "--fast", "--trials", "2"]) == 0
         out = capsys.readouterr().out
-        assert "E01" in out and "E21" in out
+        for experiment_id in load_all():
+            assert f"[{experiment_id} finished in" in out
 
     def test_missing_command_exits(self):
         with pytest.raises(SystemExit):

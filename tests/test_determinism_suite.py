@@ -36,13 +36,8 @@ def test_different_seed_different_samples(experiment_id):
     assert a.rows != b.rows
 
 
-def test_report_is_deterministic(tmp_path):
-    from repro.cli import write_report
-
-    first = tmp_path / "a.md"
-    second = tmp_path / "b.md"
-    write_report(str(first), trials=2, seed=3, fast=True)
-    write_report(str(second), trials=2, seed=3, fast=True)
+def test_report_is_deterministic(report_pair):
+    first, second = report_pair
 
     def strip_runtimes(text: str) -> str:
         return "\n".join(

@@ -1597,7 +1597,8 @@ class TestExplainAndEffects:
         out = capsys.readouterr().out
         assert "repro.sim.engine:Engine.run" in out
         assert "rng" in out
-        assert "perf-counter" in out
+        # The engine reads no clock: run timing belongs to the harness.
+        assert "perf-counter" not in out
 
     def test_effects_unknown_function_exits_two(self, capsys):
         assert (

@@ -4,19 +4,23 @@ Covers the registry's declaration contract (idempotent, conflicting
 re-declarations rejected), each instrument's semantics, the
 snapshot/restore/merge cycle the parallel layer depends on, Prometheus
 text rendering, the engine-facing :class:`MetricsProbe` (checked
-against :func:`~repro.sim.metrics.compute_metrics` ground truth), the
+against :func:`~repro.sim.metrics.compute_metrics` ground truth, and
+byte-identical across the fast, general and columnar kernels), the
 :class:`ResourceSampler`, and the telemetry embedding of snapshots.
 """
 
 from __future__ import annotations
 
+import io
 import json
 
 import pytest
 
 from repro.assignment import shared_core
-from repro.core.runners import run_local_broadcast
-from repro.obs import TelemetrySink
+from repro.baselines.runners import run_rendezvous_broadcast
+from repro.core import CogCast
+from repro.core.runners import run_data_aggregation, run_gossip, run_local_broadcast
+from repro.obs import MultiProbe, SlotProbe, SpanProbe, TelemetrySink
 from repro.obs.metrics import (
     METRICS_SCHEMA_VERSION,
     MetricsError,
@@ -28,10 +32,13 @@ from repro.obs.metrics import (
     validate_snapshot,
 )
 from repro.obs.telemetry import read_telemetry, run_record, validate_record
+from repro.sim.backends import AllInformed, ExactBackend, numpy_available
 from repro.sim.channels import Network
+from repro.sim.engine import build_engine, takes_run_totals
 from repro.sim.metrics import compute_metrics
 from repro.sim.rng import derive_rng
 from repro.sim.trace import EventTrace
+from repro.types import SimulationError
 
 
 def small_network(seed: int = 0, n: int = 10, c: int = 5, k: int = 2) -> Network:
@@ -261,23 +268,143 @@ class TestMetricsProbe:
             snapshots.append(registry.snapshot())
         assert snapshots[0] == snapshots[1]
 
-    def test_attaching_metrics_disengages_fast_path(self, tmp_path):
+    def test_attaching_metrics_keeps_fast_path(self, tmp_path):
         path = tmp_path / "t.jsonl"
+        registry = MetricsRegistry()
         with TelemetrySink(path) as sink:
             run_local_broadcast(
                 small_network(),
                 seed=0,
                 max_slots=60,
-                metrics=MetricsRegistry(),
+                metrics=registry,
                 telemetry=sink,
             )
             run_local_broadcast(
                 small_network(), seed=0, max_slots=60, telemetry=sink
             )
         records = read_telemetry(path)
-        assert records[0]["fast_path"] is False
+        assert records[0]["fast_path"] is True
         assert records[1]["fast_path"] is True
         assert records[0]["slots"] == records[1]["slots"]
+        general = MetricsRegistry()
+        run_local_broadcast(
+            small_network(),
+            seed=0,
+            max_slots=60,
+            metrics=general,
+            backend=GeneralKernel(),
+        )
+        assert general.snapshot() == registry.snapshot() == records[0]["metrics"]
+
+
+class GeneralKernel(ExactBackend):
+    """The exact engine with its fast kernel switched off."""
+
+    def build(self, network, protocols, **kwargs):
+        return super().build(network, protocols, **{**kwargs, "fast_path": False})
+
+
+#: Runner name -> call taking ``(network, **instruments)``.
+KERNEL_PARITY_RUNNERS = {
+    "cogcast": lambda network, **kw: run_local_broadcast(
+        network, max_slots=5000, **kw
+    ),
+    "cogcomp": lambda network, **kw: run_data_aggregation(
+        network, list(range(network.num_nodes)), **kw
+    ),
+    "gossip": lambda network, **kw: run_gossip(
+        network, {0: "a", 1: "b"}, max_slots=5000, **kw
+    ),
+    "rendezvous-broadcast": lambda network, **kw: run_rendezvous_broadcast(
+        network, max_slots=50_000, **kw
+    ),
+}
+
+
+def _cogcast_engine(probe, backend="exact"):
+    return build_engine(
+        small_network(),
+        lambda view: CogCast(view, is_source=view.node_id == 0),
+        seed=2,
+        probe=probe,
+        backend=backend,
+    )
+
+
+class TestRunTotals:
+    """``MetricsProbe`` on the fast and columnar kernels (``on_run_totals``)."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("runner", sorted(KERNEL_PARITY_RUNNERS))
+    def test_snapshot_identical_across_kernels(self, runner, seed):
+        rng = derive_rng(seed, "kernel-parity")
+        network = Network.static(shared_core(12, 6, 2, rng).shuffled_labels(rng))
+        kernels = {"fast": "exact", "general": GeneralKernel()}
+        if numpy_available():
+            kernels["vector-replay"] = "vector-replay"
+        snapshots, fast_paths = {}, {}
+        for kernel, backend in kernels.items():
+            registry, handle = MetricsRegistry(), io.StringIO()
+            KERNEL_PARITY_RUNNERS[runner](
+                network,
+                seed=seed,
+                metrics=registry,
+                telemetry=TelemetrySink(handle),
+                backend=backend,
+            )
+            snapshots[kernel] = json.dumps(registry.snapshot(), sort_keys=True)
+            fast_paths[kernel] = json.loads(handle.getvalue())["fast_path"]
+        assert fast_paths["fast"] is True
+        assert fast_paths["general"] is False
+        assert len(set(snapshots.values())) == 1, snapshots
+
+    @pytest.mark.parametrize("backend", ["exact", "vector-replay"])
+    def test_fast_kernels_fire_only_run_hooks(self, backend):
+        if backend != "exact" and not numpy_available():
+            pytest.skip("numpy not installed")
+        fired: list[str] = []
+
+        class Recorder(MetricsProbe):
+            def __getattribute__(self, name):
+                if name.startswith("on_"):
+                    fired.append(name)
+                return object.__getattribute__(self, name)
+
+        engine = _cogcast_engine(Recorder(MetricsRegistry()), backend)
+        engine.run(200, stop_when=AllInformed(engine.protocols))
+        assert engine.fast_path_engaged or engine.vector_engaged
+        assert fired == ["on_run_start", "on_run_totals", "on_run_end"]
+
+    @pytest.mark.parametrize(
+        "make_probe",
+        [
+            pytest.param(lambda: SlotProbe(), id="no-hook"),
+            pytest.param(
+                lambda: MultiProbe([MetricsProbe(MetricsRegistry()), SpanProbe()]),
+                id="metrics-plus-spans",
+            ),
+        ],
+    )
+    def test_probes_without_the_hook_take_the_general_kernel(self, make_probe):
+        engine = _cogcast_engine(make_probe())
+        engine.run(20)
+        assert engine.fast_path_engaged is False
+
+    def test_hook_is_looked_up_on_the_class(self):
+        probe = SlotProbe()
+        probe.on_run_totals = lambda **totals: None
+        assert not takes_run_totals(probe)
+        assert takes_run_totals(MetricsProbe(MetricsRegistry()))
+
+    def test_attaching_probe_mid_totals_run_raises(self):
+        engine = _cogcast_engine(MetricsProbe(MetricsRegistry()))
+
+        def sabotage(running_engine):
+            running_engine.probe = SlotProbe()
+            return False
+
+        with pytest.raises(SimulationError):
+            engine.run(10, stop_when=sabotage)
 
 
 class TestResourceSampler:

@@ -1,4 +1,4 @@
-"""Tests for repro.obs — probes, aggregators, profiler, telemetry.
+"""Tests for repro.obs — probes, aggregators, telemetry.
 
 The load-bearing guarantee is probe/trace parity: the counters a
 :class:`~repro.obs.metrics.MetricsProbe` streams into its registry
@@ -29,7 +29,6 @@ from repro.obs import (
     MetricsProbe,
     MetricsRegistry,
     MultiProbe,
-    Profiler,
     ProtocolProbe,
     SlotProbe,
     SpanProbe,
@@ -297,7 +296,6 @@ class TestProbeTraceParity:
             max_slots=5000,
             probe=MultiProbe([ChannelEventCounter(), SpanProbe()]),
             metrics=MetricsRegistry(),
-            profiler=Profiler(),
         )
         assert (bare.slots, bare.completed, bare.informed_slots) == (
             probed.slots,
@@ -436,40 +434,6 @@ class TestAttach:
         assert probe.events[-1] == ("end", result.slots)
 
 
-class TestProfiler:
-    def test_engine_sections_populated(self):
-        profiler = Profiler()
-        run_local_broadcast(
-            small_network(), seed=4, max_slots=5000, profiler=profiler
-        )
-        sections = profiler.sections()
-        assert set(sections) == {"engine.collect", "engine.resolve", "engine.deliver"}
-        assert all(stat.calls > 0 for stat in sections.values())
-        assert all(stat.seconds >= 0 for stat in sections.values())
-
-    def test_section_context_manager(self):
-        profiler = Profiler()
-        with profiler.section("setup"):
-            pass
-        assert profiler.sections()["setup"].calls == 1
-
-    def test_report_and_reset(self):
-        profiler = Profiler()
-        profiler.add("alpha", 0.25)
-        profiler.add("alpha", 0.25)
-        profiler.add("beta", 0.5)
-        report = profiler.report()
-        assert "alpha" in report and "beta" in report
-        assert math.isclose(profiler.total_seconds, 1.0)
-        profiler.reset()
-        assert profiler.report() == "(no sections profiled)"
-
-    def test_as_dict_shape(self):
-        profiler = Profiler()
-        profiler.add("phase", 0.125)
-        assert profiler.as_dict() == {"phase": {"seconds": 0.125, "calls": 1}}
-
-
 class TestTelemetryRecords:
     def test_run_record_valid(self):
         network = small_network()
@@ -484,14 +448,10 @@ class TestTelemetryRecords:
         assert record["n"] == network.num_nodes
         assert record["universe"] == len(network.assignment_at(0).universe)
 
-    def test_run_record_attaches_metrics_and_profiler(self):
-        registry, profiler = MetricsRegistry(), Profiler()
+    def test_run_record_attaches_metrics(self):
+        registry = MetricsRegistry()
         run_local_broadcast(
-            small_network(),
-            seed=7,
-            max_slots=5000,
-            metrics=registry,
-            profiler=profiler,
+            small_network(), seed=7, max_slots=5000, metrics=registry
         )
         record = run_record(
             protocol="cogcast",
@@ -500,36 +460,28 @@ class TestTelemetryRecords:
             slots=10,
             outcome="completed",
             metrics=registry,
-            profiler=profiler,
         )
         assert validate_record(record) == []
         assert record["metrics"] == registry.snapshot()
-        assert "engine.resolve" in record["timings"]
         assert "counters" not in record
+        assert "timings" not in record
 
-    def test_records_embed_span_summaries_and_profiler_timings(self):
+    def test_records_embed_span_summaries(self):
         from repro.obs import SpanProbe
 
-        profiler, spans = Profiler(), SpanProbe()
-        run_data_aggregation(
-            small_network(),
-            [1.0] * 16,
-            seed=3,
-            spans=spans,
-            profiler=profiler,
-        )
+        spans = SpanProbe()
+        run_data_aggregation(small_network(), [1.0] * 16, seed=3, spans=spans)
         record = run_record(
             protocol="cogcomp",
             seed=3,
             network=small_network(),
             slots=10,
             outcome="completed",
-            profiler=profiler,
             spans=spans,
         )
         assert validate_record(record) == []
         assert record["spans"] == spans.summary()
-        assert record["timings"] == profiler.as_dict()
+        assert "timings" not in record
 
         experiment = experiment_record(
             experiment_id="E01",
@@ -538,12 +490,11 @@ class TestTelemetryRecords:
             fast=True,
             elapsed_s=0.1,
             rows=1,
-            profiler=profiler,
             spans=spans,
         )
         assert validate_record(experiment) == []
         assert experiment["spans"]["informed"] == len(spans.informed)
-        assert experiment["timings"] == profiler.as_dict()
+        assert "timings" not in experiment
 
     def test_run_record_extra_cannot_shadow(self):
         with pytest.raises(TelemetryError):
@@ -619,6 +570,26 @@ class TestTelemetryRecords:
             outcome="completed",
         )
         assert validate_record({**record, "counters": {"successes": 3}}) == []
+
+    def test_timings_from_older_records_still_read(self):
+        # Nor do they carry ``timings``; older files' sections still
+        # validate and still diff as timing-class series.
+        from repro.obs.regress import collect_series
+
+        record = run_record(
+            protocol="cogcast",
+            seed=0,
+            network=small_network(),
+            slots=1,
+            outcome="completed",
+        )
+        older = {**record, "timings": {"engine.resolve": {"seconds": 0.5, "calls": 3}}}
+        assert validate_record(older) == []
+        series = collect_series([older])
+        assert series[("run/cogcast", "timings.engine.resolve.seconds")] == (
+            "timing",
+            [0.5],
+        )
 
 
 class TestTelemetrySink:

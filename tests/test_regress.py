@@ -18,7 +18,7 @@ import pytest
 
 from repro.assignment import shared_core
 from repro.core.runners import run_local_broadcast
-from repro.obs import TelemetrySink
+from repro.obs import SpanProbe, TelemetrySink
 from repro.obs.metrics import MetricsRegistry, ResourceSampler
 from repro.obs.regress import (
     BENCH_SCHEMA_VERSION,
@@ -83,10 +83,15 @@ def history_files(tmp_path, count=4, base=0.10):
     return paths
 
 
-def telemetry_pair(tmp_path, *, seed_b=5, instrument_b=True):
-    """Two telemetry files from instrumented runs (same config)."""
+def telemetry_pair(tmp_path, *, seed_b=5, spans_a=False):
+    """Two telemetry files from instrumented runs (same config).
+
+    *spans_a* adds a :class:`SpanProbe` to side A, which keeps that run
+    on the general kernel while side B's metrics-only run takes the
+    fast kernel.
+    """
     paths = []
-    for tag, seed, instrument in (("a", 5, True), ("b", seed_b, instrument_b)):
+    for tag, seed, spans in (("a", 5, spans_a), ("b", seed_b, False)):
         path = tmp_path / f"{tag}.jsonl"
         network = Network.static(shared_core(10, 5, 2, derive_rng(1, "regress-test")))
         with TelemetrySink(path) as sink:
@@ -95,7 +100,8 @@ def telemetry_pair(tmp_path, *, seed_b=5, instrument_b=True):
                 seed=seed,
                 max_slots=80,
                 telemetry=sink,
-                metrics=MetricsRegistry() if instrument else None,
+                spans=SpanProbe() if spans else None,
+                metrics=MetricsRegistry(),
                 resources=ResourceSampler().start(),
             )
         paths.append(path)
@@ -301,7 +307,7 @@ class TestTelemetryDiff:
         assert "identical" in verdicts
 
     def test_fast_path_pair_agrees_on_protocol_metrics(self, tmp_path):
-        path_a, path_b = telemetry_pair(tmp_path, instrument_b=False)
+        path_a, path_b = telemetry_pair(tmp_path, spans_a=True)
         records_a = read_telemetry(path_a)
         records_b = read_telemetry(path_b)
         assert records_a[0]["fast_path"] is False
