@@ -41,11 +41,19 @@ import sys
 from typing import Any, Sequence
 
 from repro.obs.telemetry import (
+    decode_line,
+    expand_paths,
     read_telemetry,
     summarize_records,
-    tail_records,
-    validate_record,
 )
+
+
+def _non_negative(text: str) -> int:
+    """An argparse type: an integer that is zero or more."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def add_subcommands(sub: Any) -> None:
@@ -67,7 +75,7 @@ def add_subcommands(sub: Any) -> None:
         )
         if name == "tail":
             command.add_argument(
-                "-n", "--limit", type=int, default=10, help="records to show"
+                "-n", "--limit", type=_non_negative, default=10, help="records to show"
             )
         if name in ("summary", "tail"):
             command.add_argument(
@@ -225,30 +233,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _expand(files: Sequence[str]) -> list[str]:
-    """Shell-glob expansion for file arguments, sorted per pattern.
+def _read_all(
+    files: Sequence[str], kind: str | None = None
+) -> list[dict[str, Any]] | None:
+    """Every record across *files* (globs expanded), only *kind* if set.
 
-    Patterns with no match pass through unchanged so the subsequent
-    open error names what the user actually typed.
+    Prints why and returns ``None`` when a file is unreadable, the files
+    hold no records, or none of them is of *kind*.
     """
-    import glob as globmod
-
-    expanded: list[str] = []
-    for pattern in files:
-        matches = sorted(globmod.glob(pattern))
-        expanded.extend(matches if matches else [pattern])
-    return expanded
-
-
-def _read_all(files: Sequence[str]) -> list[dict[str, Any]] | None:
-    """Every record across *files* (globs expanded), or ``None`` on error."""
     records: list[dict[str, Any]] = []
-    for path in _expand(files):
+    for path in expand_paths(files):
         try:
             records.extend(read_telemetry(path, strict=False))
         except OSError as error:
             print(f"{path}: {error.strerror or error}", file=sys.stderr)
             return None
+    if not records:
+        print("no telemetry records in " + ", ".join(files))
+        return None
+    if kind is None:
+        return records
+    records = [record for record in records if record.get("kind") == kind]
+    if not records:
+        print(f"no matching records of kind {kind!r} in " + ", ".join(files))
+        return None
     return records
 
 
@@ -278,7 +286,7 @@ def validate_files(files: Sequence[str]) -> int:
     """Validate every record in every file; print problems; 0 iff clean."""
     total = 0
     problems_found = 0
-    for path in _expand(files):
+    for path in expand_paths(files):
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 lines = handle.readlines()
@@ -291,13 +299,7 @@ def validate_files(files: Sequence[str]) -> int:
             if not line:
                 continue
             total += 1
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as error:
-                print(f"{path}:{number}: not valid JSON ({error.msg})")
-                problems_found += 1
-                continue
-            for problem in validate_record(record):
+            for problem in decode_line(line)[1]:
                 print(f"{path}:{number}: {problem}")
                 problems_found += 1
     if problems_found:
@@ -305,21 +307,6 @@ def validate_files(files: Sequence[str]) -> int:
         return 1
     print(f"{total} records valid")
     return 0
-
-
-def _filter_kind(
-    records: list[dict[str, Any]], kind: str | None, files: Sequence[str]
-) -> list[dict[str, Any]] | None:
-    """Keep records of *kind*; print the no-match line and return ``None``
-    when the filter leaves nothing (the satellite's one-liner instead of
-    an empty table)."""
-    if kind is None:
-        return records
-    matching = [record for record in records if record.get("kind") == kind]
-    if not matching:
-        print(f"no matching records of kind {kind!r} in " + ", ".join(files))
-        return None
-    return matching
 
 
 def summarize_files(
@@ -332,13 +319,7 @@ def summarize_files(
     records of that kind are digested — zero matches prints a one-line
     "no matching records" message and exits 1.
     """
-    records = _read_all(files)
-    if records is None:
-        return 1
-    if not records:
-        print("no telemetry records in " + ", ".join(files))
-        return 1
-    records = _filter_kind(records, kind, files)
+    records = _read_all(files, kind)
     if records is None:
         return 1
     print(summarize_records(records))
@@ -361,16 +342,10 @@ def tail_files(
     With *kind* set, only records of that kind are tailed — zero
     matches prints a one-line "no matching records" message and exits 1.
     """
-    records = _read_all(files)
+    records = _read_all(files, kind)
     if records is None:
         return 1
-    if not records:
-        print("no telemetry records in " + ", ".join(files))
-        return 1
-    records = _filter_kind(records, kind, files)
-    if records is None:
-        return 1
-    for record in tail_records(records, limit):
+    for record in records[len(records) - limit :]:
         print(json.dumps(record, sort_keys=True))
         if metrics and record.get("metrics") is not None:
             from repro.obs.metrics import render_prometheus
@@ -414,9 +389,6 @@ def anomalies_files(files: Sequence[str]) -> int:
     """
     records = _read_all(files)
     if records is None:
-        return 1
-    if not records:
-        print("no telemetry records in " + ", ".join(files))
         return 1
     anomalies = [record for record in records if record.get("kind") == "anomaly"]
     if not anomalies:
@@ -493,7 +465,7 @@ def ingest_files(files: Sequence[str], store_dir: str, *, strict: bool = False) 
 
     store = RunStore(store_dir)
     try:
-        report = store.ingest(_expand(files), strict=strict)
+        report = store.ingest(expand_paths(files), strict=strict)
     except (OSError, TelemetryError) as error:
         print(str(error), file=sys.stderr)
         return 1

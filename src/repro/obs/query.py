@@ -13,10 +13,11 @@ Three consumers of the telemetry the run store indexes:
   incremental validation, surfacing anomalies the moment their line is
   flushed.
 - :func:`explain_records` joins a watchdog anomaly back to the run
-  record it followed and prints the causal context: offending slot,
-  enclosing span path (from the span summary's ``extents``), phase
-  timings, and the execution path (backend / fast path / vector
-  fallback reason).
+  record it followed (the run store's join,
+  :func:`repro.obs.store.group_runs`) and prints the causal context:
+  offending slot, enclosing span path (from the span summary's
+  ``extents``), phase timings, and the execution path (backend / fast
+  path / vector fallback reason).
 
 Filter fields resolve against the manifest entry first, then its
 ``point`` dict (campaign grid coordinates), then the provenance
@@ -34,7 +35,8 @@ from time import perf_counter
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro.obs.aggregators import FixedHistogram, StreamingStat
-from repro.obs.telemetry import validate_record
+from repro.obs.store import group_runs
+from repro.obs.telemetry import decode_line
 
 #: Comparison operators, longest spelling first so ``>=`` wins over ``>``.
 _OPS = ("!=", ">=", "<=", "=", ">", "<")
@@ -352,26 +354,20 @@ def follow_file(
                 if not line:
                     continue
                 seen += 1
-                try:
-                    record = json.loads(line)
-                    problems = validate_record(record)
-                except json.JSONDecodeError as error:
-                    emit(f"invalid line {seen}: not valid JSON ({error.msg})")
+                record, problems = decode_line(line)
+                if problems:
+                    what = "line" if record is None else "record"
+                    emit(f"invalid {what} {seen}: " + "; ".join(problems))
                     invalid += 1
-                    record, problems = None, []
-                if record is not None and problems:
-                    emit(f"invalid record {seen}: " + "; ".join(problems))
-                    invalid += 1
-                elif record is not None:
-                    if record.get("kind") == "anomaly":
-                        anomalies += 1
-                        emit(
-                            f"ANOMALY [{record.get('rule')}] "
-                            f"seed={record.get('seed')} "
-                            f"slot={record.get('slot')}: {record.get('message')}"
-                        )
-                    else:
-                        emit(_follow_line(record))
+                elif record.get("kind") == "anomaly":
+                    anomalies += 1
+                    emit(
+                        f"ANOMALY [{record.get('rule')}] "
+                        f"seed={record.get('seed')} "
+                        f"slot={record.get('slot')}: {record.get('message')}"
+                    )
+                else:
+                    emit(_follow_line(record))
                 if max_records is not None and seen >= max_records:
                     return 1 if anomalies or invalid else 0
         else:
@@ -444,36 +440,32 @@ def explain_records(
     """Causal context report for the anomalies in a telemetry stream.
 
     Joins each ``kind="anomaly"`` record (optionally filtered by *rule*
-    or selected by *index* among the matches) to the most recent
-    preceding primary record with the same seed — the runner emission
-    order guarantees that is the run it was observed in — and renders
-    slot context, enclosing span path, phase timings, tree stats, and
-    the execution path.  Returns ``(report text, exit code)``: 0 when
-    at least one anomaly was explained, 1 when none matched.
+    or selected by *index* among the matches) to its run by the rule
+    documented on :func:`repro.obs.store.group_runs`, which ingest
+    applies too.  Renders slot context, enclosing span path, phase
+    timings, tree stats, and the execution path.  Returns ``(report
+    text, exit code)``: 0 when at least one anomaly was explained, 1
+    when none matched.
     """
-    anomalies: list[tuple[int, Mapping[str, Any]]] = [
-        (position, record)
-        for position, record in enumerate(records)
-        if record.get("kind") == "anomaly"
-        and (rule is None or record.get("rule") == rule)
+    anomalies = [
+        (run, anomaly)
+        for run, group in group_runs(records)
+        for anomaly in group
+        if rule is None or anomaly.get("rule") == rule
     ]
     if index is not None:
         anomalies = anomalies[index : index + 1]
     if not anomalies:
         qualifier = f" with rule {rule!r}" if rule else ""
         return (f"no anomalies{qualifier} to explain", 1)
-    sections = []
-    for position, anomaly in anomalies:
-        sections.append(_explain_one(records, position, anomaly))
+    sections = [_explain_one(run, anomaly) for run, anomaly in anomalies]
     return ("\n\n".join(sections), 0)
 
 
 def _explain_one(
-    records: Sequence[Mapping[str, Any]],
-    position: int,
-    anomaly: Mapping[str, Any],
+    run: Mapping[str, Any] | None, anomaly: Mapping[str, Any]
 ) -> str:
-    """Render the report section for one anomaly."""
+    """Render the report section for one anomaly and its run."""
     lines = [
         f"anomaly [{anomaly.get('rule')}] seed={anomaly.get('seed')} "
         f"slot={anomaly.get('slot')}: {anomaly.get('message')}"
@@ -485,7 +477,6 @@ def _explain_one(
             for key in sorted(detail)
         )
         lines.append(f"  detail: {rendered}")
-    run = _join_run(records, position, anomaly)
     if run is None:
         lines.append("  run: (no preceding primary record with this seed)")
         return "\n".join(lines)
@@ -542,24 +533,6 @@ def _explain_one(
             )
             lines.append(f"  metrics: {totals}")
     return "\n".join(lines)
-
-
-def _join_run(
-    records: Sequence[Mapping[str, Any]],
-    position: int,
-    anomaly: Mapping[str, Any],
-) -> Mapping[str, Any] | None:
-    """The primary record an anomaly at *position* belongs to."""
-    from repro.obs.store import PRIMARY_KINDS
-
-    seed = anomaly.get("seed")
-    for candidate in reversed(records[:position]):
-        if candidate.get("kind") in PRIMARY_KINDS and candidate.get("seed") == seed:
-            return candidate
-    for candidate in reversed(records[:position]):
-        if candidate.get("kind") in PRIMARY_KINDS:
-            return candidate
-    return None
 
 
 def query_rows_json(rows: Iterable[Mapping[str, Any]]) -> str:

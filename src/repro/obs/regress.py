@@ -809,13 +809,11 @@ def bench_check(
     writes the JSON form regardless of verdict, so CI can upload the
     artifact before gating on the exit code.
     """
-    import glob as globmod
     import sys
 
-    paths: list[str] = []
-    for pattern in history_patterns:
-        matches = sorted(globmod.glob(pattern))
-        paths.extend(matches if matches else [pattern])
+    from repro.obs.telemetry import expand_paths
+
+    paths = expand_paths(history_patterns)
     if candidate_path is not None and candidate_path not in paths:
         paths.append(candidate_path)
     try:

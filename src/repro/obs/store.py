@@ -11,12 +11,12 @@ campaign-service result cache builds on.  Layout on disk::
 
 Each object file holds one *stored run*: the primary telemetry record
 (``kind`` run / experiment / campaign) plus the anomaly records that
-followed it in its shard — runners emit the run manifest first and
-flush watchdog anomalies immediately after, so file order is the join
-key.  Ingest is **first-write-wins**: re-ingesting a shard (or a
-bitwise-identical re-run) finds the object file already present and
-counts a deduplication instead of rewriting, so the store never
-mutates what it has accepted — append-only by construction.
+followed it in its shard, paired by :func:`group_runs` (the join
+``obs explain`` uses too).  Ingest is **first-write-wins**:
+re-ingesting a shard (or a bitwise-identical re-run) finds the object
+file already present and counts a deduplication instead of rewriting,
+so the store never mutates what it has accepted — append-only by
+construction.
 
 The manifest is a single JSON document mapping ``run_id``
 (``<config_hash>/<seed>/<code_version>``) to a compact entry of the
@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -62,7 +62,7 @@ class IngestReport:
     anomalies_attached: int = 0
     #: Primary records skipped because they carry no provenance block.
     unstamped: int = 0
-    #: Anomaly records with no preceding primary record to attach to.
+    #: Anomaly records whose primary record is missing or unstamped.
     orphan_anomalies: int = 0
     #: Shard files read.
     files: int = 0
@@ -82,13 +82,29 @@ class IngestReport:
         return "; ".join(parts)
 
 
-@dataclass
-class _PendingRun:
-    """A primary record accumulating its trailing anomalies during ingest."""
+def group_runs(
+    records: Iterable[Mapping[str, Any]],
+) -> list[tuple[Mapping[str, Any] | None, list[Mapping[str, Any]]]]:
+    """Pair each primary record with the anomaly records that follow it.
 
-    key: tuple[str, int, str]
-    record: dict[str, Any]
-    anomalies: list[dict[str, Any]] = field(default_factory=list)
+    The join rule: an anomaly belongs to the most recent primary record
+    (a kind in :data:`PRIMARY_KINDS`) before it in the stream, whatever
+    either record's seed.  The runners write a run's record and then
+    flush its anomalies, so on their files this is the run the anomaly
+    was observed in.  Anomalies before the first primary record form a
+    leading group whose primary record is ``None``.  Returns
+    ``(primary record, anomalies)`` pairs in stream order.
+    """
+    groups: list[tuple[Mapping[str, Any] | None, list[Mapping[str, Any]]]] = []
+    for record in records:
+        kind = record.get("kind")
+        if kind in PRIMARY_KINDS:
+            groups.append((record, []))
+        elif kind == "anomaly":
+            if not groups:
+                groups.append((None, []))
+            groups[-1][1].append(record)
+    return groups
 
 
 def _safe_component(text: str) -> str:
@@ -229,65 +245,41 @@ class RunStore:
 
         Shards are read with :func:`repro.obs.telemetry.read_telemetry`
         (``strict=True`` raises on a malformed line; the default skips
-        it).  Anomaly records attach to the most recent preceding
-        primary record in their shard — the emission-order guarantee of
-        the runners (run manifest first, ``flush_anomalies`` second)
-        makes file order the join key.  New keys are written as object
-        files; existing keys count as deduplications and are left
-        untouched.
+        it), and :func:`group_runs` attaches each anomaly to its run.
+        Anomalies of an unstamped primary record, or of none, count as
+        orphans.  New keys are written as object files; existing keys
+        count as deduplications and are left untouched.
         """
         report = IngestReport()
         manifest = self.manifest()
         entries: dict[str, Any] = manifest["entries"]
         for path in paths:
             report.files += 1
-            pending: _PendingRun | None = None
-            for record in read_telemetry(path, strict=strict):
-                kind = record.get("kind")
-                if kind in PRIMARY_KINDS:
-                    if pending is not None:
-                        self._flush(pending, entries, report)
-                    key = run_key(record)
-                    if key is None:
+            for record, anomalies in group_runs(read_telemetry(path, strict=strict)):
+                key = None if record is None else run_key(record)
+                if key is None:
+                    if record is not None:
                         report.unstamped += 1
-                        pending = None
-                        continue
-                    pending = _PendingRun(key=key, record=record)
-                elif kind == "anomaly":
-                    if pending is None:
-                        report.orphan_anomalies += 1
-                    else:
-                        pending.anomalies.append(record)
-                        report.anomalies_attached += 1
-            if pending is not None:
-                self._flush(pending, entries, report)
+                    report.orphan_anomalies += len(anomalies)
+                    continue
+                target = self.object_path(key)
+                if target.exists():
+                    report.deduplicated += 1
+                    continue
+                target.parent.mkdir(parents=True, exist_ok=True)
+                payload = {
+                    "schema": STORE_SCHEMA_VERSION,
+                    "record": record,
+                    "anomalies": anomalies,
+                }
+                with open(target, "w", encoding="utf-8") as handle:
+                    json.dump(payload, handle, sort_keys=True)
+                    handle.write("\n")
+                entries[run_id_of(key)] = manifest_entry(record, anomalies)
+                report.ingested += 1
+                report.anomalies_attached += len(anomalies)
         self._write_manifest(manifest)
         return report
-
-    def _flush(
-        self,
-        pending: _PendingRun,
-        entries: dict[str, Any],
-        report: IngestReport,
-    ) -> None:
-        """Write one pending run's object file and manifest entry."""
-        run_id = run_id_of(pending.key)
-        path = self.object_path(pending.key)
-        if path.exists():
-            report.deduplicated += 1
-            report.anomalies_attached -= len(pending.anomalies)
-            return
-        path.parent.mkdir(parents=True, exist_ok=True)
-        payload = {
-            "schema": STORE_SCHEMA_VERSION,
-            "record": pending.record,
-            "anomalies": pending.anomalies,
-        }
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, sort_keys=True)
-            handle.write("\n")
-        entries[run_id] = manifest_entry(pending.record, pending.anomalies)
-        report.ingested += 1
 
     def _write_manifest(self, manifest: dict[str, Any]) -> None:
         """Atomically replace the manifest document (temp + rename)."""

@@ -10,7 +10,9 @@ that CI uploads as a build artifact.
 The schema is deliberately small and hand-validated (no external
 dependency): :func:`validate_record` returns a list of problems, and
 :class:`TelemetrySink` refuses to write an invalid record so a
-telemetry file is well-formed by construction.
+telemetry file is well-formed by construction.  Every reader decodes
+a line through :func:`decode_line` and expands file-argument globs
+through :func:`expand_paths`.
 
 R2 note: records carry **no wall-clock timestamps** — runs replay from
 ``(seed, scenario)``, and the only time-like fields are
@@ -41,6 +43,11 @@ TELEMETRY_SCHEMA_VERSION = 1
 
 #: Allowed values of a run record's ``outcome`` field.
 RUN_OUTCOMES = ("completed", "budget", "failed")
+
+#: Record fields that may differ between two runs of the same seed
+#: (wall time and host facts); determinism checks and deduplication
+#: ignore them.
+VOLATILE_FIELDS = ("elapsed_s", "resources", "timings")
 
 #: kind -> required fields -> allowed types (None marks nullable).
 _REQUIRED: dict[str, dict[str, tuple[type, ...]]] = {
@@ -477,6 +484,34 @@ class TelemetrySink:
         self.close()
 
 
+def decode_line(line: str) -> tuple[Any, list[str]]:
+    """Decode and validate one telemetry line: ``(record, problems)``.
+
+    The record is ``None`` when the line is not JSON, and the single
+    problem then reads ``not valid JSON (<reason>)``; otherwise it is
+    the decoded value, valid exactly when *problems* is empty.
+    """
+    try:
+        record = json.loads(line)
+    except json.JSONDecodeError as error:
+        return None, [f"not valid JSON ({error.msg})"]
+    return record, validate_record(record)
+
+
+def expand_paths(patterns: Iterable[str]) -> list[str]:
+    """Shell-glob expansion of file arguments, sorted per pattern.
+
+    Patterns with no match pass through unchanged so the subsequent
+    open error names what the user actually typed.
+    """
+    import glob
+
+    expanded: list[str] = []
+    for pattern in patterns:
+        expanded.extend(sorted(glob.glob(pattern)) or [pattern])
+    return expanded
+
+
 def read_telemetry(path: str | Path, *, strict: bool = True) -> list[dict[str, Any]]:
     """Load every record from a telemetry JSONL file.
 
@@ -490,22 +525,11 @@ def read_telemetry(path: str | Path, *, strict: bool = True) -> list[dict[str, A
             line = line.strip()
             if not line:
                 continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as error:
-                if strict:
-                    raise TelemetryError(
-                        f"{path}:{number}: not valid JSON ({error.msg})"
-                    ) from None
-                continue
-            problems = validate_record(record)
-            if problems:
-                if strict:
-                    raise TelemetryError(
-                        f"{path}:{number}: " + "; ".join(problems)
-                    )
-                continue
-            records.append(record)
+            record, problems = decode_line(line)
+            if not problems:
+                records.append(record)
+            elif strict:
+                raise TelemetryError(f"{path}:{number}: " + "; ".join(problems))
     return records
 
 
@@ -563,11 +587,3 @@ def summarize_records(records: Sequence[Mapping[str, Any]]) -> str:
             group = [r for r in anomalies if r["rule"] == rule]
             lines.append(f"  {rule}: {len(group)}")
     return "\n".join(lines)
-
-
-def tail_records(
-    records: Iterable[Mapping[str, Any]], limit: int
-) -> list[dict[str, Any]]:
-    """The last *limit* records of an iterable, as dictionaries."""
-    tail = list(records)[-max(0, limit):] if limit else []
-    return [dict(record) for record in tail]

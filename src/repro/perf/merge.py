@@ -18,7 +18,7 @@ import os
 from pathlib import Path
 from typing import Any, Iterable
 
-from repro.obs.telemetry import TelemetrySink, read_telemetry
+from repro.obs.telemetry import VOLATILE_FIELDS, TelemetrySink, read_telemetry
 
 
 def worker_telemetry_path(base: str | Path, index: int) -> Path:
@@ -72,7 +72,7 @@ def merge_telemetry(
                         {
                             name: value
                             for name, value in record.items()
-                            if name not in ("elapsed_s", "timings", "resources")
+                            if name not in VOLATILE_FIELDS
                         }
                     )
                     fingerprint = (key, content)

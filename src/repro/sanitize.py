@@ -52,10 +52,6 @@ from typing import Any, Callable, Mapping, Sequence
 #: Snapshot schema tag; bump when the capture layout changes.
 CAPTURE_SCHEMA = "sanitize-capture-1"
 
-#: Telemetry fields that are allowed to vary between runs (timing and
-#: host facts), stripped before the bit-diff.
-_VOLATILE_FIELDS = ("elapsed_s", "resources", "timings")
-
 #: Telemetry fields that legitimately differ across the sanitizer's own
 #: perturbed conditions — the backend check runs ``exact`` against
 #: ``vector-replay``, so execution-identity fields (``backend``,
@@ -127,20 +123,20 @@ def _canonical(value: Any) -> Any:
 
 def _normalize_telemetry(record: Mapping[str, Any]) -> dict[str, Any]:
     """Strip the fields the determinism contract does not cover."""
+    from repro.obs.telemetry import VOLATILE_FIELDS
+
     normalized = {
         key: _canonical(value)
         for key, value in record.items()
-        if key not in _VOLATILE_FIELDS and key not in _CONDITION_FIELDS
+        if key not in VOLATILE_FIELDS and key not in _CONDITION_FIELDS
     }
     metrics = normalized.get("metrics")
-    if isinstance(metrics, dict) and isinstance(metrics.get("metrics"), list):
-        metrics = dict(metrics)
-        metrics["metrics"] = [
-            entry
-            for entry in metrics["metrics"]
+    if isinstance(metrics, dict) and isinstance(metrics.get("metrics"), dict):
+        metrics["metrics"] = {
+            name: entry
+            for name, entry in metrics["metrics"].items()
             if not (isinstance(entry, dict) and entry.get("category") == "timing")
-        ]
-        normalized["metrics"] = metrics
+        }
     return normalized
 
 

@@ -66,6 +66,12 @@ class TestObsMain:
         assert len(lines) == 2
         assert [json.loads(line)["seed"] for line in lines] == [2, 3]
 
+    def test_tail_rejects_negative_limit(self, telemetry_file, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            obs_main(["tail", str(telemetry_file), "-n", "-3"])
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().out == ""
+
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
             obs_main([])

@@ -19,9 +19,12 @@ import pytest
 
 from repro.cli import main as repro_main
 from repro.lint import lint_paths
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.telemetry import campaign_record
 from repro.sanitize import (
     CONTROL,
     Conditions,
+    _normalize_telemetry,
     diff_captures,
     resolve_entry,
     run_capture,
@@ -61,6 +64,19 @@ class TestCapture:
         for record in telemetry:
             assert "elapsed_s" not in record["record"]
             assert "resources" not in record["record"]
+
+    def test_normalization_strips_timing_metrics(self):
+        registry = MetricsRegistry()
+        registry.counter("campaign_points", "grid points measured").inc()
+        registry.histogram(
+            "campaign_point_elapsed_s", "per-point wall time", category="timing", width=0.25
+        ).observe(0.1)
+        record = campaign_record(
+            name="c", seed=0, point={"n": 8}, trials=1, mean=1.0, elapsed_s=0.1, metrics=registry
+        )
+        normalized = _normalize_telemetry(record)
+        assert sorted(normalized["metrics"]["metrics"]) == ["campaign_points"]
+        assert "campaign_point_elapsed_s" in record["metrics"]["metrics"]
 
     def test_capture_records_rows_and_conditions(self):
         capture = run_capture("tests.sanitize_entry:run_clean", trials=2, seed=1)
