@@ -30,22 +30,11 @@ Subpackages
 - :mod:`repro.experiments` — the per-claim experiment registry
 """
 
-# Defined before the subpackage imports: outside a git checkout,
-# obs.provenance reads it (as the ``pkg-<version>`` code version) while
-# this package is still initialising.
+# Outside a git checkout, obs.provenance reads it as the
+# ``pkg-<version>`` code version.
 __version__ = "1.0.0"
 
-from repro import (
-    analysis,
-    apps,
-    assignment,
-    backoff,
-    baselines,
-    core,
-    games,
-    sim,
-    spectrum,
-)
+from repro._lazy import lazy_exports
 from repro.types import (
     Channel,
     GameError,
@@ -58,6 +47,20 @@ from repro.types import (
     Slot,
 )
 
+#: Subpackages, each imported on first attribute access, so that
+#: ``import repro.sim.engine`` loads none of the others.
+_EXPORTS = {
+    "analysis": "repro.analysis",
+    "apps": "repro.apps",
+    "assignment": "repro.assignment",
+    "backoff": "repro.backoff",
+    "baselines": "repro.baselines",
+    "core": "repro.core",
+    "games": "repro.games",
+    "sim": "repro.sim",
+    "spectrum": "repro.spectrum",
+}
+
 __all__ = [
     "Channel",
     "GameError",
@@ -68,14 +71,8 @@ __all__ = [
     "ReproError",
     "SimulationError",
     "Slot",
-    "analysis",
-    "apps",
-    "assignment",
-    "backoff",
-    "baselines",
-    "core",
-    "games",
-    "sim",
-    "spectrum",
+    *_EXPORTS,
     "__version__",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

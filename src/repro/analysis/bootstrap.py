@@ -40,6 +40,8 @@ def bootstrap_ci(
     """Percentile bootstrap CI for an arbitrary statistic of one sample."""
     if not samples:
         raise ValueError("empty sample")
+    if resamples < 1:
+        raise ValueError(f"resamples must be >= 1, got {resamples}")
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must be in (0, 1)")
     rng = derive_rng(seed, "bootstrap")
@@ -74,6 +76,8 @@ def speedup_ci(
     """
     if not baseline or not treatment:
         raise ValueError("empty sample")
+    if resamples < 1:
+        raise ValueError(f"resamples must be >= 1, got {resamples}")
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must be in (0, 1)")
     rng = derive_rng(seed, "speedup-bootstrap")

@@ -25,8 +25,6 @@ import sys
 import time
 from typing import Sequence
 
-from repro.experiments.registry import get, load_all
-
 
 def _version_string() -> str:
     """Version plus which engine backends this environment can run."""
@@ -40,11 +38,20 @@ def _version_string() -> str:
     return f"repro {__version__} — backends: {described}"
 
 
+class _Parser(argparse.ArgumentParser):
+    """The CLI's parser; ``--version`` builds its text only when passed."""
+
+    @property
+    def version(self) -> str:
+        """What ``--version`` prints: argparse reads it when given no text."""
+        return _version_string()
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Build the argparse CLI (list / run / report subcommands)."""
     from repro.sim.backends import BACKEND_NAMES
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="repro-experiments",
         description=(
             "Reproduction experiments for 'Efficient Communication in "
@@ -54,7 +61,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--version",
         action="version",
-        version=_version_string(),
         help="print the version and available engine backends",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
@@ -203,6 +209,8 @@ def _run_one(
     fast: bool,
     telemetry: object | None = None,
 ) -> None:
+    from repro.experiments.registry import get
+
     spec = get(experiment_id)
     start = time.perf_counter()
     if telemetry is not None:
@@ -245,6 +253,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
     if args.command == "list":
+        from repro.experiments.registry import load_all
+
         for experiment_id, spec in load_all().items():
             print(f"{experiment_id}  {spec.title}")
             print(f"      {spec.claim}")
@@ -261,6 +271,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         sink = _open_sink(args.telemetry)
         try:
             if args.experiment.lower() == "all":
+                from repro.experiments.registry import load_all
+
                 for experiment_id in load_all():
                     _run_one(experiment_id, args.trials, args.seed, args.fast, sink)
             else:
@@ -347,6 +359,8 @@ def write_report(
     :class:`repro.obs.telemetry.TelemetrySink`) is given, each
     experiment also emits one manifest record.
     """
+    from repro.experiments.registry import load_all
+
     sections: list[str] = [
         "# Reproduction report",
         "",

@@ -35,10 +35,6 @@ from repro.core.aggregation import Aggregator, CollectAggregator
 from repro.core.cogcast import BroadcastResult, CogCast
 from repro.core.cogcomp import AggregationResult, CogComp
 from repro.core.gossip import GossipCast, GossipResult
-from repro.obs.metrics import MetricsProbe
-from repro.obs.probe import MultiProbe
-from repro.obs.telemetry import run_record
-from repro.obs.watchdog import flush_anomalies
 from repro.sim.adversary import Jammer
 from repro.sim.backends import AllInformed, resolve_backend
 from repro.sim.channels import Network
@@ -110,15 +106,16 @@ def run_protocol(
     """
     instruments = [
         instrument
-        for instrument in (
-            probe,
-            spans,
-            *watchdogs,
-            None if metrics is None else MetricsProbe(metrics, protocol=protocol),
-        )
+        for instrument in (probe, spans, *watchdogs)
         if instrument is not None
     ]
+    if metrics is not None:
+        from repro.obs.metrics import MetricsProbe
+
+        instruments.append(MetricsProbe(metrics, protocol=protocol))
     if len(instruments) > 1:
+        from repro.obs.probe import MultiProbe
+
         instruments = [MultiProbe(instruments)]
     engine = build_engine(
         network,
@@ -135,6 +132,9 @@ def run_protocol(
     result = engine.run(max_slots, stop_when=stop(protocols))
     elapsed_s = perf_counter() - run_start
     if telemetry is not None:
+        from repro.obs.telemetry import run_record
+        from repro.obs.watchdog import flush_anomalies
+
         telemetry.emit(
             run_record(
                 protocol=protocol,

@@ -31,6 +31,9 @@ _DISABLE_FILE = re.compile(r"#\s*lint:\s*disable-file=([A-Za-z0-9_,\s]+)")
 #: R4's isolation boundary.
 PROTOCOL_LAYER_DIRS = frozenset({"core", "baselines", "backoff", "apps"})
 
+#: A lazy package's export table: exported name -> defining module.
+EXPORT_TABLE = "_EXPORTS"
+
 
 def _split_rules(spec: str) -> set[str]:
     return {part.strip().upper() for part in spec.split(",") if part.strip()}
@@ -74,6 +77,7 @@ class ModuleContext:
     # ------------------------------------------------------------------
 
     def _collect_imports(self) -> None:
+        self._collect_export_table()
         for node in ast.walk(self.tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
@@ -88,6 +92,31 @@ class ModuleContext:
                         node.module,
                         alias.name,
                     )
+
+    def _collect_export_table(self) -> None:
+        """Read a lazy package's ``_EXPORTS`` table (:mod:`repro._lazy`).
+
+        ``"f": "pkg.mod"`` binds like ``from pkg.mod import f``; an entry
+        naming its own module, ``"sim": "repro.sim"``, like ``import
+        repro.sim as sim``.
+        """
+        for node in self.tree.body:
+            if not (
+                isinstance(node, ast.Assign)
+                and isinstance(node.value, ast.Dict)
+                and [getattr(target, "id", None) for target in node.targets]
+                == [EXPORT_TABLE]
+            ):
+                continue
+            for key, value in zip(node.value.keys, node.value.values):
+                name = getattr(key, "value", None)
+                module = getattr(value, "value", None)
+                if not (isinstance(name, str) and isinstance(module, str)):
+                    continue
+                if module.rpartition(".")[2] == name:
+                    self.module_aliases[name] = module
+                else:
+                    self.from_imports[name] = (module, name)
 
     def aliases_of(self, module: str) -> set[str]:
         """Local names bound to *module* itself (``import m``/``as x``)."""

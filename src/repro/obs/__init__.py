@@ -65,129 +65,71 @@ or registries (lint rule R4 forbids protocol modules from importing
 this package).
 """
 
-from repro.obs.aggregators import FixedHistogram, StreamingStat
-from repro.obs.metrics import (
-    METRICS_SCHEMA_VERSION,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsError,
-    MetricsProbe,
-    MetricsRegistry,
-    ResourceSampler,
-    merge_snapshots,
-    render_prometheus,
-    validate_snapshot,
-)
-from repro.obs.export import (
-    chrome_trace,
-    span_summary,
-    validate_chrome_trace,
-    write_chrome_trace,
-)
-from repro.obs.probe import MultiProbe, ProtocolProbe, SlotProbe
-from repro.obs.provenance import (
-    CODE_VERSION,
-    canonical_json,
-    config_hash,
-    detect_code_version,
-    provenance_block,
-    validate_provenance,
-)
-from repro.obs.query import (
-    Filter,
-    explain_records,
-    follow_file,
-    parse_filters,
-    render_rows,
-    run_query,
-)
-from repro.obs.store import (
-    STORE_SCHEMA_VERSION,
-    IngestReport,
-    RunStore,
-    manifest_entry,
-)
-from repro.obs.spans import InformEdge, Span, SpanProbe, SpanTree, payload_kind
-from repro.obs.telemetry import (
-    TELEMETRY_SCHEMA_VERSION,
-    TelemetryError,
-    TelemetrySink,
-    anomaly_record,
-    campaign_record,
-    experiment_record,
-    read_telemetry,
-    run_record,
-    summarize_records,
-    validate_record,
-)
-from repro.obs.watchdog import (
-    Anomaly,
-    ClusterSizeAgreementWatchdog,
-    InformedSetWatchdog,
-    MediatorUniquenessWatchdog,
-    SlotBudgetWatchdog,
-    WatchdogProbe,
-    flush_anomalies,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Anomaly",
-    "CODE_VERSION",
-    "ClusterSizeAgreementWatchdog",
-    "Counter",
-    "Filter",
-    "FixedHistogram",
-    "Gauge",
-    "Histogram",
-    "InformEdge",
-    "InformedSetWatchdog",
-    "IngestReport",
-    "METRICS_SCHEMA_VERSION",
-    "MediatorUniquenessWatchdog",
-    "MetricsError",
-    "MetricsProbe",
-    "MetricsRegistry",
-    "MultiProbe",
-    "ProtocolProbe",
-    "ResourceSampler",
-    "RunStore",
-    "STORE_SCHEMA_VERSION",
-    "SlotBudgetWatchdog",
-    "SlotProbe",
-    "Span",
-    "SpanProbe",
-    "SpanTree",
-    "StreamingStat",
-    "TELEMETRY_SCHEMA_VERSION",
-    "TelemetryError",
-    "TelemetrySink",
-    "WatchdogProbe",
-    "anomaly_record",
-    "campaign_record",
-    "canonical_json",
-    "chrome_trace",
-    "config_hash",
-    "detect_code_version",
-    "experiment_record",
-    "explain_records",
-    "flush_anomalies",
-    "follow_file",
-    "manifest_entry",
-    "merge_snapshots",
-    "parse_filters",
-    "payload_kind",
-    "provenance_block",
-    "read_telemetry",
-    "render_prometheus",
-    "render_rows",
-    "run_query",
-    "run_record",
-    "span_summary",
-    "summarize_records",
-    "validate_chrome_trace",
-    "validate_provenance",
-    "validate_record",
-    "validate_snapshot",
-    "write_chrome_trace",
-]
+#: Every exported name and the module that defines it, imported on first
+#: use: ``from repro.obs import RunStore`` loads the store, not the probes.
+_EXPORTS = {
+    "FixedHistogram": "repro.obs.aggregators",
+    "StreamingStat": "repro.obs.aggregators",
+    "METRICS_SCHEMA_VERSION": "repro.obs.metrics",
+    "Counter": "repro.obs.metrics",
+    "Gauge": "repro.obs.metrics",
+    "Histogram": "repro.obs.metrics",
+    "MetricsError": "repro.obs.metrics",
+    "MetricsProbe": "repro.obs.metrics",
+    "MetricsRegistry": "repro.obs.metrics",
+    "ResourceSampler": "repro.obs.metrics",
+    "merge_snapshots": "repro.obs.metrics",
+    "render_prometheus": "repro.obs.metrics",
+    "validate_snapshot": "repro.obs.metrics",
+    "chrome_trace": "repro.obs.export",
+    "span_summary": "repro.obs.export",
+    "validate_chrome_trace": "repro.obs.export",
+    "write_chrome_trace": "repro.obs.export",
+    "MultiProbe": "repro.obs.probe",
+    "ProtocolProbe": "repro.obs.probe",
+    "SlotProbe": "repro.obs.probe",
+    "CODE_VERSION": "repro.obs.provenance",
+    "canonical_json": "repro.obs.provenance",
+    "config_hash": "repro.obs.provenance",
+    "detect_code_version": "repro.obs.provenance",
+    "provenance_block": "repro.obs.provenance",
+    "validate_provenance": "repro.obs.provenance",
+    "Filter": "repro.obs.query",
+    "explain_records": "repro.obs.query",
+    "follow_file": "repro.obs.query",
+    "parse_filters": "repro.obs.query",
+    "render_rows": "repro.obs.query",
+    "run_query": "repro.obs.query",
+    "STORE_SCHEMA_VERSION": "repro.obs.store",
+    "IngestReport": "repro.obs.store",
+    "RunStore": "repro.obs.store",
+    "manifest_entry": "repro.obs.store",
+    "InformEdge": "repro.obs.spans",
+    "Span": "repro.obs.spans",
+    "SpanProbe": "repro.obs.spans",
+    "SpanTree": "repro.obs.spans",
+    "payload_kind": "repro.obs.spans",
+    "TELEMETRY_SCHEMA_VERSION": "repro.obs.telemetry",
+    "TelemetryError": "repro.obs.telemetry",
+    "TelemetrySink": "repro.obs.telemetry",
+    "anomaly_record": "repro.obs.telemetry",
+    "campaign_record": "repro.obs.telemetry",
+    "experiment_record": "repro.obs.telemetry",
+    "read_telemetry": "repro.obs.telemetry",
+    "run_record": "repro.obs.telemetry",
+    "summarize_records": "repro.obs.telemetry",
+    "validate_record": "repro.obs.telemetry",
+    "Anomaly": "repro.obs.watchdog",
+    "ClusterSizeAgreementWatchdog": "repro.obs.watchdog",
+    "InformedSetWatchdog": "repro.obs.watchdog",
+    "MediatorUniquenessWatchdog": "repro.obs.watchdog",
+    "SlotBudgetWatchdog": "repro.obs.watchdog",
+    "WatchdogProbe": "repro.obs.watchdog",
+    "flush_anomalies": "repro.obs.watchdog",
+}
+
+__all__ = sorted(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -56,6 +56,14 @@ def _non_negative(text: str) -> int:
     return value
 
 
+def _positive(text: str) -> int:
+    """An argparse type: an integer that is one or more."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def add_subcommands(sub: Any) -> None:
     """Register the obs subcommands on an argparse subparsers object.
 
@@ -97,7 +105,7 @@ def add_subcommands(sub: Any) -> None:
     diff.add_argument("file_a", help="baseline telemetry JSONL file")
     diff.add_argument("file_b", help="treatment telemetry JSONL file")
     diff.add_argument(
-        "--resamples", type=int, default=1000, help="bootstrap resamples"
+        "--resamples", type=_positive, default=1000, help="bootstrap resamples"
     )
     diff.add_argument(
         "--json", action="store_true", help="print the structured JSON report"
@@ -201,7 +209,7 @@ def add_subcommands(sub: Any) -> None:
     )
     follow.add_argument(
         "--max-records",
-        type=int,
+        type=_non_negative,
         default=None,
         metavar="N",
         help="stop after N records",

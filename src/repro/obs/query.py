@@ -334,10 +334,11 @@ def follow_file(
     anomalies = 0
     invalid = 0
     seen = 0
+    limit = float("inf") if max_records is None else max_records
     buffered = ""
     offset = 0
     last_progress = perf_counter()
-    while True:
+    while seen < limit:
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 handle.seek(offset)
@@ -348,7 +349,7 @@ def follow_file(
         if chunk:
             last_progress = perf_counter()
             buffered += chunk
-            while "\n" in buffered:
+            while "\n" in buffered and seen < limit:
                 line, buffered = buffered.split("\n", 1)
                 line = line.strip()
                 if not line:
@@ -368,15 +369,14 @@ def follow_file(
                     )
                 else:
                     emit(_follow_line(record))
-                if max_records is not None and seen >= max_records:
-                    return 1 if anomalies or invalid else 0
+        elif (
+            idle_exit_s is not None
+            and perf_counter() - last_progress >= idle_exit_s
+        ):
+            break
         else:
-            if (
-                idle_exit_s is not None
-                and perf_counter() - last_progress >= idle_exit_s
-            ):
-                return 1 if anomalies or invalid else 0
             sleep_fn(poll_s)
+    return 1 if anomalies or invalid else 0
 
 
 def _follow_line(record: Mapping[str, Any]) -> str:
@@ -478,7 +478,7 @@ def _explain_one(
         )
         lines.append(f"  detail: {rendered}")
     if run is None:
-        lines.append("  run: (no preceding primary record with this seed)")
+        lines.append("  run: (no preceding primary record)")
         return "\n".join(lines)
     context = _follow_line(run)
     if context.startswith("["):

@@ -42,9 +42,7 @@ from __future__ import annotations
 
 import json
 import os
-import subprocess
 import sys
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
@@ -253,6 +251,8 @@ def capture_subprocess(
     ``python -m repro sanitize <target> --capture <file>`` with the
     condition's hash seed pinned in its environment.
     """
+    import subprocess
+
     command = [
         sys.executable,
         "-m",
@@ -542,6 +542,8 @@ def sanitize(
     explicitly).  The ``backend`` check is skipped with a note when
     numpy is unavailable — the vector backend cannot run without it.
     """
+    import tempfile
+
     from repro.perf import pool_fingerprint
     from repro.sim.backends.base import numpy_available
 

@@ -7,100 +7,59 @@ extensions the paper discusses: dynamic per-slot assignments and
 n-uniform jamming adversaries.
 """
 
-from repro.sim.actions import (
-    Action,
-    Broadcast,
-    Envelope,
-    Idle,
-    Listen,
-    SlotOutcome,
-)
-from repro.sim.adversary import (
-    Jammer,
-    NullJammer,
-    RandomJammer,
-    SweepJammer,
-    TargetedJammer,
-)
-from repro.sim.channels import (
-    AssignmentSchedule,
-    ChannelAssignment,
-    DynamicSchedule,
-    Network,
-    StaticSchedule,
-)
-from repro.sim.collision import (
-    AllDeliveredCollision,
-    CollisionModel,
-    DestructiveCollision,
-    Resolution,
-    SingleWinnerCollision,
-)
-from repro.sim.engine import Engine, RunResult, build_engine, make_views
-from repro.sim.faults import (
-    CrashFault,
-    Fault,
-    FaultyProtocol,
-    OutageFault,
-    with_faults,
-)
-from repro.sim.metrics import (
-    TraceMetrics,
-    channel_utilization,
-    compute_metrics,
-    informed_curve,
-)
-from repro.sim.persistence import load_trace, save_trace
-from repro.sim.protocol import IdleProtocol, NodeView, Protocol
-from repro.sim.rng import derive_rng, derive_seed, spawn_rngs
-from repro.sim.trace import ChannelEvent, EventTrace
-from repro.sim.wrappers import BoundedProtocol, DelayedStartProtocol
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Action",
-    "AllDeliveredCollision",
-    "AssignmentSchedule",
-    "BoundedProtocol",
-    "Broadcast",
-    "DelayedStartProtocol",
-    "ChannelAssignment",
-    "ChannelEvent",
-    "CollisionModel",
-    "CrashFault",
-    "Fault",
-    "FaultyProtocol",
-    "OutageFault",
-    "TraceMetrics",
-    "channel_utilization",
-    "compute_metrics",
-    "informed_curve",
-    "load_trace",
-    "save_trace",
-    "with_faults",
-    "DestructiveCollision",
-    "DynamicSchedule",
-    "Engine",
-    "Envelope",
-    "EventTrace",
-    "Idle",
-    "IdleProtocol",
-    "Jammer",
-    "Listen",
-    "Network",
-    "NodeView",
-    "NullJammer",
-    "Protocol",
-    "RandomJammer",
-    "Resolution",
-    "RunResult",
-    "SingleWinnerCollision",
-    "SlotOutcome",
-    "StaticSchedule",
-    "SweepJammer",
-    "TargetedJammer",
-    "build_engine",
-    "derive_rng",
-    "derive_seed",
-    "make_views",
-    "spawn_rngs",
-]
+#: Every exported name and the module that defines it, imported on first
+#: use: ``from repro.sim import Network`` loads ``repro.sim.channels`` only.
+_EXPORTS = {
+    "Action": "repro.sim.actions",
+    "Broadcast": "repro.sim.actions",
+    "Envelope": "repro.sim.actions",
+    "Idle": "repro.sim.actions",
+    "Listen": "repro.sim.actions",
+    "SlotOutcome": "repro.sim.actions",
+    "Jammer": "repro.sim.adversary",
+    "NullJammer": "repro.sim.adversary",
+    "RandomJammer": "repro.sim.adversary",
+    "SweepJammer": "repro.sim.adversary",
+    "TargetedJammer": "repro.sim.adversary",
+    "AssignmentSchedule": "repro.sim.channels",
+    "ChannelAssignment": "repro.sim.channels",
+    "DynamicSchedule": "repro.sim.channels",
+    "Network": "repro.sim.channels",
+    "StaticSchedule": "repro.sim.channels",
+    "AllDeliveredCollision": "repro.sim.collision",
+    "CollisionModel": "repro.sim.collision",
+    "DestructiveCollision": "repro.sim.collision",
+    "Resolution": "repro.sim.collision",
+    "SingleWinnerCollision": "repro.sim.collision",
+    "Engine": "repro.sim.engine",
+    "RunResult": "repro.sim.engine",
+    "build_engine": "repro.sim.engine",
+    "make_views": "repro.sim.engine",
+    "CrashFault": "repro.sim.faults",
+    "Fault": "repro.sim.faults",
+    "FaultyProtocol": "repro.sim.faults",
+    "OutageFault": "repro.sim.faults",
+    "with_faults": "repro.sim.faults",
+    "TraceMetrics": "repro.sim.metrics",
+    "channel_utilization": "repro.sim.metrics",
+    "compute_metrics": "repro.sim.metrics",
+    "informed_curve": "repro.sim.metrics",
+    "load_trace": "repro.sim.persistence",
+    "save_trace": "repro.sim.persistence",
+    "IdleProtocol": "repro.sim.protocol",
+    "NodeView": "repro.sim.protocol",
+    "Protocol": "repro.sim.protocol",
+    "derive_rng": "repro.sim.rng",
+    "derive_seed": "repro.sim.rng",
+    "spawn_rngs": "repro.sim.rng",
+    "ChannelEvent": "repro.sim.trace",
+    "EventTrace": "repro.sim.trace",
+    "BoundedProtocol": "repro.sim.wrappers",
+    "DelayedStartProtocol": "repro.sim.wrappers",
+}
+
+__all__ = sorted(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

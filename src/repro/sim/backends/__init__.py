@@ -1,4 +1,4 @@
-"""Engine execution backends (ISSUE 8 tentpole).
+"""Engine execution backends.
 
 One registry, three entries:
 
@@ -11,76 +11,39 @@ One registry, three entries:
   bit-identical runs (Tier A); used by the equivalence tests and
   available anywhere a slower-but-provably-exact vector run is wanted.
 
-Importing this package never imports numpy: the vector backend loads it
-lazily on first build and raises :class:`BackendUnavailableError` with
-an actionable one-liner when it is missing.  Use
-:func:`available_backends` to see what can run here.
+Importing this package loads no kernel and never imports numpy: the
+registry is built on the first :func:`get_backend`, and the vector
+backend loads numpy lazily on first build and raises
+:class:`BackendUnavailableError` with an actionable one-liner when it
+is missing.  Use :func:`available_backends` to see what can run here.
 """
 
-from __future__ import annotations
+from repro._lazy import lazy_exports
 
-from repro.sim.backends.base import (
-    AllInformed,
-    BackendUnavailableError,
-    EngineBackend,
-    StopCondition,
-    VECTOR_CONTRACTS,
-    VectorContract,
-    VectorField,
-    backend_scope,
-    default_backend_name,
-    numpy_available,
-    resolve_backend,
-    set_default_backend,
-    vector_contract,
-)
-from repro.sim.backends.exact import ExactBackend
-from repro.sim.backends.vector import VectorBackend, VectorEngine
-
-_BACKENDS: dict[str, EngineBackend] = {
-    "exact": ExactBackend(),
-    "vector": VectorBackend(),
-    "vector-replay": VectorBackend(rng_mode="replay"),
+#: Every exported name and the module that defines it, imported on first
+#: use: ``from repro.sim.backends import BACKEND_NAMES`` loads no kernel.
+_EXPORTS = {
+    "AllInformed": "repro.sim.backends.base",
+    "BACKEND_NAMES": "repro.sim.backends.base",
+    "BackendUnavailableError": "repro.sim.backends.base",
+    "EngineBackend": "repro.sim.backends.base",
+    "StopCondition": "repro.sim.backends.base",
+    "VECTOR_CONTRACTS": "repro.sim.backends.base",
+    "VectorContract": "repro.sim.backends.base",
+    "VectorField": "repro.sim.backends.base",
+    "available_backends": "repro.sim.backends.base",
+    "backend_scope": "repro.sim.backends.base",
+    "default_backend_name": "repro.sim.backends.base",
+    "get_backend": "repro.sim.backends.base",
+    "numpy_available": "repro.sim.backends.base",
+    "resolve_backend": "repro.sim.backends.base",
+    "set_default_backend": "repro.sim.backends.base",
+    "vector_contract": "repro.sim.backends.base",
+    "ExactBackend": "repro.sim.backends.exact",
+    "VectorBackend": "repro.sim.backends.vector",
+    "VectorEngine": "repro.sim.backends.vector",
 }
 
-#: Names accepted by ``build_engine(backend=...)`` and ``--backend``.
-BACKEND_NAMES: tuple[str, ...] = tuple(sorted(_BACKENDS))
+__all__ = sorted(_EXPORTS)
 
-
-def get_backend(name: str) -> EngineBackend:
-    """The registered backend for *name* (shared stateless instance)."""
-    try:
-        return _BACKENDS[name]
-    except KeyError:
-        known = ", ".join(BACKEND_NAMES)
-        raise ValueError(
-            f"unknown backend {name!r}; known backends: {known}"
-        ) from None
-
-
-def available_backends() -> dict[str, str | None]:
-    """Map every backend name to ``None`` (usable) or why it is not."""
-    return {name: _BACKENDS[name].unavailable_reason() for name in BACKEND_NAMES}
-
-
-__all__ = [
-    "AllInformed",
-    "BACKEND_NAMES",
-    "BackendUnavailableError",
-    "EngineBackend",
-    "ExactBackend",
-    "StopCondition",
-    "VECTOR_CONTRACTS",
-    "VectorBackend",
-    "VectorContract",
-    "VectorEngine",
-    "VectorField",
-    "available_backends",
-    "backend_scope",
-    "default_backend_name",
-    "get_backend",
-    "numpy_available",
-    "resolve_backend",
-    "set_default_backend",
-    "vector_contract",
-]
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -189,6 +189,11 @@ def vector_contract(kind: str) -> VectorContract | None:
     return VECTOR_CONTRACTS.get(kind)
 
 
+#: Names accepted by ``build_engine(backend=...)`` and ``--backend``.
+#: Reading them loads no kernel: :func:`get_backend` checks a name
+#: against them and builds the backends only on first use.
+BACKEND_NAMES: tuple[str, ...] = ("exact", "vector", "vector-replay")
+
 #: Per-process default backend name used when ``backend=None``.
 _DEFAULT_BACKEND = "exact"
 
@@ -231,13 +236,35 @@ def backend_scope(name: str | None) -> Iterator[None]:
 
 
 def _check_backend_name(name: str) -> str:
-    """Validate a backend name against the registry (import-cycle-free)."""
-    from repro.sim.backends import BACKEND_NAMES
-
+    """Validate a backend name against :data:`BACKEND_NAMES`."""
     if name not in BACKEND_NAMES:
-        known = ", ".join(sorted(BACKEND_NAMES))
+        known = ", ".join(BACKEND_NAMES)
         raise ValueError(f"unknown backend {name!r}; known backends: {known}")
     return name
+
+
+@functools.cache
+def _registry() -> dict[str, EngineBackend]:
+    """One shared stateless instance per backend, built on first use.
+
+    Building it imports the kernels, which is why this module (and so
+    the CLI's ``--backend`` choices) does not.
+    """
+    from repro.sim.backends.exact import ExactBackend
+    from repro.sim.backends.vector import VectorBackend
+
+    backends = (ExactBackend(), VectorBackend(), VectorBackend(rng_mode="replay"))
+    return {backend.name: backend for backend in backends}
+
+
+def get_backend(name: str) -> EngineBackend:
+    """The registered backend for *name* (shared stateless instance)."""
+    return _registry()[_check_backend_name(name)]
+
+
+def available_backends() -> dict[str, str | None]:
+    """Map every backend name to ``None`` (usable) or why it is not."""
+    return {name: get_backend(name).unavailable_reason() for name in BACKEND_NAMES}
 
 
 def resolve_backend(
@@ -248,8 +275,6 @@ def resolve_backend(
     Accepts a registry name, an :class:`EngineBackend` instance (passed
     through), or ``None`` (the per-process default).
     """
-    from repro.sim.backends import get_backend
-
     if backend is None:
         return get_backend(_DEFAULT_BACKEND)
     if isinstance(backend, str):

@@ -14,33 +14,42 @@ marker (readable, not reloadable as the original object).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 from pathlib import Path
 from typing import Any
 
-# Import the messages module directly (not via the repro.core package
-# __init__) to keep the sim <-> core import graph acyclic.
-import repro.core.messages as messages
 from repro.sim.actions import Envelope
 from repro.sim.trace import ChannelEvent, EventTrace
 
-_MESSAGE_TYPES = {
-    cls.__name__: cls
-    for cls in (
-        messages.InitPayload,
-        messages.CountPayload,
-        messages.ClusterSizePayload,
-        messages.MediatorAnnouncePayload,
-        messages.ValueReportPayload,
-        messages.AckPayload,
-    )
-}
+
+@functools.cache
+def _message_types() -> dict[str, type]:
+    """The protocol message dataclasses by name, imported on first use.
+
+    Importing :mod:`repro.core.messages` runs ``repro.core``'s
+    ``__init__`` and so loads every runner; the simulator layer waits
+    for the first encode or decode instead of paying that at import.
+    """
+    import repro.core.messages as messages
+
+    return {
+        cls.__name__: cls
+        for cls in (
+            messages.InitPayload,
+            messages.CountPayload,
+            messages.ClusterSizePayload,
+            messages.MediatorAnnouncePayload,
+            messages.ValueReportPayload,
+            messages.AckPayload,
+        )
+    }
 
 
 def _encode_payload(payload: Any) -> Any:
     if payload is None or isinstance(payload, (bool, int, float, str)):
         return {"kind": "literal", "value": payload}
-    if type(payload).__name__ in _MESSAGE_TYPES and dataclasses.is_dataclass(payload):
+    if type(payload).__name__ in _message_types() and dataclasses.is_dataclass(payload):
         return {
             "kind": "message",
             "type": type(payload).__name__,
@@ -64,7 +73,7 @@ def _decode_payload(data: Any) -> Any:
     if kind == "literal":
         return data["value"]
     if kind == "message":
-        cls = _MESSAGE_TYPES[data["type"]]
+        cls = _message_types()[data["type"]]
         return cls(**data["fields"])
     return OpaquePayload(data.get("repr", "<unknown>"))
 

@@ -63,6 +63,7 @@ def test_all_exports_resolve(package_name):
     exported = getattr(package, "__all__", [])
     for name in exported:
         assert hasattr(package, name), f"{package_name}.__all__ lists missing {name}"
+    assert set(exported) <= set(dir(package)), f"{package_name}: dir() hides exports"
 
 
 @pytest.mark.parametrize("module_name", walk_modules())

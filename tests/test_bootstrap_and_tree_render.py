@@ -43,6 +43,14 @@ class TestBootstrapCI:
             bootstrap_ci([1.0], statistics.fmean, confidence=1.5)
 
 
+    @pytest.mark.parametrize("resamples", [0, -1])
+    def test_rejects_fewer_than_one_resample(self, resamples):
+        with pytest.raises(ValueError, match="resamples"):
+            bootstrap_ci([1.0, 2.0], statistics.fmean, resamples=resamples)
+        with pytest.raises(ValueError, match="resamples"):
+            speedup_ci([1.0, 2.0], [1.0, 2.0], resamples=resamples)
+
+
 class TestSpeedupCI:
     def test_clear_winner_ci_above_one(self):
         rng = random.Random(3)

@@ -1,0 +1,82 @@
+"""Import hygiene: each entry point loads only the layers it uses.
+
+Every check runs in a fresh interpreter with ``PYTHONPATH=src``, so
+nothing this test session has already imported can hide a stray
+import.  The engine and the runners load neither the observability
+stack, the experiment registry nor ``subprocess``; trace persistence
+does not load the runners; and the obs read path (the CLI parser, then
+the query, store and regression modules) loads none of the engine,
+the protocols, the experiments, the span and watchdog probes or numpy,
+so it runs on the standard library alone.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+SIMULATION_FORBIDS = ("repro.obs", "repro.experiments", "subprocess")
+
+#: ``name -> (code run in a fresh interpreter, modules it must not load)``;
+#: a forbidden name covers its submodules too.
+CASES = {
+    "sim-engine": ("import repro.sim.engine", SIMULATION_FORBIDS),
+    "core-runners": ("import repro.core.runners", SIMULATION_FORBIDS),
+    "sim-persistence": (
+        "import repro.sim.persistence",
+        ("repro.core.runners", "repro.obs"),
+    ),
+    "obs-read-path": (
+        "import repro.cli\n"
+        "repro.cli.build_parser()\n"
+        "import repro.obs.query, repro.obs.store, repro.obs.regress",
+        (
+            "repro.sim.engine",
+            "repro.core",
+            "repro.experiments",
+            "repro.obs.spans",
+            "repro.obs.watchdog",
+            "numpy",
+        ),
+    ),
+}
+
+
+def loaded_modules(code: str) -> list[str]:
+    """The names in ``sys.modules`` after *code* runs in a fresh interpreter."""
+    script = f"{code}\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_entry_point_loads_only_its_layers(case):
+    code, forbidden = CASES[case]
+    stray = [
+        module
+        for module in loaded_modules(code)
+        if any(module == name or module.startswith(name + ".") for name in forbidden)
+    ]
+    assert stray == []
+
+
+def test_version_flag_prints_backends(capsys):
+    from repro.cli import _version_string, main
+
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--version"])
+    assert exit_info.value.code == 0
+    assert " ".join(capsys.readouterr().out.split()) == _version_string()

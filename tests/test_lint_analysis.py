@@ -64,6 +64,30 @@ class TestCallGraph:
         callees = project.callgraph.callees("repro.app:tick")
         assert callees == ["repro.util.timers:stamp"]
 
+    def test_resolution_through_lazy_export_table(self, tmp_path):
+        """A package exporting ``f`` only through its ``_EXPORTS`` table
+        (see ``repro._lazy``) still hands callers ``f``'s effects."""
+        project = project_from(
+            tmp_path,
+            {
+                "repro/pkg/draws.py": """
+                    def f(rng):
+                        return rng.randint(0, 3)
+                    """,
+                "repro/pkg/__init__.py": """
+                    _EXPORTS = {"f": "repro.pkg.draws"}
+                    """,
+                "repro/app.py": """
+                    from repro.pkg import f
+
+                    def caller(rng):
+                        return f(rng)
+                    """,
+            },
+        )
+        assert project.callgraph.callees("repro.app:caller") == ["repro.pkg.draws:f"]
+        assert EFFECT_RNG in project.effects.signature("repro.app:caller")
+
     def test_self_method_resolution_walks_bases(self, tmp_path):
         project = project_from(
             tmp_path,

@@ -72,6 +72,14 @@ class TestObsMain:
         assert exit_info.value.code == 2
         assert capsys.readouterr().out == ""
 
+    def test_follow_rejects_negative_max_records(self, telemetry_file, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            obs_main(
+                ["follow", str(telemetry_file), "--max-records", "-1", "--idle-exit", "0"]
+            )
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().out == ""
+
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
             obs_main([])
@@ -308,6 +316,14 @@ class TestDiffSubcommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["significant"] == 0
         assert json.loads(report_path.read_text())["significant"] == 0
+
+    @pytest.mark.parametrize("resamples", ["0", "-1"])
+    def test_resamples_must_be_positive(self, telemetry_file, resamples, capsys):
+        file = str(telemetry_file)
+        with pytest.raises(SystemExit) as exit_info:
+            obs_main(["diff", file, file, "--resamples", resamples])
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().out == ""
 
     def test_diff_via_main_cli(self, telemetry_file, capsys):
         assert (

@@ -379,6 +379,19 @@ class TestFollow:
         assert any(line.startswith("ANOMALY [slot-budget]") for line in lines)
         assert any(line.startswith("[run] cogcast") for line in lines)
 
+    def test_follow_stops_before_printing_past_the_limit(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        _write_runs(path, seeds=(0, 1))
+        lines: list[str] = []
+        code = follow_file(
+            str(path),
+            idle_exit_s=0.0,
+            max_records=0,
+            sleep=lambda _: None,
+            emit=lines.append,
+        )
+        assert (code, lines) == (0, [])
+
     def test_follow_picks_up_appended_records(self, tmp_path):
         path = tmp_path / "t.jsonl"
         _write_runs(path, seeds=(0,))
