@@ -49,6 +49,12 @@ class _Parser(argparse.ArgumentParser):
 
 def build_parser() -> argparse.ArgumentParser:
     """Build the argparse CLI (list / run / report subcommands)."""
+    from repro.obs.cli import (
+        _non_negative,
+        _positive,
+        _positive_float,
+        add_subcommands as add_obs_subcommands,
+    )
     from repro.sim.backends import BACKEND_NAMES
 
     parser = _Parser(
@@ -69,14 +75,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_parser = subparsers.add_parser("run", help="run one experiment or 'all'")
     run_parser.add_argument("experiment", help="experiment id (e.g. E01) or 'all'")
-    run_parser.add_argument("--trials", type=int, default=None, help="trials per row")
+    run_parser.add_argument(
+        "--trials", type=_positive, default=None, help="trials per row"
+    )
     run_parser.add_argument("--seed", type=int, default=0, help="root seed")
     run_parser.add_argument(
         "--fast", action="store_true", help="shrunken sweeps (CI-sized)"
     )
     run_parser.add_argument(
         "--jobs",
-        type=int,
+        type=_non_negative,
         default=1,
         metavar="N",
         help="worker processes for trial loops (0 = all cores); results "
@@ -103,12 +111,12 @@ def build_parser() -> argparse.ArgumentParser:
     report_parser.add_argument(
         "--output", default="experiments_report.md", help="report file path"
     )
-    report_parser.add_argument("--trials", type=int, default=None)
+    report_parser.add_argument("--trials", type=_positive, default=None)
     report_parser.add_argument("--seed", type=int, default=0)
     report_parser.add_argument("--fast", action="store_true")
     report_parser.add_argument(
         "--jobs",
-        type=int,
+        type=_non_negative,
         default=1,
         metavar="N",
         help="worker processes for trial loops (0 = all cores); results "
@@ -128,8 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
     obs_parser = subparsers.add_parser(
         "obs", help="inspect telemetry files / export causal traces"
     )
-    from repro.obs.cli import add_subcommands as add_obs_subcommands
-
     add_obs_subcommands(obs_parser.add_subparsers(dest="obs_command", required=True))
 
     bench_parser = subparsers.add_parser(
@@ -156,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     check.add_argument(
         "--threshold",
-        type=float,
+        type=_positive_float,
         default=0.25,
         help="allowed slowdown beyond the baseline CI (default: 0.25 = 25%%)",
     )

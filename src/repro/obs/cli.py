@@ -48,6 +48,10 @@ from repro.obs.telemetry import (
 )
 
 
+# The argparse types of both CLIs (``repro.cli`` imports them): a value
+# out of range is a usage error (exit 2), never a traceback.
+
+
 def _non_negative(text: str) -> int:
     """An argparse type: an integer that is zero or more."""
     value = int(text)
@@ -61,6 +65,14 @@ def _positive(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    """An argparse type: a number above zero."""
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
     return value
 
 
@@ -224,7 +236,7 @@ def add_subcommands(sub: Any) -> None:
     )
     explain.add_argument(
         "--index",
-        type=int,
+        type=_non_negative,
         default=None,
         metavar="N",
         help="explain only the N-th matching anomaly (0-based)",

@@ -445,8 +445,10 @@ def explain_records(
     applies too.  Renders slot context, enclosing span path, phase
     timings, tree stats, and the execution path.  Returns ``(report
     text, exit code)``: 0 when at least one anomaly was explained, 1
-    when none matched.
+    when none matched.  A negative *index* raises :class:`ValueError`.
     """
+    if index is not None and index < 0:
+        raise ValueError(f"anomaly index must be >= 0, got {index}")
     anomalies = [
         (run, anomaly)
         for run, group in group_runs(records)

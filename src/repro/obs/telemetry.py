@@ -233,7 +233,6 @@ def run_record(
     fast_path: bool | None = None,
     backend: str | None = None,
     vector_fallback_reason: str | None = None,
-    extra: Mapping[str, Any] | None = None,
 ) -> dict[str, Any]:
     """Build a ``kind="run"`` manifest for one engine run.
 
@@ -249,9 +248,8 @@ def run_record(
     (whether the fast-path kernel was eligible).  *backend* names the
     resolved engine backend (defaults to the process-wide default) and
     *vector_fallback_reason* records why the columnar kernel declined
-    to engage, when it did.  *extra* keys are merged last (they must
-    not shadow schema fields).  The record's ``provenance`` block
-    hashes ``(protocol, network shape, schedule type, backend)``.
+    to engage, when it did.  The record's ``provenance`` block hashes
+    ``(protocol, network shape, schedule type, backend)``.
     """
     if backend is None:
         from repro.sim.backends.base import default_backend_name
@@ -291,11 +289,6 @@ def run_record(
             "backend": backend,
         }
     )
-    if extra:
-        for key, value in extra.items():
-            if key in record:
-                raise TelemetryError(f"extra field {key!r} shadows a schema field")
-            record[key] = value
     return record
 
 

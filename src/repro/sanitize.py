@@ -541,6 +541,7 @@ def sanitize(
     *workdir* (a temporary directory by default, kept if given
     explicitly).  The ``backend`` check is skipped with a note when
     numpy is unavailable — the vector backend cannot run without it.
+    The ``jobs`` check needs *jobs* >= 2 (:class:`ValueError` otherwise).
     """
     import tempfile
 
@@ -552,6 +553,11 @@ def sanitize(
         raise ValueError(
             f"unknown sanitize check(s) {', '.join(unknown)}; "
             f"known: {', '.join(CHECKS)}"
+        )
+    if "jobs" in checks and jobs < 2:
+        raise ValueError(
+            f"the jobs check compares jobs=1 with jobs={jobs}, which perturbs "
+            "nothing; use 2 or more workers or leave the jobs check out"
         )
 
     report = SanitizeReport(
@@ -620,7 +626,7 @@ def add_arguments(parser: Any) -> None:
         type=int,
         default=2,
         metavar="N",
-        help="worker count for the jobs perturbation (default: 2)",
+        help="worker count for the jobs perturbation, at least 2 (default: 2)",
     )
     parser.add_argument(
         "--checks",
@@ -654,7 +660,7 @@ def dispatch(args: Any) -> int:
             trials=args.trials,
             seed=args.seed,
             fast=args.fast,
-            jobs=args.jobs if args.jobs >= 1 else 1,
+            jobs=args.jobs,
             backend=args.backend,
         )
         Path(args.capture).write_text(

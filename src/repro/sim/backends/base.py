@@ -2,24 +2,22 @@
 
 A *backend* is a strategy for executing a population of per-node
 protocols over a :class:`~repro.sim.channels.Network`.  Every backend
-builds an *engine-like* object with the same observable surface as
-:class:`repro.sim.engine.Engine` — ``protocols``, ``network``, ``rng``,
-``run(max_slots, stop_when=..., require_completion=...)`` returning a
-:class:`~repro.sim.engine.RunResult`, ``all_done``, and
-``fast_path_engaged`` — so the measurement harnesses in
-:mod:`repro.core.runners` and :mod:`repro.baselines.runners` never
-branch on which backend is active.
+builds a :class:`repro.sim.engine.Engine` (or a subclass of it), so
+the measurement harnesses in :mod:`repro.core.runners` and
+:mod:`repro.baselines.runners` never branch on which backend is
+active.
 
 Two backends ship:
 
 - :class:`~repro.sim.backends.exact.ExactBackend` — the reference
   per-node engine (the general kernel plus the PR-3 fast-path kernel),
   bit-identical to historical behavior.
-- :class:`~repro.sim.backends.vector.VectorBackend` — a numpy columnar
-  engine that represents the whole node population as arrays.  It
-  engages only for configurations it can prove equivalent (see
-  ``docs/performance.md`` "Backends") and otherwise falls back to the
-  exact engine, so selecting it is always safe.
+- :class:`~repro.sim.backends.vector.VectorBackend` — builds a
+  :class:`~repro.sim.backends.vector.VectorEngine`, an ``Engine`` that
+  adds a numpy columnar kernel representing the whole node population
+  as arrays.  That kernel engages only for configurations it can prove
+  equivalent (see ``docs/performance.md`` "Backends"); otherwise the
+  same engine runs its exact kernels, so selecting it is always safe.
 
 Selection flows through :func:`repro.sim.engine.build_engine`'s
 ``backend=`` parameter; ``None`` defers to the per-process default set
@@ -50,6 +48,7 @@ if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.sim.adversary import Jammer
     from repro.sim.channels import Network
     from repro.sim.collision import CollisionModel
+    from repro.sim.engine import Engine
     from repro.sim.protocol import Protocol
     from repro.sim.trace import EventTrace
 
@@ -64,7 +63,7 @@ def numpy_available() -> bool:
 
 
 class EngineBackend(abc.ABC):
-    """Strategy interface: build an engine-like executor for one run.
+    """Strategy interface: build the :class:`~repro.sim.engine.Engine` for one run.
 
     Backends are stateless factories; all per-run state lives in the
     engine object they build.  ``name`` is the registry key users spell
@@ -85,8 +84,8 @@ class EngineBackend(abc.ABC):
         jammer: "Jammer | None" = None,
         probe: Any = None,
         fast_path: bool = True,
-    ) -> Any:
-        """Build the engine-like executor for *protocols* over *network*."""
+    ) -> "Engine":
+        """Build the engine for *protocols* over *network*."""
 
     def unavailable_reason(self) -> str | None:
         """Why this backend cannot run here, or ``None`` if it can."""

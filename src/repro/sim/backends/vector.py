@@ -1,13 +1,15 @@
-"""The vector backend: a numpy columnar engine for whole populations.
+"""The vector backend: an engine with a numpy columnar kernel.
 
-Instead of driving ``n`` Python protocol objects slot by slot, the
-vector engine represents the population as arrays — per-slot channel
-choices, a broadcaster mask, grouped single-winner collision
-resolution, and informed-set updates as boolean array ops — so the
-per-slot cost is a fixed number of numpy kernels over ``n``-element
-arrays rather than ``~n`` Python-level calls.  On uninstrumented
-``n >= 10^4`` COGCAST runs this is well over an order of magnitude
-faster than the exact engine's fast path (``benchmarks/bench_backends.py``).
+:class:`VectorEngine` is an :class:`~repro.sim.engine.Engine` that adds
+one kernel.  Instead of driving ``n`` Python protocol objects slot by
+slot, the columnar kernel represents the population as arrays —
+per-slot channel choices, a broadcaster mask, grouped single-winner
+collision resolution, and informed-set updates as boolean array ops —
+so the per-slot cost is a fixed number of numpy kernels over
+``n``-element arrays rather than ``~n`` Python-level calls.  On
+uninstrumented ``n >= 10^4`` COGCAST runs this is well over an order of
+magnitude faster than the exact engine's fast path
+(``benchmarks/bench_backends.py``).
 
 Equivalence contract (see ``docs/performance.md`` "Backends"):
 
@@ -35,10 +37,12 @@ columnar program via the duck-typed ``vector_kind`` /
 ``"epidemic-broadcast"``, i.e. COGCAST — every node picks a uniform
 random label each slot, informed nodes broadcast one message,
 uninformed nodes listen and become informed on any reception, and no
-node ever terminates on its own).  Any configuration it cannot prove
-equivalent — jammers, non-default collision models, traces, per-event
-probes, unknown protocols, unknown stop conditions — falls back to the
-exact engine transparently, so ``backend="vector"`` is always safe to
+node ever terminates on its own).  Any run it cannot prove equivalent
+— jammers, non-default collision models, traces, per-event probes,
+unknown protocols, unknown stop conditions — falls back
+transparently: the same engine runs it on the exact kernels
+(``Engine.run``), with one slot clock, one collision stream and one
+probe across every run, so ``backend="vector"`` is always safe to
 request.  Probes that take run totals
 (:func:`repro.sim.engine.takes_run_totals`, e.g.
 :class:`repro.obs.metrics.MetricsProbe`) keep working on the columnar
@@ -54,7 +58,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Sequence
 
-from repro.sim.adversary import Jammer, NullJammer
 from repro.sim.backends.base import (
     BackendUnavailableError,
     EngineBackend,
@@ -62,14 +65,11 @@ from repro.sim.backends.base import (
     vector_contract,
 )
 from repro.sim.channels import DynamicSchedule, Network, StaticSchedule
-from repro.sim.collision import CollisionModel, SingleWinnerCollision
-from repro.sim.engine import Engine, RunResult, takes_run_totals
-from repro.sim.rng import derive_rng, derive_seed
-from repro.types import SimulationError
+from repro.sim.engine import Engine, RunResult
+from repro.sim.rng import derive_seed
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.sim.protocol import Protocol
-    from repro.sim.trace import EventTrace
 
 #: The columnar programs this engine implements, by ``vector_kind``.
 VECTOR_KINDS = ("epidemic-broadcast",)
@@ -94,17 +94,18 @@ def _numpy():
     return numpy
 
 
-class VectorEngine:
-    """Engine-like executor that runs vectorizable populations columnar.
+class VectorEngine(Engine):
+    """An :class:`~repro.sim.engine.Engine` that adds the columnar kernel.
 
-    Exposes the same observable surface as
-    :class:`repro.sim.engine.Engine` (``protocols``, ``network``,
-    ``rng``, ``run``, ``all_done``, ``fast_path_engaged``) so runners
-    never branch on the backend.  Whether the most recent ``run`` used
-    the columnar kernel is recorded in :attr:`vector_engaged`; when it
-    fell back, :attr:`vector_fallback_reason` says why.
+    :meth:`run` takes the columnar kernel when it can prove the run
+    equivalent and otherwise runs as :class:`~repro.sim.engine.Engine`
+    does, on the same object: every kernel advances one slot clock,
+    draws from one collision stream and feeds one probe.  Whether the
+    most recent ``run`` used the columnar kernel is recorded in
+    :attr:`vector_engaged`; when it fell back,
+    :attr:`vector_fallback_reason` says why.
 
-    Parameters mirror :class:`~repro.sim.engine.Engine`, plus:
+    Parameters are :class:`~repro.sim.engine.Engine`'s, plus:
 
     rng_mode:
         ``"numpy"`` (default) draws channel choices and collision
@@ -119,62 +120,20 @@ class VectorEngine:
         network: Network,
         protocols: "Sequence[Protocol]",
         *,
-        collision: CollisionModel | None = None,
         seed: int = 0,
-        trace: "EventTrace | None" = None,
-        jammer: Jammer | None = None,
-        probe: Any = None,
-        fast_path: bool = True,
         rng_mode: str = "numpy",
+        **options: Any,
     ) -> None:
-        if len(protocols) != network.num_nodes:
-            raise ValueError(
-                f"{len(protocols)} protocols for {network.num_nodes} nodes"
-            )
+        super().__init__(network, protocols, seed=seed, **options)
         if rng_mode not in ("numpy", "replay"):
             raise ValueError(f"rng_mode must be 'numpy' or 'replay', got {rng_mode!r}")
-        self.network = network
-        self.protocols = list(protocols)
-        self.collision = collision or SingleWinnerCollision()
-        self.rng = derive_rng(seed, "engine-collision")
-        self.trace = trace
-        self.jammer = jammer or NullJammer()
-        self.fast_path = fast_path
         self.rng_mode = rng_mode
-        self.slot = 0
-        self.fast_path_engaged = False
         #: Whether the most recent :meth:`run` used the columnar kernel.
         self.vector_engaged = False
         #: Why the most recent :meth:`run` fell back (``None`` = engaged).
         self.vector_fallback_reason: str | None = None
         self._seed = seed
         self._np_rng = None
-        self._exact: Engine | None = None
-        self._vector_run_active = False
-        self._probe = None
-        self.probe = probe
-
-    # -- engine-like surface -------------------------------------------
-
-    @property
-    def probe(self) -> Any:
-        """The attached streaming probe, if any."""
-        return self._probe
-
-    @probe.setter
-    def probe(self, probe: Any) -> None:
-        if probe is not None and self._vector_run_active:
-            raise SimulationError(
-                "cannot attach a probe while a vector run is in flight; "
-                "attach it before run() or construct the engine with it"
-            )
-        self._probe = probe
-        if self._exact is not None:
-            self._exact.probe = probe
-
-    @property
-    def all_done(self) -> bool:
-        return all(protocol.done for protocol in self.protocols)
 
     def run(
         self,
@@ -183,7 +142,7 @@ class VectorEngine:
         stop_when: Any = None,
         require_completion: bool = False,
     ) -> RunResult:
-        """Run columnar when provably equivalent; otherwise exactly.
+        """Run columnar when provably equivalent; otherwise as ``Engine`` does.
 
         Effects: rng.
         """
@@ -191,67 +150,40 @@ class VectorEngine:
         self.vector_fallback_reason = reason
         self.vector_engaged = reason is None
         if reason is not None:
-            engine = self._exact_engine()
-            result = engine.run(
-                max_slots,
-                stop_when=stop_when,
-                require_completion=require_completion,
+            return super().run(
+                max_slots, stop_when=stop_when, require_completion=require_completion
             )
-            self.fast_path_engaged = engine.fast_path_engaged
-            self.slot = engine.slot
-            return result
         self.fast_path_engaged = False
-        probe = self._probe
-        if probe is not None:
-            probe.on_run_start(
-                num_nodes=self.network.num_nodes,
-                num_channels=self.network.channels_per_node,
-                overlap=self.network.overlap,
-            )
-        self._vector_run_active = True
+        probe = self._start_run()
+        self._hookless_run_active = True
         try:
             executed, completed = self._run_vector(max_slots, stop_when, exports)
         finally:
-            self._vector_run_active = False
-        if probe is not None:
-            probe.on_run_end(executed)
-        if require_completion and not completed:
-            raise SimulationError(
-                f"run did not complete within {max_slots} slots"
-            )
-        return RunResult(
-            slots=executed, completed=completed, all_done=self.all_done
-        )
+            self._hookless_run_active = False
+        return self._end_run(probe, max_slots, executed, completed, require_completion)
 
     # -- eligibility ----------------------------------------------------
 
     def _vector_ineligible_reason(
         self, stop_when: Any
     ) -> tuple[str | None, list[dict[str, Any]]]:
-        """Why this run must take the exact engine (``None`` = columnar).
+        """Why this run must take the exact kernels (``None`` = columnar).
 
-        Mirrors the fast path's discipline: exact types only, because a
-        subclass overriding any hook would change semantics the kernel
-        hard-codes.  Unknown protocols or stop conditions are not an
-        error — the exact engine handles everything — so requesting the
-        vector backend never changes observable behavior, only speed.
+        Starts with the checks the fast kernel makes too
+        (:meth:`Engine._hookless_ineligible_reason`), then adds the
+        columnar kernel's own, keeping the fast path's discipline of
+        exact types only.  Unknown protocols or stop conditions are not
+        an error — the exact kernels handle everything — so requesting
+        the vector backend never changes observable behavior, only speed.
 
         Also returns the protocols' ``vector_export()`` snapshots, which
         the last two checks read and the kernel starts from (empty when
         an earlier check already failed).  Every check runs before any
         state mutates, so falling back is always safe.
         """
-        if self.trace is not None:
-            return "event trace attached", []
-        probe = self._probe
-        if probe is not None and not takes_run_totals(probe):
-            return "probe without aggregate (on_run_totals) support", []
-        if type(self.jammer) is not NullJammer:
-            return "jamming adversary attached", []
-        if type(self.collision) is not SingleWinnerCollision:
-            return "non-default collision model", []
-        if type(self.network) is not Network:
-            return "network subclass", []
+        reason = self._hookless_ineligible_reason()
+        if reason is not None:
+            return reason, []
         if type(self.network.schedule) not in (StaticSchedule, DynamicSchedule):
             return "unknown schedule type", []
         if stop_when is not None and (
@@ -279,25 +211,6 @@ class VectorEngine:
             # them (COGCOMP phase one) take the exact engine.
             return "protocol keeps a per-slot log", []
         return None, exports
-
-    def _exact_engine(self) -> Engine:
-        """The lazily built fallback engine, sharing the collision stream."""
-        if self._exact is None:
-            self._exact = Engine(
-                self.network,
-                self.protocols,
-                collision=self.collision,
-                seed=self._seed,
-                trace=self.trace,
-                jammer=self.jammer,
-                probe=self._probe,
-                fast_path=self.fast_path,
-            )
-            # One collision stream across both kernels: a replay-mode
-            # vector run followed by a fallback run keeps drawing from
-            # where the previous run stopped, exactly like one Engine.
-            self._exact.rng = self.rng
-        return self._exact
 
     # -- the columnar kernel --------------------------------------------
 
@@ -508,26 +421,7 @@ class VectorBackend(EngineBackend):
         return "numpy is not installed (pip install 'repro[perf]')"
 
     def build(
-        self,
-        network: Network,
-        protocols: "Sequence[Protocol]",
-        *,
-        collision: CollisionModel | None = None,
-        seed: int = 0,
-        trace: "EventTrace | None" = None,
-        jammer: Jammer | None = None,
-        probe: Any = None,
-        fast_path: bool = True,
+        self, network: Network, protocols: "Sequence[Protocol]", **options: Any
     ) -> VectorEngine:
         _numpy()
-        return VectorEngine(
-            network,
-            protocols,
-            collision=collision,
-            seed=seed,
-            trace=trace,
-            jammer=jammer,
-            probe=probe,
-            fast_path=fast_path,
-            rng_mode=self.rng_mode,
-        )
+        return VectorEngine(network, protocols, rng_mode=self.rng_mode, **options)

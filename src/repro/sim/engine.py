@@ -24,20 +24,23 @@ absent, so un-instrumented runs keep their benchmark numbers.  The
 engine deliberately does not import :mod:`repro.obs` (the dependency
 points the other way); any object with the right hooks works.
 
-Performance: :meth:`Engine.run` detects the common configuration —
-static schedule, no jammer, the paper's single-winner collision model,
-no trace, and no probe or only a totals-taking one — and switches to a
-specialized step kernel that precomputes the label→channel tables and
-skips every per-slot hook, while producing bit-identical results (same
-outcomes, same RNG stream, same errors, same run totals).  See
-:meth:`Engine._fast_path_eligible` and ``docs/performance.md``.
+Kernels: :meth:`Engine.step` is the general kernel.  :meth:`Engine.run`
+detects the common configuration — static schedule, no jammer, the
+paper's single-winner collision model, no trace, and no probe or only a
+totals-taking one — and switches to a specialized step kernel that
+precomputes the label→channel tables and skips every per-slot hook,
+while producing bit-identical results (same outcomes, same RNG stream,
+same errors, same run totals).  The subclass
+:class:`repro.sim.backends.vector.VectorEngine` adds the third, columnar
+kernel; all three advance one slot clock and draw from one collision
+stream.  See ``docs/performance.md``.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.sim.actions import Action, Broadcast, Envelope, Idle, Listen, SlotOutcome
 from repro.sim.adversary import Jammer, NullJammer
@@ -145,7 +148,8 @@ class Engine:
         self.jammer = jammer or NullJammer()
         self._probe: "SlotProbe | None" = None
         self._node_probe: "SlotProbe | None" = None
-        self._fast_run_active = False
+        #: True while the fast or columnar kernel (no per-slot hooks) runs.
+        self._hookless_run_active = False
         self.probe = probe
         self.slot = 0
         self.fast_path = fast_path
@@ -159,17 +163,18 @@ class Engine:
 
     @probe.setter
     def probe(self, probe: "SlotProbe | None") -> None:
-        # The fast kernel fires no per-slot hooks and feeds run totals
-        # only to the probe it started with, so a probe attached while
-        # it is in flight (e.g. from a stop_when callback) would be
-        # silently ignored for the rest of the run — refuse instead.
-        # Between runs, attaching is safe: eligibility is re-checked at
-        # the top of every run(), so the next run picks its kernel with
-        # the new probe.
-        if probe is not None and self._fast_run_active:
+        # The fast and columnar kernels fire no per-slot hooks and feed
+        # run totals only to the probe they started with, so a probe
+        # attached while one is in flight (e.g. from a stop_when
+        # callback) would be silently ignored for the rest of the run —
+        # refuse instead.  Between runs, attaching is safe: eligibility
+        # is re-checked at the top of every run(), so the next run picks
+        # its kernel with the new probe.
+        if probe is not None and self._hookless_run_active:
             raise SimulationError(
-                "cannot attach a probe while a fast-path run is in flight; "
-                "attach it before run() or construct the engine with it"
+                "cannot attach a probe while a fast-path or columnar run is "
+                "in flight; attach it before run() or construct the engine "
+                "with it"
             )
         # Resolve the per-node dispatch decision once, not per slot.
         self._probe = probe
@@ -301,6 +306,29 @@ class Engine:
 
         self.slot += 1
 
+    def _hookless_ineligible_reason(self) -> str | None:
+        """Why the fast and columnar kernels may not run (``None``: they may).
+
+        Both skip the trace, the per-slot probe hooks and the jammer, and
+        both hard-code single-winner contention on a plain
+        :class:`Network`.  Exact types are required (not ``isinstance``):
+        a subclass overriding any of these hooks would change the
+        semantics the kernels hard-code.  The strings, checked in this
+        order, are the columnar kernel's ``vector_fallback_reason``.
+        """
+        if self.trace is not None:
+            return "event trace attached"
+        probe = self._probe
+        if probe is not None and not takes_run_totals(probe):
+            return "probe without aggregate (on_run_totals) support"
+        if type(self.jammer) is not NullJammer:
+            return "jamming adversary attached"
+        if type(self.collision) is not SingleWinnerCollision:
+            return "non-default collision model"
+        if type(self.network) is not Network:
+            return "network subclass"
+        return None
+
     def _fast_path_eligible(self) -> bool:
         """Whether :meth:`run` may use the specialized step kernel.
 
@@ -309,18 +337,11 @@ class Engine:
         and no probe or one that takes run totals — pays for generality
         it never uses: per-action ``schedule.at`` lookups, the jammer
         query, and a handful of ``is None`` hook checks every slot.  The
-        fast kernel elides all of that.  Exact types are required (not
-        ``isinstance``) because a subclass overriding any of these hooks
-        would change the semantics the kernel hard-codes.
+        fast kernel elides all of that.
         """
-        probe = self._probe
         return (
             self.fast_path
-            and self.trace is None
-            and (probe is None or takes_run_totals(probe))
-            and type(self.jammer) is NullJammer
-            and type(self.collision) is SingleWinnerCollision
-            and type(self.network) is Network
+            and self._hookless_ineligible_reason() is None
             and type(self.network.schedule) is StaticSchedule
         )
 
@@ -496,20 +517,14 @@ class Engine:
         Effects: rng.
         """
         condition = stop_when if stop_when is not None else (lambda engine: engine.all_done)
-        probe = self._probe
-        if probe is not None:
-            probe.on_run_start(
-                num_nodes=self.network.num_nodes,
-                num_channels=self.network.channels_per_node,
-                overlap=self.network.overlap,
-            )
+        probe = self._start_run()
         self.fast_path_engaged = self._fast_path_eligible()
         if self.fast_path_engaged:
-            self._fast_run_active = True
+            self._hookless_run_active = True
             try:
                 executed, completed = self._run_fast(max_slots, condition)
             finally:
-                self._fast_run_active = False
+                self._hookless_run_active = False
         else:
             executed = 0
             completed = condition(self)
@@ -517,6 +532,32 @@ class Engine:
                 self.step()
                 executed += 1
                 completed = condition(self)
+        return self._end_run(probe, max_slots, executed, completed, require_completion)
+
+    def _start_run(self) -> "SlotProbe | None":
+        """Fire ``on_run_start``; return the probe :meth:`_end_run` must end.
+
+        Every kernel's run starts and ends through this pair, so the
+        probe that saw the start sees the end, whichever kernel ran.
+        """
+        probe = self._probe
+        if probe is not None:
+            probe.on_run_start(
+                num_nodes=self.network.num_nodes,
+                num_channels=self.network.channels_per_node,
+                overlap=self.network.overlap,
+            )
+        return probe
+
+    def _end_run(
+        self,
+        probe: "SlotProbe | None",
+        max_slots: int,
+        executed: int,
+        completed: bool,
+        require_completion: bool,
+    ) -> RunResult:
+        """Fire ``on_run_end`` on *probe* and build the run's result."""
         if probe is not None:
             probe.on_run_end(executed)
         if require_completion and not completed:
@@ -551,7 +592,7 @@ def build_engine(
     probe: "SlotProbe | None" = None,
     fast_path: bool = True,
     backend: object = None,
-) -> Any:
+) -> Engine:
     """Convenience constructor: build views, protocols, and the engine.
 
     *protocol_factory* receives each node's :class:`NodeView` and returns
@@ -563,9 +604,9 @@ def build_engine(
     :class:`~repro.sim.backends.base.EngineBackend` instance, or
     ``None`` for the per-process default (``"exact"`` unless changed via
     :func:`repro.sim.backends.set_default_backend` / the CLI's
-    ``--backend`` flag).  Whatever the backend, the returned object has
-    the :class:`Engine` run surface; views, protocols, and seed
-    derivation are identical across backends.
+    ``--backend`` flag).  Whatever the backend, the returned object is
+    an :class:`Engine`; views, protocols, and seed derivation are
+    identical across backends.
     """
     # Imported here, not at module top: backends import this module.
     from repro.sim.backends.base import resolve_backend

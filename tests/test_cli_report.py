@@ -45,3 +45,27 @@ class TestCliEdges:
     def test_lowercase_id_accepted(self, capsys):
         assert main(["run", "e16", "--fast", "--trials", "2"]) == 0
         assert "E16" in capsys.readouterr().out
+
+
+class TestNumericOptions:
+    """Out-of-range numbers are usage errors (exit 2), not tracebacks."""
+
+    @staticmethod
+    def _usage_error(argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "report"])
+    def test_trials_must_be_positive(self, command, tmp_path, capsys):
+        where = ["E01"] if command == "run" else ["--output", str(tmp_path / "r.md")]
+        self._usage_error([command, *where, "--fast", "--trials", "0"], capsys)
+
+    @pytest.mark.parametrize("command", ["run", "report"])
+    def test_jobs_must_be_non_negative(self, command, tmp_path, capsys):
+        where = ["E01"] if command == "run" else ["--output", str(tmp_path / "r.md")]
+        self._usage_error([command, *where, "--fast", "--jobs", "-3"], capsys)
+
+    def test_bench_threshold_must_be_positive(self, capsys):
+        self._usage_error(["bench", "check", "--threshold", "0"], capsys)

@@ -1600,6 +1600,15 @@ class TestExplainAndEffects:
         # The engine reads no clock: run timing belongs to the harness.
         assert "perf-counter" not in out
 
+    def test_effects_dump_for_vector_engine_run(self, capsys):
+        target = "repro.sim.backends.vector:VectorEngine.run"
+        assert lint_main(["effects", target, "--root", str(SRC)]) == 0
+        out = capsys.readouterr().out
+        assert target in out
+        # Reached through the columnar kernel, which run calls directly.
+        assert "rng" in out
+        assert "VectorEngine._run_vector" in out
+
     def test_effects_unknown_function_exits_two(self, capsys):
         assert (
             lint_main(["effects", "repro.nope:missing", "--root", str(SRC)]) == 2

@@ -496,17 +496,6 @@ class TestTelemetryRecords:
         assert experiment["spans"]["informed"] == len(spans.informed)
         assert "timings" not in experiment
 
-    def test_run_record_extra_cannot_shadow(self):
-        with pytest.raises(TelemetryError):
-            run_record(
-                protocol="cogcast",
-                seed=0,
-                network=small_network(),
-                slots=1,
-                outcome="completed",
-                extra={"slots": 2},
-            )
-
     def test_experiment_and_campaign_records_valid(self):
         assert (
             validate_record(

@@ -10,6 +10,9 @@ would not: run seed 0, run seed 1, then an anomaly with seed 0.
 from __future__ import annotations
 
 import random
+from pathlib import Path
+
+import pytest
 
 from repro.assignment import shared_core
 from repro.core.runners import run_local_broadcast
@@ -94,3 +97,17 @@ def test_explain_cli_follows_the_store_rule(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.startswith("anomaly [slot-budget] seed=0 ")
     assert "\n  run: cogcast seed=1 " in out
+
+
+def test_explain_rejects_a_negative_index(capsys):
+    """``--index`` counts from the first anomaly; a negative one is a usage error."""
+    path = Path(__file__).parent / "data" / "obs" / "runs.jsonl"
+    records = read_telemetry(path, strict=False)
+    assert explain_records(records, index=1)[1] == 0
+    with pytest.raises(ValueError):
+        explain_records(records, index=-1)
+    for index in ("-1", "-2"):
+        with pytest.raises(SystemExit) as exit_info:
+            obs_main(["explain", str(path), "--index", index])
+        assert exit_info.value.code == 2
+    assert capsys.readouterr().out == ""

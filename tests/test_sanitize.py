@@ -181,6 +181,13 @@ class TestSanitizeDriver:
         assert delta.control > 0 and delta.perturbed == 0
         assert "heard_total" in report.render()
 
+    @pytest.mark.parametrize("jobs", [0, 1])
+    def test_jobs_check_that_perturbs_nothing_rejected(self, child_path, jobs):
+        with pytest.raises(ValueError, match="perturbs nothing"):
+            sanitize(
+                "tests.sanitize_entry:run_clean", trials=2, jobs=jobs, checks=("jobs",)
+            )
+
     def test_unknown_check_rejected(self):
         with pytest.raises(ValueError, match="unknown sanitize check"):
             sanitize("tests.sanitize_entry:run_clean", checks=("phase-of-moon",))
@@ -219,6 +226,13 @@ class TestSanitizeCli:
         code = repro_main(["sanitize", "tests.sanitize_entry:no_such_entry"])
         assert code == 2
         assert "repro sanitize" in capsys.readouterr().err
+
+    def test_cli_jobs_below_two_needs_no_jobs_check(self, child_path, capsys):
+        entry = ["sanitize", "tests.sanitize_entry:run_clean", "--trials", "2"]
+        assert repro_main([*entry, "--jobs", "0"]) == 2
+        assert "perturbs nothing" in capsys.readouterr().err
+        assert repro_main([*entry, "--checks", "hashseed", "--jobs", "1"]) == 0
+        assert "[ok]   hashseed" in capsys.readouterr().out
 
 
 class TestStaticRuntimePincer:

@@ -1,4 +1,4 @@
-"""The vector backend's export-based fallbacks.
+"""The vector backend's fallbacks to the exact kernels.
 
 Two checks read the protocols' ``vector_export()`` snapshots rather
 than the engine configuration: a declared-contract violation (an export
@@ -6,6 +6,10 @@ missing fields the kernel materializes) and a population that keeps
 per-slot logs.  Both must fall back to the exact engine like every
 other ineligible configuration: same reason strings, same results, and
 one engine run per ``run()`` in whatever a probe observes.
+
+A fallback is the same engine running its exact kernels, so a columnar
+run followed by a fallback run continues one slot clock and one
+collision stream, exactly as two runs of the exact engine do.
 """
 
 from __future__ import annotations
@@ -88,3 +92,37 @@ def test_fallback_counts_one_engine_run(factory):
     assert [series["value"] for series in runs["series"]] == [1]
     for backend in BACKEND_NAMES:
         assert snapshots[backend] == snapshots["exact"], backend
+
+
+def test_fallback_after_columnar_run_continues_the_slot_clock():
+    """Columnar then fallback on one engine equals two exact runs."""
+
+    def two_runs(backend):
+        network = Network.static(shared_core(16, 6, 2, random.Random(3)))
+        engine = build_engine(
+            network,
+            lambda view: CogCast(view, is_source=(view.node_id == 0)),
+            seed=3,
+            backend=backend,
+        )
+        first = engine.run(3, stop_when=AllInformed(engine.protocols))
+        engaged = getattr(engine, "vector_engaged", False)
+        second = engine.run(
+            40, stop_when=lambda e: all(p.informed for p in e.protocols)
+        )
+        return engine, (first, second), engaged
+
+    engine, results, engaged = two_runs("vector-replay")
+    assert engaged
+    assert engine.vector_fallback_reason == "stop condition has no columnar form"
+    exact_engine, exact_results, _ = two_runs("exact")
+    assert not results[0].completed and results[1].completed
+    assert results == exact_results
+    assert engine.slot == exact_engine.slot
+    assert [(p.informed_slot, p.parent) for p in engine.protocols] == [
+        (p.informed_slot, p.parent) for p in exact_engine.protocols
+    ]
+    assert engine.rng.getstate() == exact_engine.rng.getstate()
+    assert [p.view.rng.getstate() for p in engine.protocols] == [
+        p.view.rng.getstate() for p in exact_engine.protocols
+    ]
