@@ -1,12 +1,13 @@
 """Benchmarks for the observability subsystem: instrument overhead.
 
-The ``repro.obs`` design promise is that an unattached probe costs the
-engine one ``is None`` check per hook site.  These benchmarks time the
-same seeded COGCAST run bare, with the streaming counter a runner
-attaches for ``metrics=`` (which keeps the fast kernel), and with spans
-plus metrics (which take the general kernel), so a hot-path regression
-shows up as a ratio between adjacent rows of
-``pytest benchmarks/ --benchmark-only``.
+The ``repro.obs`` design promise is that a probe sees only the run —
+every kernel hands it one set of run totals — so it never costs a
+kernel, while per-event observers are event sinks that select the
+general kernel.  These benchmarks time the same seeded COGCAST run
+bare, with the metrics probe a runner attaches for ``metrics=`` (which
+keeps the fast kernel), and with the span sink plus metrics (which
+take the general kernel), so a hot-path regression shows up as a ratio
+between adjacent rows of ``pytest benchmarks/ --benchmark-only``.
 """
 
 from __future__ import annotations

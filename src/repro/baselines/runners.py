@@ -9,9 +9,10 @@ asymmetry made structural: protocol modules hold only node-side code
 and global channel ids.
 
 As in :mod:`repro.core.runners`, every runner takes optional
-observability instruments (probe, metrics registry, telemetry sink) and
-runs through :func:`repro.core.runners.run_protocol`, so baseline runs
-leave the same ``kind="run"`` manifests as the core protocols.
+observability instruments (metrics registry, resource sampler,
+telemetry sink) and runs through
+:func:`repro.core.runners.run_protocol`, so baseline runs leave the
+same ``kind="run"`` manifests as the core protocols.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from repro.types import NodeId
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.obs.metrics import MetricsRegistry, ResourceSampler
-    from repro.obs.probe import SlotProbe
     from repro.obs.telemetry import TelemetrySink
     from repro.sim.backends import EngineBackend, StopCondition
 
@@ -49,7 +49,6 @@ def run_rendezvous_broadcast(
     max_slots: int,
     body: Any = None,
     collision: CollisionModel | None = None,
-    probe: "SlotProbe | None" = None,
     metrics: "MetricsRegistry | None" = None,
     resources: "ResourceSampler | None" = None,
     telemetry: "TelemetrySink | None" = None,
@@ -70,7 +69,6 @@ def run_rendezvous_broadcast(
         max_slots=max_slots,
         stop=AllInformed,
         collision=collision,
-        probe=probe,
         metrics=metrics,
         resources=resources,
         telemetry=telemetry,
@@ -87,7 +85,6 @@ def run_stay_and_scan_broadcast(
     max_slots: int | None = None,
     body: Any = None,
     collision: CollisionModel | None = None,
-    probe: "SlotProbe | None" = None,
     metrics: "MetricsRegistry | None" = None,
     resources: "ResourceSampler | None" = None,
     telemetry: "TelemetrySink | None" = None,
@@ -110,7 +107,6 @@ def run_stay_and_scan_broadcast(
         max_slots=budget,
         stop=AllInformed,
         collision=collision,
-        probe=probe,
         metrics=metrics,
         resources=resources,
         telemetry=telemetry,
@@ -127,7 +123,6 @@ def run_rendezvous_aggregation(
     seed: int = 0,
     max_slots: int,
     collision: CollisionModel | None = None,
-    probe: "SlotProbe | None" = None,
     metrics: "MetricsRegistry | None" = None,
     resources: "ResourceSampler | None" = None,
     telemetry: "TelemetrySink | None" = None,
@@ -155,7 +150,6 @@ def run_rendezvous_aggregation(
         max_slots=max_slots,
         stop=all_collected,
         collision=collision,
-        probe=probe,
         metrics=metrics,
         resources=resources,
         telemetry=telemetry,
@@ -176,7 +170,6 @@ def run_hopping_together(
     max_slots: int,
     body: Any = None,
     collision: CollisionModel | None = None,
-    probe: "SlotProbe | None" = None,
     metrics: "MetricsRegistry | None" = None,
     resources: "ResourceSampler | None" = None,
     telemetry: "TelemetrySink | None" = None,
@@ -208,7 +201,6 @@ def run_hopping_together(
         max_slots=max_slots,
         stop=AllInformed,
         collision=collision,
-        probe=probe,
         metrics=metrics,
         resources=resources,
         telemetry=telemetry,

@@ -11,13 +11,15 @@ defining :class:`~repro.sim.protocol.Protocol` subclasses must never
 import the engine or the channel world-model.
 
 Every runner optionally takes observability instruments from
-:mod:`repro.obs`: a *probe* handed to the engine, a *spans* probe
-(:class:`repro.obs.spans.SpanProbe`) for causal tracing, *watchdogs*
-(:class:`repro.obs.watchdog.WatchdogProbe`) that check the paper's
-invariants live, and a *telemetry* sink that receives one
-``kind="run"`` manifest per call — emitted even when
-``require_completion`` raises, so failed runs leave a record.  Watchdog
-anomalies flow into the same sink as ``kind="anomaly"`` records.
+:mod:`repro.obs`: a *metrics* registry, fed by the one probe a run
+attaches (:class:`repro.obs.metrics.MetricsProbe`), and a *telemetry*
+sink that receives one ``kind="run"`` manifest per call — emitted even
+when ``require_completion`` raises, so failed runs leave a record.  The
+broadcast and aggregation runners also take the event sinks: a *trace*,
+a *spans* sink (:class:`repro.obs.spans.SpanProbe`) for causal tracing,
+and *watchdogs* (:class:`repro.obs.watchdog.WatchdogProbe`) that check
+the paper's invariants as events arrive.  Watchdog anomalies flow into
+the telemetry sink as ``kind="anomaly"`` records.
 
 Every runner — these and the baselines' in
 :mod:`repro.baselines.runners` — goes through :func:`run_protocol`,
@@ -46,7 +48,6 @@ from repro.types import NodeId, SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.obs.metrics import MetricsRegistry, ResourceSampler
-    from repro.obs.probe import SlotProbe
     from repro.obs.spans import SpanProbe
     from repro.obs.telemetry import TelemetrySink
     from repro.obs.watchdog import WatchdogProbe
@@ -69,6 +70,17 @@ def _budget_outcome(protocols: list[Any], result: RunResult) -> str:
     return "completed" if result.completed else "budget"
 
 
+class _Fanout:
+    """One event sink that hands each event to several, in order."""
+
+    def __init__(self, sinks: Sequence[Any]) -> None:
+        self._records = tuple(sink.record for sink in sinks)
+
+    def record(self, event: Any) -> None:
+        for record in self._records:
+            record(event)
+
+
 def run_protocol(
     network: Network,
     factory: Callable[[NodeView], Protocol],
@@ -81,8 +93,8 @@ def run_protocol(
     collision: CollisionModel | None = None,
     trace: EventTrace | None = None,
     jammer: Jammer | None = None,
-    probe: "SlotProbe | None" = None,
     spans: "SpanProbe | None" = None,
+    phase1_slots: int | None = None,
     watchdogs: "Sequence[WatchdogProbe]" = (),
     metrics: "MetricsRegistry | None" = None,
     resources: "ResourceSampler | None" = None,
@@ -91,46 +103,56 @@ def run_protocol(
 ) -> tuple[list[Any], RunResult]:
     """Build, run and record one protocol run: the path every runner shares.
 
-    Builds the engine from *factory*, composes *probe*, *spans*, each
-    watchdog and (given *metrics*) a :class:`MetricsProbe` into one
-    probe, and times :meth:`Engine.run` under ``stop(protocols)`` with
-    ``perf_counter``, which leaves the fast kernel engaged.  A lone
-    :class:`MetricsProbe` takes run totals, so a run given only
-    *metrics* keeps the fast (or columnar) kernel too.  Broadcast
-    runners pass :class:`AllInformed` itself as *stop*: the columnar
-    kernel recognises it, and a closure around it would run exact.
-    Given *telemetry*, emits the run record (``outcome(protocols,
-    result)`` as its outcome), then this run's watchdog anomalies.
-    Returns the protocols and the :class:`RunResult`; the caller checks
-    completion, so a run that misses its budget still leaves a record.
+    Builds the engine from *factory* and times :meth:`Engine.run` under
+    ``stop(protocols)`` with ``perf_counter``, which leaves the fast
+    kernel engaged.  The engine gets at most one probe, a
+    :class:`MetricsProbe` given *metrics*, which keeps the fast (or
+    columnar) kernel.  Its one event sink is *trace*, *spans* or a
+    watchdog, or a fan-out to all of them: *spans* (started with
+    COGCOMP's *phase1_slots*) and each watchdog are started before the
+    run and finished after it, and fold every event as it arrives, so
+    a bounded *trace* bounds only itself.  Broadcast runners pass
+    :class:`AllInformed` itself as *stop*: the columnar kernel
+    recognises it, and a closure around it would run exact.  Given
+    *telemetry*, emits the run record (``outcome(protocols, result)``
+    as its outcome), then this run's watchdog anomalies.  Returns the
+    protocols and the :class:`RunResult`; the caller checks completion,
+    so a run that misses its budget still leaves a record.
     """
-    instruments = [
-        instrument
-        for instrument in (probe, spans, *watchdogs)
-        if instrument is not None
-    ]
+    if spans is not None:
+        spans.start(num_nodes=network.num_nodes, phase1_slots=phase1_slots)
+    for watchdog in watchdogs:
+        watchdog.start(
+            num_nodes=network.num_nodes,
+            num_channels=network.channels_per_node,
+            overlap=network.overlap,
+        )
+    sinks = [sink for sink in (trace, spans, *watchdogs) if sink is not None]
+    if len(sinks) > 1:
+        sinks = [_Fanout(sinks)]
+    probe = None
     if metrics is not None:
         from repro.obs.metrics import MetricsProbe
 
-        instruments.append(MetricsProbe(metrics, protocol=protocol))
-    if len(instruments) > 1:
-        from repro.obs.probe import MultiProbe
-
-        instruments = [MultiProbe(instruments)]
+        probe = MetricsProbe(metrics, protocol=protocol)
     engine = build_engine(
         network,
         factory,
         seed=seed,
         collision=collision,
-        trace=trace,
+        trace=sinks[0] if sinks else None,
         jammer=jammer,
-        probe=instruments[0] if instruments else None,
+        probe=probe,
         backend=backend,
     )
     protocols: list[Any] = engine.protocols
     run_start = perf_counter()
     result = engine.run(max_slots, stop_when=stop(protocols))
     elapsed_s = perf_counter() - run_start
+    if spans is not None:
+        spans.finish(result.slots)
+    for watchdog in watchdogs:
+        watchdog.finish(result.slots)
     if telemetry is not None:
         from repro.obs.telemetry import run_record
         from repro.obs.watchdog import flush_anomalies
@@ -166,7 +188,6 @@ def run_local_broadcast(
     jammer: Jammer | None = None,
     trace: EventTrace | None = None,
     require_completion: bool = False,
-    probe: "SlotProbe | None" = None,
     spans: "SpanProbe | None" = None,
     watchdogs: "Sequence[WatchdogProbe]" = (),
     metrics: "MetricsRegistry | None" = None,
@@ -208,7 +229,6 @@ def run_local_broadcast(
         collision=collision,
         trace=trace,
         jammer=jammer,
-        probe=probe,
         spans=spans,
         watchdogs=watchdogs,
         metrics=metrics,
@@ -236,7 +256,6 @@ def run_data_aggregation(
     collision: CollisionModel | None = None,
     trace: EventTrace | None = None,
     require_completion: bool = False,
-    probe: "SlotProbe | None" = None,
     spans: "SpanProbe | None" = None,
     watchdogs: "Sequence[WatchdogProbe]" = (),
     metrics: "MetricsRegistry | None" = None,
@@ -257,10 +276,10 @@ def run_data_aggregation(
         Safety budget for phase four; defaults to ``6n + 64`` steps
         (Theorem 10 guarantees ``O(n)``).
     spans:
-        Optional :class:`repro.obs.spans.SpanProbe`; the runner hands it
-        the protocol's exact phase timetable (``set_timetable(l)``) so
-        its phase spans match ``phase2_start``/``phase3_start``/
-        ``phase4_start`` by construction.
+        Optional :class:`repro.obs.spans.SpanProbe`; the runner starts
+        it with this run's phase-one length ``l``, so its phase spans
+        match ``phase2_start``/``phase3_start``/``phase4_start`` by
+        construction.
     watchdogs:
         Optional invariant watchdogs; anomalies flow to *telemetry*.
     metrics:
@@ -287,8 +306,6 @@ def run_data_aggregation(
     )
     steps_budget = max_phase4_steps if max_phase4_steps is not None else 6 * n + 64
     max_slots = 2 * l + n + 3 * steps_budget
-    if spans is not None:
-        spans.set_timetable(l)
 
     def factory(view: NodeView) -> CogComp:
         return CogComp(
@@ -318,8 +335,8 @@ def run_data_aggregation(
         outcome=outcome,
         collision=collision,
         trace=trace,
-        probe=probe,
         spans=spans,
+        phase1_slots=l,
         watchdogs=watchdogs,
         metrics=metrics,
         resources=resources,
@@ -358,7 +375,6 @@ def run_gossip(
     seed: int = 0,
     max_slots: int,
     collision: CollisionModel | None = None,
-    probe: "SlotProbe | None" = None,
     metrics: "MetricsRegistry | None" = None,
     resources: "ResourceSampler | None" = None,
     telemetry: "TelemetrySink | None" = None,
@@ -396,7 +412,6 @@ def run_gossip(
         max_slots=max_slots,
         stop=all_covered,
         collision=collision,
-        probe=probe,
         metrics=metrics,
         resources=resources,
         telemetry=telemetry,

@@ -6,27 +6,28 @@ run took the slots it did previously required recording a full
 analysing it after the fact.  This package provides the always-on,
 constant-memory alternative:
 
-- **Probes** (:class:`SlotProbe`, :class:`ProtocolProbe`,
-  :class:`MultiProbe`) — hook objects the engine fires per slot /
-  channel event / node action, or once per run with the run's totals
-  for a probe that takes them (:class:`MetricsProbe`).  With no probe
-  attached the engine pays only a ``None`` check, so production sweeps
-  keep their benchmark numbers.
+- **Probes** (:class:`SlotProbe`) — run-level hook objects: every
+  engine kernel fires ``on_run_start``, one ``on_run_totals`` and
+  ``on_run_end`` and nothing else, so a probe (e.g.
+  :class:`MetricsProbe`) never costs the fast or columnar kernel.
+  Per-event observers are *event sinks* on the engine's ``trace``
+  instead: the spans and watchdogs below.
 - **Streaming aggregators** (:class:`StreamingStat`,
   :class:`FixedHistogram`) — constant-memory moments and buckets, the
   building blocks of the metrics histograms, span statistics and query
   stats.
 - **Spans** (:class:`SpanProbe`, :class:`SpanTree`, :class:`Span`) —
-  the causal layer: reconstructs COGCAST's distribution tree (who
-  informed whom, when, on which channel) and COGCOMP's four phase
-  spans plus per-cluster aggregation conversations from engine ground
-  truth; :func:`chrome_trace` / :func:`write_chrome_trace` export the
-  timeline as Chrome-trace / Perfetto JSON (``repro obs
-  export-trace``).
+  the causal layer, a streaming event sink: reconstructs COGCAST's
+  distribution tree (who informed whom, when, on which channel) and
+  COGCOMP's four phase spans plus per-cluster aggregation
+  conversations from engine ground truth; :func:`chrome_trace` /
+  :func:`write_chrome_trace` export the timeline as Chrome-trace /
+  Perfetto JSON (``repro obs export-trace``).
 - **Watchdogs** (:class:`WatchdogProbe` and the concrete
   :class:`SlotBudgetWatchdog`, :class:`MediatorUniquenessWatchdog`,
   :class:`ClusterSizeAgreementWatchdog`, :class:`InformedSetWatchdog`)
-  — live checks of the paper's invariants that raise structured
+  — streaming event sinks that check the paper's invariants as each
+  channel event arrives and raise structured
   :class:`Anomaly` records into telemetry (``kind="anomaly"``) instead
   of crashing the run.
 - **Telemetry** (:class:`TelemetrySink`) — machine-readable JSONL run
@@ -39,7 +40,7 @@ constant-memory alternative:
   instrument registry with label sets, snapshot/restore/merge (so
   :func:`repro.perf.pmap_trials` workers consolidate
   deterministically), a Prometheus text exporter
-  (:func:`render_prometheus`), the one streaming counter
+  (:func:`render_prometheus`), the run-totals counter
   (:class:`MetricsProbe`, whose ``sim_*`` counters equal
   :func:`~repro.sim.metrics.compute_metrics` over a full trace of the
   same run), and a :class:`ResourceSampler` (RSS, CPU time, GC) whose
@@ -87,8 +88,6 @@ _EXPORTS = {
     "span_summary": "repro.obs.export",
     "validate_chrome_trace": "repro.obs.export",
     "write_chrome_trace": "repro.obs.export",
-    "MultiProbe": "repro.obs.probe",
-    "ProtocolProbe": "repro.obs.probe",
     "SlotProbe": "repro.obs.probe",
     "CODE_VERSION": "repro.obs.provenance",
     "canonical_json": "repro.obs.provenance",

@@ -27,10 +27,12 @@ diff) or timing (reported, never significant) — see
 ``export-trace`` runs one seeded protocol with a
 :class:`~repro.obs.spans.SpanProbe` attached and writes the resulting
 Chrome-trace / Perfetto JSON timeline (load it at ``ui.perfetto.dev``
-or ``chrome://tracing``).
+or ``chrome://tracing``).  Its network needs ``--n >= 2`` and
+``1 <= --k <= --c``.
 
 Exit status: 0 on success, 1 when validation finds problems, a file is
-unreadable or empty, or anomalies exist, 2 on usage errors (argparse).
+unreadable or empty, or anomalies exist, 2 on usage errors (argparse,
+or ``export-trace`` sizes no network can have).
 """
 
 from __future__ import annotations
@@ -138,9 +140,13 @@ def add_subcommands(sub: Any) -> None:
         default="cogcomp",
         help="protocol to run (default: cogcomp)",
     )
-    export.add_argument("--n", type=int, default=12, help="number of nodes")
-    export.add_argument("--c", type=int, default=6, help="channels per node")
-    export.add_argument("--k", type=int, default=2, help="pairwise overlap")
+    export.add_argument(
+        "--n", type=_positive, default=12, help="number of nodes, at least 2"
+    )
+    export.add_argument("--c", type=_positive, default=6, help="channels per node")
+    export.add_argument(
+        "--k", type=_positive, default=2, help="pairwise overlap, at most --c"
+    )
     export.add_argument("--seed", type=int, default=0, help="run seed")
     export.add_argument(
         "-o", "--output", required=True, metavar="FILE", help="trace JSON path"
@@ -617,6 +623,13 @@ def dispatch(args: argparse.Namespace) -> int:
             report_path=args.report,
         )
     if command == "export-trace":
+        if args.n < 2 or args.k > args.c:
+            print(
+                "repro obs export-trace: error: need --n >= 2 and --k <= --c, "
+                f"got n={args.n}, c={args.c}, k={args.k}",
+                file=sys.stderr,
+            )
+            return 2
         return export_trace(
             protocol=args.protocol,
             n=args.n,

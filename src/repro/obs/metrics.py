@@ -32,12 +32,10 @@ legitimately vary run to run).  The cross-run diff layer
 (:mod:`repro.obs.regress`) uses the category to demand bit-equality
 from protocol metrics while treating timing metrics statistically.
 
-Engine wiring is probe-shaped: :class:`MetricsProbe` subscribes to the
-engine's existing hook points — per slot and per channel event on the
-general kernel, or one ``on_run_totals`` call per run on the fast and
-columnar kernels — and feeds a registry, so the engine itself never
-imports this module and an un-instrumented run still pays only the
-``probe is None`` checks.
+Engine wiring is probe-shaped: :class:`MetricsProbe` takes the one
+``on_run_totals`` call every engine kernel makes per run and feeds a
+registry, so the engine itself never imports this module and a
+metrics run keeps the fast (or columnar) kernel.
 :class:`ResourceSampler` captures RSS / CPU-time / GC deltas around a
 run for the ``resources`` telemetry field.  Prometheus text-format
 export (:func:`render_prometheus`) makes every snapshot scrapeable by
@@ -568,20 +566,17 @@ def _number(value: float) -> str:
 
 
 class MetricsProbe(SlotProbe):
-    """Feed a :class:`MetricsRegistry` from the engine's hook points.
+    """Feed a :class:`MetricsRegistry` from the engine's run totals.
 
-    The one streaming counter: it maintains the standard simulation
-    instrument set — slots, broadcasts, collisions, deliveries, wasted
-    listens, contention distribution — labelled by protocol name, with
-    the accounting of :func:`repro.sim.metrics.compute_metrics`, so
-    ``sim_broadcasts`` / ``sim_collisions`` / ``sim_deliveries`` /
-    ``sim_wasted_listens`` / ``sim_peak_contention`` equal the matching
+    It maintains the standard simulation instrument set — slots,
+    broadcasts, collisions, deliveries, wasted listens, contention
+    distribution — labelled by protocol name, with the accounting of
+    :func:`repro.sim.metrics.compute_metrics`, so ``sim_broadcasts`` /
+    ``sim_collisions`` / ``sim_deliveries`` / ``sim_wasted_listens`` /
+    ``sim_peak_contention`` equal the matching
     :class:`~repro.sim.metrics.TraceMetrics` fields of a full trace of
-    the same run, jamming included.  It takes run totals
-    (:meth:`on_run_totals`), so attaching it alone keeps the engine's
-    fast kernel (and the vector backend's columnar kernel) engaged;
-    composed with a per-event probe it counts from channel events on
-    the general kernel.  Either way the snapshot is byte-identical, and
+    the same run, jamming included.  Every kernel feeds it the same
+    totals, so the snapshot is byte-identical whichever kernel ran, and
     the registry's protocol-category values stay a pure function of
     ``(config, seed)``.
     """
@@ -624,30 +619,6 @@ class MetricsProbe(SlotProbe):
         """Count the run; network shape is carried by telemetry records."""
         self.runs.inc(protocol=self.protocol)
 
-    def on_slot_begin(self, slot: int) -> None:
-        """Count one executed slot."""
-        self.slots.inc(protocol=self.protocol)
-
-    def on_channel_event(self, event: Any) -> None:
-        """Fold one resolved channel: broadcasts, collisions, deliveries."""
-        protocol = self.protocol
-        contenders = len(event.broadcasters)
-        if contenders:
-            self.broadcasts.inc(contenders, protocol=protocol)
-            self.contention.observe(contenders, protocol=protocol)
-            if contenders > self.peak_contention.value(protocol=protocol):
-                self.peak_contention.set(contenders, protocol=protocol)
-        if contenders >= 2:
-            self.collisions.inc(protocol=protocol)
-        if event.winner is None:
-            # Nobody on the channel heard anything, jammed or not.
-            self.wasted_listens.inc(len(event.listeners), protocol=protocol)
-            return
-        jammed = sum(1 for node in event.listeners if node in event.jammed_nodes)
-        self.deliveries.inc(len(event.listeners) - jammed, protocol=protocol)
-        if jammed:
-            self.wasted_listens.inc(jammed, protocol=protocol)
-
     def on_run_totals(
         self,
         *,
@@ -658,16 +629,14 @@ class MetricsProbe(SlotProbe):
     ) -> None:
         """Fold one run's totals in bulk.
 
-        The engine's fast kernel and the vector backend's columnar
-        kernel fire no per-slot or per-channel hooks; they accumulate
-        the same quantities and feed them here once per run, just
-        before ``on_run_end``.  *contention* is the per-contended-channel
-        contender count in chronological (slot, ascending channel)
-        order, so histogram and streaming-stat state match a general-
-        kernel run observation for observation.  Series are created
-        under the same conditions as the per-event path (e.g. no
-        ``sim_collisions`` series in a collision-free run), keeping
-        registry snapshots byte-identical across kernels.
+        Every kernel accumulates these quantities and feeds them here
+        once per run, just before ``on_run_end``.  *contention* is the
+        per-contended-channel contender count in chronological (slot,
+        ascending channel) order, so histogram and streaming-stat state
+        match a fold of the run's channel events observation for
+        observation.  Series are created only for quantities the run
+        had (e.g. no ``sim_collisions`` series in a collision-free
+        run).
         """
         protocol = self.protocol
         if slots:

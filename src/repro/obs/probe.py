@@ -1,32 +1,24 @@
-"""The probe API: hook objects the engine fires as a run unfolds.
+"""The probe API: the run-level hooks every engine kernel fires.
 
-A probe is the streaming counterpart of an
-:class:`~repro.sim.trace.EventTrace`: instead of *retaining* events it
-*observes* them as they happen, so long runs can be instrumented in
-constant memory.  Two granularities exist:
+A probe sees only the run.  Every kernel — the engine's general and
+fast kernels and the vector backend's columnar kernel — fires exactly
+three hooks, through one run start and one run end:
 
-- :class:`SlotProbe` — slot- and channel-level hooks: run start/end,
-  slot begin, and one call per :class:`~repro.sim.trace.ChannelEvent`.
-- :class:`ProtocolProbe` — adds the per-node hook: every action a node
-  takes.
+- ``on_run_start`` with the network's ``(n, c, k)``;
+- ``on_run_totals`` once, with the quantities the run's channel events
+  add up to;
+- ``on_run_end`` with the number of slots executed.
 
-The hook set is exactly what the instruments in :mod:`repro.obs`
-consume: :class:`~repro.obs.metrics.MetricsProbe` (the one streaming
-counter), :class:`~repro.obs.spans.SpanProbe` and the watchdogs.  All
-hooks are no-ops on the base classes; subclass and override what you
-need.  The engine checks ``probe is None`` before every hook, so an
-un-probed run pays nothing beyond that check, and it consults
-:attr:`SlotProbe.observes_nodes` once at attach time so slot-level
-probes never pay the per-node dispatch.
+So attaching a probe never costs a kernel.  What happens on each
+channel in each slot reaches analysis through the engine's one
+per-event output instead, its ``trace``: an *event sink* such as an
+:class:`~repro.sim.trace.EventTrace`, a
+:class:`~repro.obs.spans.SpanProbe` or a watchdog
+(:mod:`repro.obs.watchdog`).
 
-One more hook lives outside the base classes: a probe whose class
-defines ``on_run_totals`` (:class:`~repro.obs.metrics.MetricsProbe`
-does; see :func:`repro.sim.engine.takes_run_totals`) can be fed a whole
-run's totals in one call, so attaching it alone leaves the engine's
-fast kernel and the vector backend's columnar kernel engaged.  Those
-kernels fire ``on_run_start``, ``on_run_totals`` and ``on_run_end``
-and nothing else.  :class:`MultiProbe` does not define the hook, so a
-composed probe always runs on the general kernel.
+:class:`~repro.obs.metrics.MetricsProbe` is the probe :mod:`repro.obs`
+ships.  All hooks are no-ops on :class:`SlotProbe`; subclass and
+override what you need.
 
 Probes are *observers*, never *actors*: they see engine-side ground
 truth (physical channels, global node ids) and therefore live strictly
@@ -36,100 +28,37 @@ not import them (lint rule R4).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
-    from repro.sim.actions import Action
-    from repro.sim.trace import ChannelEvent
-    from repro.types import NodeId, Slot
+from typing import Sequence
 
 
 class SlotProbe:
-    """Base probe: slot- and channel-granularity hooks, all no-ops.
+    """Base probe: the three run hooks, all no-ops.
 
-    Subclass and override the hooks you need; unoverridden hooks cost
-    one no-op call.  The general kernel guarantees hook order within a
-    run: ``on_run_start``, then per slot ``on_slot_begin`` and zero or
-    more ``on_channel_event`` (in ascending channel order), and finally
-    ``on_run_end``.  Slots arrive in strictly increasing order.
+    Within a run the engine fires ``on_run_start``, then
+    ``on_run_totals`` once, then ``on_run_end``, whichever kernel ran.
     """
-
-    #: Whether the engine should also fire the per-node hook
-    #: (:meth:`ProtocolProbe.on_action`).  Checked once at attach time,
-    #: not per slot.
-    observes_nodes = False
 
     def on_run_start(self, *, num_nodes: int, num_channels: int, overlap: int) -> None:
         """A run is starting on a network with the given ``(n, c, k)``."""
 
-    def on_slot_begin(self, slot: "Slot") -> None:
-        """Slot *slot* is about to execute."""
+    def on_run_totals(
+        self,
+        *,
+        slots: int,
+        contention: Sequence[int],
+        deliveries: int,
+        wasted_listens: int,
+    ) -> None:
+        """The run's totals, fired once just before :meth:`on_run_end`.
 
-    def on_channel_event(self, event: "ChannelEvent") -> None:
-        """One physical channel's fully-resolved activity this slot.
-
-        The *event* is identical to what an attached
-        :class:`~repro.sim.trace.EventTrace` would record, which is how
-        streaming counters can reproduce trace metrics exactly.
+        *contention* holds the contender count of every channel-slot
+        with at least one broadcaster, in (slot, ascending channel)
+        order; jammed broadcasters contend.  *deliveries* counts
+        listeners that heard a winner; *wasted_listens* counts listeners
+        that heard nothing, jammed listeners included.  These are the
+        sums of the run's :class:`~repro.sim.trace.ChannelEvent` stream,
+        as :func:`repro.sim.metrics.compute_metrics` folds it.
         """
 
     def on_run_end(self, slots: int) -> None:
         """The run finished after executing *slots* slots."""
-
-
-class ProtocolProbe(SlotProbe):
-    """A probe that additionally observes every node's actions.
-
-    Use for per-node accounting that slot-level hooks cannot
-    reconstruct (e.g. :class:`~repro.obs.spans.SpanProbe`'s per-node
-    activity extents).  Costs one call per live node per slot, so
-    prefer :class:`SlotProbe` when channel events suffice.
-    """
-
-    observes_nodes = True
-
-    def on_action(self, slot: "Slot", node: "NodeId", action: "Action") -> None:
-        """*node* chose *action* for *slot*."""
-
-
-class MultiProbe(ProtocolProbe):
-    """Fan one stream of hooks out to several probes.
-
-    The per-node hook is forwarded only to children that observe nodes;
-    :attr:`observes_nodes` is the OR over children so a set of pure
-    slot-probes still skips the per-node dispatch entirely.
-    """
-
-    def __init__(self, probes: Iterable[SlotProbe]) -> None:
-        self.probes: tuple[SlotProbe, ...] = tuple(probes)
-        self._node_probes = tuple(
-            probe for probe in self.probes if probe.observes_nodes
-        )
-        self.observes_nodes = bool(self._node_probes)
-
-    def on_run_start(self, *, num_nodes: int, num_channels: int, overlap: int) -> None:
-        """Forward to every child probe."""
-        for probe in self.probes:
-            probe.on_run_start(
-                num_nodes=num_nodes, num_channels=num_channels, overlap=overlap
-            )
-
-    def on_slot_begin(self, slot: "Slot") -> None:
-        """Forward to every child probe."""
-        for probe in self.probes:
-            probe.on_slot_begin(slot)
-
-    def on_channel_event(self, event: "ChannelEvent") -> None:
-        """Forward to every child probe."""
-        for probe in self.probes:
-            probe.on_channel_event(event)
-
-    def on_run_end(self, slots: int) -> None:
-        """Forward to every child probe."""
-        for probe in self.probes:
-            probe.on_run_end(slots)
-
-    def on_action(self, slot: "Slot", node: "NodeId", action: "Action") -> None:
-        """Forward to the node-observing children only."""
-        for probe in self._node_probes:
-            probe.on_action(slot, node, action)  # type: ignore[attr-defined]

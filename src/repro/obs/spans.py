@@ -1,9 +1,10 @@
 """Causal spans: distribution trees and phase spans from engine ground truth.
 
-The streaming counter (:class:`repro.obs.metrics.MetricsProbe`)
-answers *how much*; this module answers *why* and *in what order*.  A
-:class:`SpanProbe` watches the same :class:`~repro.sim.trace.ChannelEvent`
-stream and reconstructs the run's causal structure:
+The metrics probe (:class:`repro.obs.metrics.MetricsProbe`) answers
+*how much*; this module answers *why* and *in what order*.  A
+:class:`SpanProbe` is a streaming event sink: it folds the engine's
+:class:`~repro.sim.trace.ChannelEvent` stream as it arrives, keeping no
+events, and reconstructs the run's causal structure:
 
 - the epidemic **distribution tree** of COGCAST — who informed whom, on
   which physical channel, at which slot — as a queryable
@@ -28,8 +29,6 @@ from dataclasses import dataclass, field
 from typing import Any, Iterator, Mapping
 
 from repro.obs.aggregators import StreamingStat
-from repro.obs.probe import ProtocolProbe
-from repro.sim.actions import Idle
 from repro.sim.trace import ChannelEvent
 from repro.types import Channel, NodeId, Slot
 
@@ -298,64 +297,49 @@ class _ClusterStats:
         self.end = max(self.end, slot + 1)
 
 
-class SpanProbe(ProtocolProbe):
-    """Reconstructs a run's causal structure from the channel-event stream.
+class SpanProbe:
+    """Reconstructs a run's causal structure from its channel events.
 
-    Attach like any probe (engine ``probe=`` or the runner ``spans=``
-    kwargs).  After the run:
+    A streaming event sink: :meth:`start` resets it for a run,
+    :meth:`record` folds each channel event as it arrives (keeping
+    none), and :meth:`finish` closes the run.  A runner given ``spans=``
+    makes all three calls; elsewhere, attach it as an engine's
+    ``trace`` and call :meth:`start` and :meth:`finish` around the run.
+    After the run:
 
-    - :attr:`tree` is the COGCAST distribution tree (:class:`SpanTree`);
-    - :meth:`spans` returns the phase / cluster spans (COGCOMP needs the
-      phase-one length — pass ``phase1_slots`` or let
-      :func:`repro.core.runners.run_data_aggregation` call
-      :meth:`set_timetable`);
+    - :attr:`tree` is the COGCAST distribution tree (:class:`SpanTree`),
+      rooted at the sender of the first winning init broadcast
+      (provably the source: only informed nodes send init, and at slot
+      0 only the source is informed);
+    - :meth:`spans` returns the phase / cluster spans (COGCOMP phase
+      spans need the phase-one length, which
+      :func:`repro.core.runners.run_data_aggregation` passes to
+      :meth:`start` on every run);
     - :meth:`summary` is the compact JSON form embedded into telemetry
       run records, and :mod:`repro.obs.export` renders the full
       Chrome-trace timeline.
-
-    Parameters
-    ----------
-    source:
-        The broadcast source, when known.  Otherwise inferred as the
-        sender of the first successful init broadcast (provably the
-        source: only informed nodes send init, and at slot 0 only the
-        source is informed).
-    phase1_slots:
-        COGCOMP's phase-one length ``l``; enables the four phase spans.
     """
 
-    def __init__(
-        self, *, source: NodeId | None = None, phase1_slots: int | None = None
-    ) -> None:
-        self._configured_source = source
-        self.phase1_slots = phase1_slots
-        self._reset()
+    def __init__(self) -> None:
+        self.start(num_nodes=0)
 
-    def _reset(self) -> None:
-        self._source: NodeId | None = self._configured_source
-        self._num_nodes = 0
+    def start(self, *, num_nodes: int, phase1_slots: int | None = None) -> None:
+        """Reset for a run on *num_nodes* nodes.
+
+        *phase1_slots* is COGCOMP's phase-one length ``l``; it enables
+        the four phase spans for this run only.
+        """
+        self.phase1_slots = phase1_slots
+        self._num_nodes = num_nodes
+        self._source: NodeId | None = None
         self._slots = 0
         self._edges: dict[NodeId, InformEdge] = {}
         self._informed: set[NodeId] = set()
         self._phases: dict[str, _PhaseStats] = {}
         self._clusters: dict[tuple[Channel, Slot], _ClusterStats] = {}
         self._announced: dict[Channel, Slot] = {}
-        self._extents: dict[NodeId, tuple[Slot, Slot]] = {}
-
-    def set_timetable(self, phase1_slots: int) -> None:
-        """Declare COGCOMP's phase-one length ``l`` (idempotent).
-
-        Runners call this before the run so phase spans use the exact
-        timetable the protocol was constructed with; an explicitly
-        configured value wins.
-        """
-        if self.phase1_slots is None:
-            self.phase1_slots = phase1_slots
-
-    def on_run_start(self, *, num_nodes: int, num_channels: int, overlap: int) -> None:
-        """Reset per-run state; remember the network size."""
-        self._reset()
-        self._num_nodes = num_nodes
+        self._first_active: dict[NodeId, Slot] = {}
+        self._last_active: dict[NodeId, Slot] = {}
 
     def _phase_of(self, slot: Slot) -> str:
         """The timetable phase containing *slot* (``"run"`` untimed)."""
@@ -370,9 +354,21 @@ class SpanProbe(ProtocolProbe):
             return "phase3"
         return "phase4"
 
-    def on_channel_event(self, event: ChannelEvent) -> None:
-        """Fold one channel event into tree edges, phases, and clusters."""
-        phase = self._phases.setdefault(self._phase_of(event.slot), _PhaseStats())
+    def record(self, event: ChannelEvent) -> None:
+        """Fold one channel event into extents, tree edges, phases, clusters."""
+        slot = event.slot
+        # Every node that acted this slot is a broadcaster or listener
+        # of exactly one event, jammed or not.
+        first, last = self._first_active, self._last_active
+        for nodes in (event.broadcasters, event.listeners):
+            for node in nodes:
+                if node not in first:
+                    first[node] = slot
+                last[node] = slot
+        name = self._phase_of(slot)
+        phase = self._phases.get(name)
+        if phase is None:
+            phase = self._phases[name] = _PhaseStats()
         phase.events += 1
         contenders = len(event.broadcasters)
         if contenders:
@@ -396,24 +392,26 @@ class SpanProbe(ProtocolProbe):
                     continue
                 self._informed.add(node)
                 self._edges[node] = InformEdge(
-                    parent=sender, child=node, slot=event.slot, channel=event.channel
+                    parent=sender, child=node, slot=slot, channel=event.channel
                 )
                 phase.informs += 1
         elif kind == "announce":
             cluster_slot = winner.payload.cluster_slot
             self._announced[event.channel] = cluster_slot
-            cluster = self._cluster(event.channel, cluster_slot, event.slot)
+            cluster = self._cluster(event.channel, cluster_slot, slot)
             cluster.announces += 1
         elif kind == "report":
-            cluster = self._cluster(
-                event.channel, winner.payload.cluster_slot, event.slot
-            )
+            cluster = self._cluster(event.channel, winner.payload.cluster_slot, slot)
             cluster.reports += 1
         elif kind == "ack":
             cluster_slot = self._announced.get(event.channel)
             if cluster_slot is not None:
-                cluster = self._cluster(event.channel, cluster_slot, event.slot)
+                cluster = self._cluster(event.channel, cluster_slot, slot)
                 cluster.acks += 1
+
+    def finish(self, slots: int) -> None:
+        """Record the run length (from slot 0) for the root span."""
+        self._slots = slots
 
     def _cluster(
         self, channel: Channel, cluster_slot: Slot, slot: Slot
@@ -427,23 +425,9 @@ class SpanProbe(ProtocolProbe):
             cluster.extend(slot)
         return cluster
 
-    def on_action(self, slot: Slot, node: NodeId, action: Any) -> None:
-        """Track each node's first/last non-idle slot."""
-        if isinstance(action, Idle):
-            return
-        extent = self._extents.get(node)
-        if extent is None:
-            self._extents[node] = (slot, slot)
-        else:
-            self._extents[node] = (extent[0], slot)
-
-    def on_run_end(self, slots: int) -> None:
-        """Record the run length for the root span."""
-        self._slots = slots
-
     @property
     def source(self) -> NodeId | None:
-        """The configured or inferred broadcast source."""
+        """The inferred broadcast source (``None`` before any init)."""
         return self._source
 
     @property
@@ -455,16 +439,17 @@ class SpanProbe(ProtocolProbe):
     def tree(self) -> SpanTree:
         """The reconstructed distribution tree.
 
-        Raises :class:`ValueError` when no init traffic was observed and
-        no source was configured (there is no tree to root).
+        Raises :class:`ValueError` when no init traffic was observed
+        (there is no tree to root).
         """
         if self._source is None:
-            raise ValueError("no init broadcast observed and no source configured")
+            raise ValueError("no init broadcast observed")
         return SpanTree(self._source, self._edges)
 
     def node_extents(self) -> dict[NodeId, tuple[Slot, Slot]]:
         """Per-node ``(first, last)`` non-idle slots, by node id."""
-        return {node: self._extents[node] for node in sorted(self._extents)}
+        first, last = self._first_active, self._last_active
+        return {node: (first[node], last[node]) for node in sorted(first)}
 
     def spans(self) -> list[Span]:
         """The run's span forest: root, phases, and cluster conversations.

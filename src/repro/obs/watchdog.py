@@ -10,13 +10,17 @@ JSONL telemetry stream as validated ``kind="anomaly"`` records
 (:func:`repro.obs.telemetry.anomaly_record`), where ``repro obs
 anomalies`` surfaces them.
 
-Watchdogs are ordinary :class:`~repro.obs.probe.SlotProbe` objects —
-compose them with other instruments via
-:class:`~repro.obs.probe.MultiProbe` or the runner ``watchdogs=``
-kwargs, and the fast-path rule still holds: no watchdog attached, no
-cost.  Like :mod:`repro.obs.spans`, payloads are classified
-structurally (:func:`~repro.obs.spans.payload_kind`), never by
-importing protocol modules.
+Watchdogs are streaming event sinks, like
+:class:`~repro.obs.spans.SpanProbe`: ``start`` a run, ``record`` each
+:class:`~repro.sim.trace.ChannelEvent` as the engine emits it, and
+``finish`` with the run length.  The runners' ``watchdogs=`` does all
+three and fans the events out with any trace and spans; with no
+watchdog attached, nothing is checked and nothing costs.  Checks stay
+per event because final state cannot see every fault: a non-mediator
+that forges ``MediatorAnnounce`` while its own state stays honest shows
+only on the channel.  Like :mod:`repro.obs.spans`, payloads are
+classified structurally (:func:`~repro.obs.spans.payload_kind`), never
+by importing protocol modules.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Hashable, Iterable, Mapping
 
-from repro.obs.probe import SlotProbe
 from repro.obs.spans import payload_kind
 from repro.obs.telemetry import anomaly_record
 from repro.sim.trace import ChannelEvent
@@ -49,13 +52,14 @@ class Anomaly:
     data: Mapping[str, Any] = field(default_factory=dict)
 
 
-class WatchdogProbe(SlotProbe):
-    """Base class: a probe that accumulates :class:`Anomaly` records.
+class WatchdogProbe:
+    """Base class: an event sink that accumulates :class:`Anomaly` records.
 
-    Subclasses set :attr:`rule` and call :meth:`alarm` when an invariant
-    breaks.  Anomalies accumulate on :attr:`anomalies` (reset at
-    ``on_run_start``); :meth:`as_records` renders them as telemetry
-    records and :func:`flush_anomalies` emits a batch to a sink.
+    Subclasses set :attr:`rule`, fold events in :meth:`record`, and call
+    :meth:`alarm` when an invariant breaks.  Anomalies accumulate on
+    :attr:`anomalies` (reset by :meth:`start`); :meth:`as_records`
+    renders them as telemetry records and :func:`flush_anomalies` emits
+    a batch to a sink.
     """
 
     #: Rule name stamped into every anomaly this watchdog raises.
@@ -65,10 +69,16 @@ class WatchdogProbe(SlotProbe):
         self.anomalies: list[Anomaly] = []
         self._alarm_keys: set[Hashable] = set()
 
-    def on_run_start(self, *, num_nodes: int, num_channels: int, overlap: int) -> None:
-        """Reset accumulated anomalies for the new run."""
+    def start(self, *, num_nodes: int, num_channels: int, overlap: int) -> None:
+        """Reset accumulated anomalies for a run on ``(n, c, k)``."""
         self.anomalies = []
         self._alarm_keys = set()
+
+    def record(self, event: ChannelEvent) -> None:
+        """Check one channel event."""
+
+    def finish(self, slots: int) -> None:
+        """The run ended after *slots* slots, counted from slot 0."""
 
     def alarm(
         self,
@@ -109,10 +119,12 @@ class SlotBudgetWatchdog(WatchdogProbe):
 
     The budget defaults to :func:`repro.analysis.theory.cogcast_slot_bound`
     — ``constant * (c/k) * max{1, c/n} * lg n`` — computed from the run's
-    ``(n, c, k)`` at ``on_run_start``; pass ``budget`` to pin an explicit
+    ``(n, c, k)`` at :meth:`start`; pass ``budget`` to pin an explicit
     slot count instead.  One anomaly fires (at most once per run) when a
     slot at or past the budget begins with the informed set still
-    incomplete.
+    incomplete.  Slot begins are read off the event stream: the first
+    event of a slot, and :meth:`finish`, check every slot that began
+    since the last check, all of which saw the same informed set.
     """
 
     rule = "slot-budget"
@@ -124,14 +136,15 @@ class SlotBudgetWatchdog(WatchdogProbe):
         self.budget: int | None = budget
         self._n = 0
         self._informed: set[NodeId] = set()
+        #: The first slot whose begin is not checked yet.
+        self._unchecked = 0
 
-    def on_run_start(self, *, num_nodes: int, num_channels: int, overlap: int) -> None:
+    def start(self, *, num_nodes: int, num_channels: int, overlap: int) -> None:
         """Compute the Theorem 4 budget for this run's ``(n, c, k)``."""
-        super().on_run_start(
-            num_nodes=num_nodes, num_channels=num_channels, overlap=overlap
-        )
+        super().start(num_nodes=num_nodes, num_channels=num_channels, overlap=overlap)
         self._n = num_nodes
         self._informed = set()
+        self._unchecked = 0
         if self._configured_budget is not None:
             self.budget = self._configured_budget
         else:
@@ -141,25 +154,30 @@ class SlotBudgetWatchdog(WatchdogProbe):
                 num_nodes, num_channels, overlap, constant=self.constant
             )
 
-    def on_slot_begin(self, slot: Slot) -> None:
-        """Alarm once when the budget passes with nodes still uninformed."""
-        if (
-            self.budget is not None
-            and slot >= self.budget
-            and 0 < len(self._informed) < self._n
-        ):
-            self.alarm(
-                slot,
-                f"{self._n - len(self._informed)} of {self._n} nodes uninformed "
-                f"at slot {slot} (budget {self.budget})",
-                key="budget",
-                informed=len(self._informed),
-                nodes=self._n,
-                budget=self.budget,
-            )
+    def _check_begins(self, last: Slot) -> None:
+        """Check every slot begin from the first unchecked one through *last*.
 
-    def on_channel_event(self, event: ChannelEvent) -> None:
-        """Track the informed set from winning init broadcasts."""
+        All of them saw the current informed set, so the first one at or
+        past the budget is the slot a per-slot check would alarm at.
+        """
+        if self.budget is not None:
+            slot = max(self._unchecked, self.budget)
+            if slot <= last and 0 < len(self._informed) < self._n:
+                self.alarm(
+                    slot,
+                    f"{self._n - len(self._informed)} of {self._n} nodes "
+                    f"uninformed at slot {slot} (budget {self.budget})",
+                    key="budget",
+                    informed=len(self._informed),
+                    nodes=self._n,
+                    budget=self.budget,
+                )
+        self._unchecked = last + 1
+
+    def record(self, event: ChannelEvent) -> None:
+        """Check the slot begins up to this event; track the informed set."""
+        if event.slot >= self._unchecked:
+            self._check_begins(event.slot)
         winner = event.winner
         if winner is None or payload_kind(winner.payload) != "init":
             return
@@ -167,6 +185,10 @@ class SlotBudgetWatchdog(WatchdogProbe):
         for node in event.listeners:
             if node not in event.jammed_nodes:
                 self._informed.add(node)
+
+    def finish(self, slots: int) -> None:
+        """Check the slot begins after the last event."""
+        self._check_begins(slots - 1)
 
 
 class MediatorUniquenessWatchdog(WatchdogProbe):
@@ -185,14 +207,12 @@ class MediatorUniquenessWatchdog(WatchdogProbe):
         super().__init__()
         self._announcers: dict[Channel, set[NodeId]] = {}
 
-    def on_run_start(self, *, num_nodes: int, num_channels: int, overlap: int) -> None:
+    def start(self, *, num_nodes: int, num_channels: int, overlap: int) -> None:
         """Reset the per-channel announcer sets."""
-        super().on_run_start(
-            num_nodes=num_nodes, num_channels=num_channels, overlap=overlap
-        )
+        super().start(num_nodes=num_nodes, num_channels=num_channels, overlap=overlap)
         self._announcers = {}
 
-    def on_channel_event(self, event: ChannelEvent) -> None:
+    def record(self, event: ChannelEvent) -> None:
         """Track announce winners; alarm on a second sender per channel."""
         winner = event.winner
         if winner is None or payload_kind(winner.payload) != "announce":
@@ -227,14 +247,12 @@ class ClusterSizeAgreementWatchdog(WatchdogProbe):
         super().__init__()
         self._census: dict[tuple[Channel, Slot], set[NodeId]] = {}
 
-    def on_run_start(self, *, num_nodes: int, num_channels: int, overlap: int) -> None:
+    def start(self, *, num_nodes: int, num_channels: int, overlap: int) -> None:
         """Reset the census roster."""
-        super().on_run_start(
-            num_nodes=num_nodes, num_channels=num_channels, overlap=overlap
-        )
+        super().start(num_nodes=num_nodes, num_channels=num_channels, overlap=overlap)
         self._census = {}
 
-    def on_channel_event(self, event: ChannelEvent) -> None:
+    def record(self, event: ChannelEvent) -> None:
         """Record census broadcasters; check cluster-size reports."""
         winner = event.winner
         if winner is None:
@@ -279,16 +297,14 @@ class InformedSetWatchdog(WatchdogProbe):
         self._configured_source = source
         self._informed: set[NodeId] = set()
 
-    def on_run_start(self, *, num_nodes: int, num_channels: int, overlap: int) -> None:
+    def start(self, *, num_nodes: int, num_channels: int, overlap: int) -> None:
         """Reset the informed set (re-seeded by the first init winner)."""
-        super().on_run_start(
-            num_nodes=num_nodes, num_channels=num_channels, overlap=overlap
-        )
+        super().start(num_nodes=num_nodes, num_channels=num_channels, overlap=overlap)
         self._informed = set()
         if self._configured_source is not None:
             self._informed.add(self._configured_source)
 
-    def on_channel_event(self, event: ChannelEvent) -> None:
+    def record(self, event: ChannelEvent) -> None:
         """Check init broadcasters against the tracked informed set."""
         winner = event.winner
         if winner is None or payload_kind(winner.payload) != "init":

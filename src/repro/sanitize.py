@@ -612,11 +612,13 @@ def add_arguments(parser: Any) -> None:
     """Attach the ``sanitize`` subcommand's arguments to *parser*."""
     import argparse
 
+    from repro.obs.cli import _positive
+
     parser.add_argument(
         "experiment",
         help="experiment id (e.g. E01) or MODULE:FUNC entry point",
     )
-    parser.add_argument("--trials", type=int, default=None, help="trials per row")
+    parser.add_argument("--trials", type=_positive, default=None, help="trials per row")
     parser.add_argument("--seed", type=int, default=0, help="root seed")
     parser.add_argument(
         "--fast", action="store_true", help="shrunken sweeps (CI-sized)"

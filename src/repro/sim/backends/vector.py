@@ -38,16 +38,14 @@ columnar program via the duck-typed ``vector_kind`` /
 random label each slot, informed nodes broadcast one message,
 uninformed nodes listen and become informed on any reception, and no
 node ever terminates on its own).  Any run it cannot prove equivalent
-— jammers, non-default collision models, traces, per-event probes,
-unknown protocols, unknown stop conditions — falls back
+— jammers, non-default collision models, event sinks (traces, spans,
+watchdogs), unknown protocols, unknown stop conditions — falls back
 transparently: the same engine runs it on the exact kernels
 (``Engine.run``), with one slot clock, one collision stream and one
 probe across every run, so ``backend="vector"`` is always safe to
-request.  Probes that take run totals
-(:func:`repro.sim.engine.takes_run_totals`, e.g.
-:class:`repro.obs.metrics.MetricsProbe`) keep working on the columnar
-path: it feeds them once per run through ``on_run_totals``, as the
-exact engine's fast kernel does.
+request.  Probes (e.g. :class:`repro.obs.metrics.MetricsProbe`) keep
+working on the columnar path: it keeps the same run totals as the
+exact kernels and feeds them through the engine's one run end.
 
 numpy itself is imported lazily: constructing the backend without
 numpy installed raises one actionable error instead of an ImportError
@@ -155,11 +153,10 @@ class VectorEngine(Engine):
             )
         self.fast_path_engaged = False
         probe = self._start_run()
-        self._hookless_run_active = True
         try:
             executed, completed = self._run_vector(max_slots, stop_when, exports)
         finally:
-            self._hookless_run_active = False
+            self._run_active = False
         return self._end_run(probe, max_slots, executed, completed, require_completion)
 
     # -- eligibility ----------------------------------------------------
@@ -170,7 +167,7 @@ class VectorEngine(Engine):
         """Why this run must take the exact kernels (``None`` = columnar).
 
         Starts with the checks the fast kernel makes too
-        (:meth:`Engine._hookless_ineligible_reason`), then adds the
+        (:meth:`Engine._fast_ineligible_reason`), then adds the
         columnar kernel's own, keeping the fast path's discipline of
         exact types only.  Unknown protocols or stop conditions are not
         an error — the exact kernels handle everything — so requesting
@@ -181,7 +178,7 @@ class VectorEngine(Engine):
         an earlier check already failed).  Every check runs before any
         state mutates, so falling back is always safe.
         """
-        reason = self._hookless_ineligible_reason()
+        reason = self._fast_ineligible_reason()
         if reason is not None:
             return reason, []
         if type(self.network.schedule) not in (StaticSchedule, DynamicSchedule):
@@ -275,8 +272,7 @@ class VectorEngine(Engine):
                 )
             np_rng = self._np_rng
 
-        probe = self._probe
-        track = probe is not None
+        track = self._probe is not None
         contention_chunks: list[Any] = []
         deliveries = 0
         wasted_listens = 0
@@ -386,18 +382,10 @@ class VectorEngine(Engine):
                     "current_label": current_labels[node],
                 }
             )
-        if track:
-            contention = (
-                np.concatenate(contention_chunks).tolist()
-                if contention_chunks
-                else []
-            )
-            probe.on_run_totals(
-                slots=executed,
-                contention=contention,
-                deliveries=deliveries,
-                wasted_listens=wasted_listens,
-            )
+        if contention_chunks:
+            self._contention = np.concatenate(contention_chunks).tolist()
+        self._deliveries = deliveries
+        self._wasted_listens = wasted_listens
         return executed, completed
 
 

@@ -9,31 +9,29 @@ jammer (if any), resolves contention per channel with the configured
 
 The engine enforces the information model: protocols only ever see local
 labels and their own outcomes.  All global knowledge (physical channels,
-who collided with whom) lives here and, optionally, in an
-:class:`~repro.sim.trace.EventTrace` for analysis.
+who collided with whom) lives here and, optionally, in an event sink for
+analysis.
 
-Observability: the engine carries one optional, duck-typed instrument
-from :mod:`repro.obs`, a *probe*.  The general kernel fires exactly the
-hooks some instrument consumes: run start and end, slot begin, one call
-per channel event, and, for node-observing probes, one per action.  A
-probe whose class defines ``on_run_totals`` (see :func:`takes_run_totals`;
-today :class:`repro.obs.metrics.MetricsProbe`) can instead be fed once
-per run, which is what the fast kernel does.  The probe defaults to
-``None`` and costs exactly one ``is None`` check per hook site when
-absent, so un-instrumented runs keep their benchmark numbers.  The
+Outputs: the engine has two, each with one job.  Its ``trace`` is the
+one per-event output: an *event sink* — any object with
+``record(event)``, e.g. an :class:`~repro.sim.trace.EventTrace` — that
+receives every :class:`~repro.sim.trace.ChannelEvent` as the general
+kernel resolves it.  Its ``probe`` sees only the run: ``on_run_start``,
+one ``on_run_totals`` and ``on_run_end``, fired identically by every
+kernel (see :mod:`repro.obs.probe`).  Both default to ``None``; the
 engine deliberately does not import :mod:`repro.obs` (the dependency
-points the other way); any object with the right hooks works.
+points the other way), and any object with the right methods works.
 
 Kernels: :meth:`Engine.step` is the general kernel.  :meth:`Engine.run`
 detects the common configuration — static schedule, no jammer, the
-paper's single-winner collision model, no trace, and no probe or only a
-totals-taking one — and switches to a specialized step kernel that
-precomputes the label→channel tables and skips every per-slot hook,
+paper's single-winner collision model, and no event sink — and switches
+to a specialized step kernel that precomputes the label→channel tables,
 while producing bit-identical results (same outcomes, same RNG stream,
 same errors, same run totals).  The subclass
 :class:`repro.sim.backends.vector.VectorEngine` adds the third, columnar
-kernel; all three advance one slot clock and draw from one collision
-stream.  See ``docs/performance.md``.
+kernel; all three advance one slot clock, draw from one collision
+stream, and feed the probe through one run start and one run end.  See
+``docs/performance.md``.
 """
 
 from __future__ import annotations
@@ -72,19 +70,6 @@ class RunResult:
     all_done: bool
 
 
-def takes_run_totals(probe: object) -> bool:
-    """Whether *probe* can be fed a whole run's totals in one call.
-
-    Such a probe's class defines ``on_run_totals(*, slots, contention,
-    deliveries, wasted_listens)``, which the engine's fast kernel and
-    the vector backend's columnar kernel call once per run, just before
-    ``on_run_end``, in place of the per-slot and per-channel hooks.
-    The hook is looked up on the class, not the instance, so the check
-    reads no hook off the probe itself.
-    """
-    return callable(getattr(type(probe), "on_run_totals", None))
-
-
 class Engine:
     """Drives a set of per-node protocols over a network.
 
@@ -100,21 +85,17 @@ class Engine:
         Root seed for the engine's own randomness (collision tie-breaks).
         Node randomness comes from each protocol's own RNG.
     trace:
-        Optional event trace to populate.
+        Optional event sink: any object with ``record(event)``, e.g. an
+        :class:`~repro.sim.trace.EventTrace`.  It receives every channel
+        event, and attaching it selects the general kernel.
     jammer:
         Optional jamming adversary.
     probe:
-        Optional streaming probe (see :mod:`repro.obs.probe`).  The
-        general kernel fires it per slot and per channel event; probes
-        whose ``observes_nodes`` attribute is true additionally receive
-        every node's action.  A probe that takes run totals
-        (:func:`takes_run_totals`, e.g. the metrics registry feeder
-        :class:`repro.obs.metrics.MetricsProbe`) leaves the fast kernel
-        engaged and receives one ``on_run_totals`` call per run
-        instead.  These hook points are the engine's whole
-        instrumentation surface: spans, watchdogs and the metrics
-        probe all ride them, so adding an instrument never adds a new
-        hot-path branch.
+        Optional run probe (see :mod:`repro.obs.probe`), e.g. the
+        metrics registry feeder :class:`repro.obs.metrics.MetricsProbe`.
+        Every kernel fires ``on_run_start``, one ``on_run_totals`` and
+        ``on_run_end`` on it and nothing else, so a probe never costs
+        the fast or columnar kernel.
     fast_path:
         Allow :meth:`run` to use the specialized step kernel when the
         configuration permits (see :meth:`_fast_path_eligible`).  The
@@ -147,10 +128,16 @@ class Engine:
         self.trace = trace
         self.jammer = jammer or NullJammer()
         self._probe: "SlotProbe | None" = None
-        self._node_probe: "SlotProbe | None" = None
-        #: True while the fast or columnar kernel (no per-slot hooks) runs.
-        self._hookless_run_active = False
+        #: True while a run, on any kernel, is in flight.
+        self._run_active = False
         self.probe = probe
+        # The run totals every kernel keeps for the probe: contenders
+        # per contended channel in (slot, ascending channel) order,
+        # listeners that heard a winner, and listeners that heard
+        # nothing.  :meth:`_start_run` resets them.
+        self._contention: list[int] = []
+        self._deliveries = 0
+        self._wasted_listens = 0
         self.slot = 0
         self.fast_path = fast_path
         #: Whether the most recent :meth:`run` used the fast kernel.
@@ -158,31 +145,22 @@ class Engine:
 
     @property
     def probe(self) -> "SlotProbe | None":
-        """The attached streaming probe, if any."""
+        """The attached run probe, if any."""
         return self._probe
 
     @probe.setter
     def probe(self, probe: "SlotProbe | None") -> None:
-        # The fast and columnar kernels fire no per-slot hooks and feed
-        # run totals only to the probe they started with, so a probe
-        # attached while one is in flight (e.g. from a stop_when
-        # callback) would be silently ignored for the rest of the run —
-        # refuse instead.  Between runs, attaching is safe: eligibility
-        # is re-checked at the top of every run(), so the next run picks
-        # its kernel with the new probe.
-        if probe is not None and self._hookless_run_active:
+        # Every kernel feeds run totals only to the probe it started
+        # with, so a probe attached while a run is in flight (e.g. from
+        # a stop_when callback) would be silently ignored for the rest
+        # of the run — refuse instead.  Between runs, attaching is safe:
+        # the next run starts with the new probe.
+        if probe is not None and self._run_active:
             raise SimulationError(
-                "cannot attach a probe while a fast-path or columnar run is "
-                "in flight; attach it before run() or construct the engine "
-                "with it"
+                "cannot attach a probe while a run is in flight; attach it "
+                "before run() or construct the engine with it"
             )
-        # Resolve the per-node dispatch decision once, not per slot.
         self._probe = probe
-        self._node_probe = (
-            probe
-            if probe is not None and getattr(probe, "observes_nodes", False)
-            else None
-        )
 
     @property
     def all_done(self) -> bool:
@@ -195,19 +173,13 @@ class Engine:
         """
         slot = self.slot
         num_nodes = self.network.num_nodes
-        probe = self._probe
-        node_probe = self._node_probe
-        if probe is not None:
-            probe.on_slot_begin(slot)
+        trace = self.trace
 
         actions: dict[NodeId, Action] = {}
         for node, protocol in enumerate(self.protocols):
             if protocol.done:
                 continue
-            action = protocol.begin_slot(slot)
-            actions[node] = action
-            if node_probe is not None:
-                node_probe.on_action(slot, node, action)
+            actions[node] = protocol.begin_slot(slot)
 
         jammed_at = self.jammer.jammed(slot, num_nodes)
 
@@ -231,6 +203,10 @@ class Engine:
                 listeners.setdefault(channel, []).append(node)
 
         # Resolve contention channel by channel.
+        tally = self._probe is not None
+        contention = self._contention
+        deliveries = 0
+        wasted_listens = 0
         outcomes: dict[NodeId, SlotOutcome] = {}
         active_channels = sorted(set(broadcasters) | set(listeners) | set(jammed_participants))
         for channel in active_channels:
@@ -270,31 +246,39 @@ class Engine:
                     jammed=True,
                 )
 
-            if self.trace is not None or probe is not None:
-                event = ChannelEvent(
-                    slot=slot,
-                    channel=channel,
-                    broadcasters=tuple(
-                        node for node, _ in channel_broadcasters
+            if not (tally or trace is not None):
+                continue
+            # Jammed participants still count: a jammed broadcaster
+            # contends, and a jammed listener hears nothing.
+            jammed_broadcasters = tuple(
+                node for node in channel_jammed if isinstance(actions[node], Broadcast)
+            )
+            jammed_listeners = tuple(
+                node for node in channel_jammed if isinstance(actions[node], Listen)
+            )
+            if tally:
+                contenders = len(channel_broadcasters) + len(jammed_broadcasters)
+                if contenders:
+                    contention.append(contenders)
+                if winner is None:
+                    wasted_listens += len(channel_listeners) + len(jammed_listeners)
+                else:
+                    deliveries += len(channel_listeners)
+                    wasted_listens += len(jammed_listeners)
+            if trace is not None:
+                trace.record(
+                    ChannelEvent(
+                        slot=slot,
+                        channel=channel,
+                        broadcasters=tuple(node for node, _ in channel_broadcasters)
+                        + jammed_broadcasters,
+                        listeners=tuple(channel_listeners) + jammed_listeners,
+                        winner=winner,
+                        jammed_nodes=frozenset(channel_jammed),
                     )
-                    + tuple(
-                        node
-                        for node in channel_jammed
-                        if isinstance(actions[node], Broadcast)
-                    ),
-                    listeners=tuple(channel_listeners)
-                    + tuple(
-                        node
-                        for node in channel_jammed
-                        if isinstance(actions[node], Listen)
-                    ),
-                    winner=winner,
-                    jammed_nodes=frozenset(channel_jammed),
                 )
-                if self.trace is not None:
-                    self.trace.record(event)
-                if probe is not None:
-                    probe.on_channel_event(event)
+        self._deliveries += deliveries
+        self._wasted_listens += wasted_listens
 
         # Idle nodes still get an outcome so protocols see every slot.
         for node, action in actions.items():
@@ -306,21 +290,18 @@ class Engine:
 
         self.slot += 1
 
-    def _hookless_ineligible_reason(self) -> str | None:
+    def _fast_ineligible_reason(self) -> str | None:
         """Why the fast and columnar kernels may not run (``None``: they may).
 
-        Both skip the trace, the per-slot probe hooks and the jammer, and
-        both hard-code single-winner contention on a plain
-        :class:`Network`.  Exact types are required (not ``isinstance``):
-        a subclass overriding any of these hooks would change the
-        semantics the kernels hard-code.  The strings, checked in this
-        order, are the columnar kernel's ``vector_fallback_reason``.
+        Both emit no channel events and skip the jammer, and both
+        hard-code single-winner contention on a plain :class:`Network`.
+        Exact types are required (not ``isinstance``): a subclass
+        overriding any of these hooks would change the semantics the
+        kernels hard-code.  The strings, checked in this order, are the
+        columnar kernel's ``vector_fallback_reason``.
         """
         if self.trace is not None:
             return "event trace attached"
-        probe = self._probe
-        if probe is not None and not takes_run_totals(probe):
-            return "probe without aggregate (on_run_totals) support"
         if type(self.jammer) is not NullJammer:
             return "jamming adversary attached"
         if type(self.collision) is not SingleWinnerCollision:
@@ -333,15 +314,14 @@ class Engine:
         """Whether :meth:`run` may use the specialized step kernel.
 
         The common benchmark configuration — a static assignment, no
-        jamming, the paper's single-winner contention model, no trace,
-        and no probe or one that takes run totals — pays for generality
-        it never uses: per-action ``schedule.at`` lookups, the jammer
-        query, and a handful of ``is None`` hook checks every slot.  The
-        fast kernel elides all of that.
+        jamming, the paper's single-winner contention model, and no
+        event sink — pays for generality it never uses: per-action
+        ``schedule.at`` lookups, the jammer query, and per-channel
+        event checks every slot.  The fast kernel elides all of that.
         """
         return (
             self.fast_path
-            and self._hookless_ineligible_reason() is None
+            and self._fast_ineligible_reason() is None
             and type(self.network.schedule) is StaticSchedule
         )
 
@@ -362,11 +342,10 @@ class Engine:
           identical draw for draw;
         - outcomes are constructed with the same field values and
           delivered in the same order;
-        - an attached probe (one that takes run totals) receives, once,
-          the quantities the general kernel's channel events carry:
-          contenders per contended channel in (slot, ascending channel)
-          order, listeners that heard a winner, and listeners on
-          channels nobody broadcast on.
+        - with a probe attached it keeps the run totals the general
+          kernel keeps: contenders per contended channel in (slot,
+          ascending channel) order, listeners that heard a winner, and
+          listeners on channels nobody broadcast on.
 
         Per-slot scratch dicts are allocated once and cleared, not
         rebuilt, which is safe because nothing retains the containers —
@@ -387,9 +366,8 @@ class Engine:
         listeners: dict[Channel, list[tuple[NodeId, Action]]] = {}
         idles: list[tuple[NodeId, Action]] = []
         outcomes: dict[NodeId, SlotOutcome] = {}
-        probe = self._probe
-        track = probe is not None
-        contention: list[int] = []
+        track = self._probe is not None
+        contention = self._contention
         deliveries = 0
         wasted_listens = 0
         executed = 0
@@ -477,13 +455,8 @@ class Engine:
             self.slot += 1
             executed += 1
             completed = condition(self)
-        if track:
-            probe.on_run_totals(
-                slots=executed,
-                contention=contention,
-                deliveries=deliveries,
-                wasted_listens=wasted_listens,
-            )
+        self._deliveries = deliveries
+        self._wasted_listens = wasted_listens
         return executed, completed
 
     def run(
@@ -508,37 +481,39 @@ class Engine:
             out before the stop condition is met.
 
         When the configuration allows (static schedule, no jammer, the
-        default collision model, no trace, at most a totals-taking probe
-        — see :meth:`_fast_path_eligible`), the run uses a specialized
-        kernel that produces bit-identical results faster; whether it
-        engaged is recorded in :attr:`fast_path_engaged`.  A probe sees
-        ``on_run_start`` first and ``on_run_end`` last on either kernel.
+        default collision model, no event sink — see
+        :meth:`_fast_path_eligible`), the run uses a specialized kernel
+        that produces bit-identical results faster; whether it engaged
+        is recorded in :attr:`fast_path_engaged`.  A probe sees
+        ``on_run_start``, ``on_run_totals`` and ``on_run_end`` on
+        either kernel.
 
         Effects: rng.
         """
         condition = stop_when if stop_when is not None else (lambda engine: engine.all_done)
         probe = self._start_run()
         self.fast_path_engaged = self._fast_path_eligible()
-        if self.fast_path_engaged:
-            self._hookless_run_active = True
-            try:
+        try:
+            if self.fast_path_engaged:
                 executed, completed = self._run_fast(max_slots, condition)
-            finally:
-                self._hookless_run_active = False
-        else:
-            executed = 0
-            completed = condition(self)
-            while not completed and executed < max_slots:
-                self.step()
-                executed += 1
+            else:
+                executed = 0
                 completed = condition(self)
+                while not completed and executed < max_slots:
+                    self.step()
+                    executed += 1
+                    completed = condition(self)
+        finally:
+            self._run_active = False
         return self._end_run(probe, max_slots, executed, completed, require_completion)
 
     def _start_run(self) -> "SlotProbe | None":
         """Fire ``on_run_start``; return the probe :meth:`_end_run` must end.
 
         Every kernel's run starts and ends through this pair, so the
-        probe that saw the start sees the end, whichever kernel ran.
+        probe that saw the start sees the totals and the end, whichever
+        kernel ran.  Marks the run in flight; the caller clears the mark
+        when its kernel returns or raises.
         """
         probe = self._probe
         if probe is not None:
@@ -547,6 +522,10 @@ class Engine:
                 num_channels=self.network.channels_per_node,
                 overlap=self.network.overlap,
             )
+        self._contention = []
+        self._deliveries = 0
+        self._wasted_listens = 0
+        self._run_active = True
         return probe
 
     def _end_run(
@@ -557,8 +536,14 @@ class Engine:
         completed: bool,
         require_completion: bool,
     ) -> RunResult:
-        """Fire ``on_run_end`` on *probe* and build the run's result."""
+        """Feed *probe* the run totals, end it, and build the run's result."""
         if probe is not None:
+            probe.on_run_totals(
+                slots=executed,
+                contention=self._contention,
+                deliveries=self._deliveries,
+                wasted_listens=self._wasted_listens,
+            )
             probe.on_run_end(executed)
         if require_completion and not completed:
             raise SimulationError(

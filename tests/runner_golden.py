@@ -8,10 +8,9 @@
 - ``metrics`` — a sink plus a :class:`~repro.obs.metrics.MetricsRegistry`,
   the shape the benchmark uses, so the fast or columnar kernel stays
   engaged;
-- ``all`` — every instrument the runner accepts (a bare
-  :class:`~repro.obs.probe.SlotProbe` as ``probe``, spans, a budget-1
+- ``all`` — every instrument the runner accepts (spans, a budget-1
   :class:`~repro.obs.watchdog.SlotBudgetWatchdog`, metrics, resources),
-  so ``probe=`` composition and anomaly records are covered too.
+  so the event-sink fan-out and anomaly records are covered too.
 
 plus one COGCAST run whose ``require_completion`` raises after the
 record is written.  Every emitted record is stripped of the fields that
@@ -44,7 +43,6 @@ from repro.obs import (
     MetricsRegistry,
     ResourceSampler,
     SlotBudgetWatchdog,
-    SlotProbe,
     SpanProbe,
     TelemetrySink,
 )
@@ -90,7 +88,6 @@ def _instruments(runner: Callable[..., Any], instrument_set: str) -> dict[str, A
     if instrument_set == "metrics":
         return {"metrics": MetricsRegistry()}
     every = {
-        "probe": SlotProbe(),
         "spans": SpanProbe(),
         "watchdogs": [SlotBudgetWatchdog(budget=1)],
         "metrics": MetricsRegistry(),

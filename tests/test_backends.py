@@ -276,11 +276,10 @@ class TestFallbackTransparency:
         assert engine.vector_fallback_reason == "stop condition has no columnar form"
 
     def test_per_slot_probe_falls_back(self):
-        engine = self.run_vector(probe=InformedSetWatchdog(source=0))
+        # A watchdog is a per-event sink: it rides the engine's trace.
+        engine = self.run_vector(trace=InformedSetWatchdog(source=0))
         assert not engine.vector_engaged
-        assert engine.vector_fallback_reason == (
-            "probe without aggregate (on_run_totals) support"
-        )
+        assert engine.vector_fallback_reason == "event trace attached"
 
     def test_fallback_matches_exact_bit_for_bit(self):
         """A traced vector-backend run IS a traced exact run."""

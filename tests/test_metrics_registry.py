@@ -20,7 +20,7 @@ from repro.assignment import shared_core
 from repro.baselines.runners import run_rendezvous_broadcast
 from repro.core import CogCast
 from repro.core.runners import run_data_aggregation, run_gossip, run_local_broadcast
-from repro.obs import MultiProbe, SlotProbe, SpanProbe, TelemetrySink
+from repro.obs import SlotProbe, TelemetrySink
 from repro.obs.metrics import (
     METRICS_SCHEMA_VERSION,
     MetricsError,
@@ -34,7 +34,7 @@ from repro.obs.metrics import (
 from repro.obs.telemetry import read_telemetry, run_record, validate_record
 from repro.sim.backends import AllInformed, ExactBackend, numpy_available
 from repro.sim.channels import Network
-from repro.sim.engine import build_engine, takes_run_totals
+from repro.sim.engine import build_engine
 from repro.sim.metrics import compute_metrics
 from repro.sim.rng import derive_rng
 from repro.sim.trace import EventTrace
@@ -332,7 +332,7 @@ def _cogcast_engine(probe, backend="exact"):
 
 
 class TestRunTotals:
-    """``MetricsProbe`` on the fast and columnar kernels (``on_run_totals``)."""
+    """``MetricsProbe`` on every kernel, fed once through ``on_run_totals``."""
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     @pytest.mark.parametrize("runner", sorted(KERNEL_PARITY_RUNNERS))
@@ -358,9 +358,9 @@ class TestRunTotals:
         assert fast_paths["general"] is False
         assert len(set(snapshots.values())) == 1, snapshots
 
-    @pytest.mark.parametrize("backend", ["exact", "vector-replay"])
+    @pytest.mark.parametrize("backend", ["exact", "vector-replay", "general"])
     def test_fast_kernels_fire_only_run_hooks(self, backend):
-        if backend != "exact" and not numpy_available():
+        if backend == "vector-replay" and not numpy_available():
             pytest.skip("numpy not installed")
         fired: list[str] = []
 
@@ -370,31 +370,19 @@ class TestRunTotals:
                     fired.append(name)
                 return object.__getattribute__(self, name)
 
-        engine = _cogcast_engine(Recorder(MetricsRegistry()), backend)
+        engine = _cogcast_engine(
+            Recorder(MetricsRegistry()),
+            GeneralKernel() if backend == "general" else backend,
+        )
         engine.run(200, stop_when=AllInformed(engine.protocols))
-        assert engine.fast_path_engaged or engine.vector_engaged
+        engaged = engine.fast_path_engaged or getattr(engine, "vector_engaged", False)
+        assert engaged is (backend != "general")
         assert fired == ["on_run_start", "on_run_totals", "on_run_end"]
 
-    @pytest.mark.parametrize(
-        "make_probe",
-        [
-            pytest.param(lambda: SlotProbe(), id="no-hook"),
-            pytest.param(
-                lambda: MultiProbe([MetricsProbe(MetricsRegistry()), SpanProbe()]),
-                id="metrics-plus-spans",
-            ),
-        ],
-    )
-    def test_probes_without_the_hook_take_the_general_kernel(self, make_probe):
-        engine = _cogcast_engine(make_probe())
+    def test_bare_probe_keeps_the_fast_kernel(self):
+        engine = _cogcast_engine(SlotProbe())
         engine.run(20)
-        assert engine.fast_path_engaged is False
-
-    def test_hook_is_looked_up_on_the_class(self):
-        probe = SlotProbe()
-        probe.on_run_totals = lambda **totals: None
-        assert not takes_run_totals(probe)
-        assert takes_run_totals(MetricsProbe(MetricsRegistry()))
+        assert engine.fast_path_engaged is True
 
     def test_attaching_probe_mid_totals_run_raises(self):
         engine = _cogcast_engine(MetricsProbe(MetricsRegistry()))

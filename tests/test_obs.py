@@ -28,8 +28,6 @@ from repro.obs import (
     FixedHistogram,
     MetricsProbe,
     MetricsRegistry,
-    MultiProbe,
-    ProtocolProbe,
     SlotProbe,
     SpanProbe,
     StreamingStat,
@@ -42,13 +40,14 @@ from repro.obs import (
     summarize_records,
     validate_record,
 )
-from repro.sim.actions import Envelope
-from repro.sim.adversary import RandomJammer
+from repro.sim.actions import Broadcast, Envelope, Listen
+from repro.sim.adversary import RandomJammer, TargetedJammer
 from repro.sim.backends import numpy_available
-from repro.sim.channels import Network
+from repro.sim.channels import ChannelAssignment, Network
 from repro.sim.collision import DestructiveCollision
-from repro.sim.engine import build_engine
+from repro.sim.engine import Engine, build_engine
 from repro.sim.metrics import TraceMetrics, compute_metrics
+from repro.sim.protocol import Protocol
 from repro.sim.rng import derive_rng
 from repro.sim.trace import ChannelEvent, EventTrace
 from tests import runner_golden
@@ -90,14 +89,17 @@ def streamed_slots(registry: MetricsRegistry, protocol: str) -> float:
     return MetricsProbe(registry, protocol=protocol).slots.value(protocol=protocol)
 
 
-class ChannelEventCounter(SlotProbe):
-    """Counts channel events: a minimal slot-level probe."""
+class Repeat(Protocol):
+    """Takes the same action every slot and never terminates."""
 
-    def __init__(self):
-        self.events = 0
+    def __init__(self, action):
+        self.action = action
 
-    def on_channel_event(self, event):
-        self.events += 1
+    def begin_slot(self, slot):
+        return self.action
+
+    def end_slot(self, slot, outcome):
+        return None
 
 
 class TestStreamingStat:
@@ -239,7 +241,8 @@ class TestProbeTraceParity:
 
     def test_jammed_listeners_count_as_wasted(self):
         # Jammed listeners hear nothing, whether or not the channel had
-        # a winner: one event of each kind, folded both ways.
+        # a winner: one event of each kind.  The general kernel's run
+        # totals fold the same way (test_general_kernel_jam_accounting).
         winner = Envelope(sender=0, payload="m")
         events = [
             ChannelEvent(0, 5, (0,), (1, 2), winner, frozenset({2})),
@@ -247,14 +250,47 @@ class TestProbeTraceParity:
             ChannelEvent(1, 5, (0, 3), (1,), None, frozenset({0, 3})),
         ]
         trace = EventTrace()
-        registry = MetricsRegistry()
-        probe = MetricsProbe(registry, protocol="p")
         for event in events:
             trace.record(event)
-            probe.on_channel_event(event)
         truth = compute_metrics(trace)
         assert (truth.deliveries, truth.wasted_listens) == (1, 4)
+
+    def test_general_kernel_jam_accounting(self):
+        # Every slot node 0 is the only broadcaster on channel 0 and is
+        # jammed there; node 1 wins channel 1, where node 5 hears it and
+        # node 2 is jammed; nodes 3 and 4 listen on channel 3, where
+        # nobody broadcasts.  The general kernel's run totals must fold
+        # these exactly as compute_metrics folds the trace of the run.
+        network = Network.static(
+            ChannelAssignment(
+                ((0, 1, 2),) * 3 + ((2, 3, 4),) * 2 + ((0, 1, 2),), overlap=1
+            )
+        )
+        actions = [
+            Broadcast(0, "a"),
+            Broadcast(1, "b"),
+            Listen(1),
+            Listen(1),
+            Listen(1),
+            Listen(1),
+        ]
+        jammer = TargetedJammer({0: frozenset({0}), 2: frozenset({1})})
+        trace = EventTrace()
+        registry = MetricsRegistry()
+        engine = Engine(
+            network,
+            [Repeat(action) for action in actions],
+            trace=trace,
+            jammer=jammer,
+            probe=MetricsProbe(registry, protocol="p"),
+        )
+        engine.run(2, stop_when=lambda _: False)
+        assert engine.fast_path_engaged is False
+        truth = compute_metrics(trace)
+        counts = (truth.transmissions, truth.deliveries, truth.wasted_listens)
+        assert counts == (4, 2, 6)
         assert streamed_counts(registry, "p") == trace_counts(truth)
+        assert streamed_slots(registry, "p") == 2
 
     def test_destructive_collisions(self):
         _, truth, _ = self.assert_parity(collision=DestructiveCollision())
@@ -294,7 +330,8 @@ class TestProbeTraceParity:
             network,
             seed=11,
             max_slots=5000,
-            probe=MultiProbe([ChannelEventCounter(), SpanProbe()]),
+            trace=EventTrace(),
+            spans=SpanProbe(),
             metrics=MetricsRegistry(),
         )
         assert (bare.slots, bare.completed, bare.informed_slots) == (
@@ -304,88 +341,11 @@ class TestProbeTraceParity:
         )
 
 
-class TestMultiProbe:
-    def test_fans_out_to_all_children(self):
-        registry = MetricsRegistry()
-        metrics = MetricsProbe(registry, protocol="cogcast")
-        events = ChannelEventCounter()
-        multi = MultiProbe([metrics, events])
-        assert not multi.observes_nodes
-        run_local_broadcast(small_network(), seed=11, max_slots=5000, probe=multi)
-        assert metrics.deliveries.value(protocol="cogcast") > 0
-        assert events.events > 0
-
-    def test_node_hooks_only_reach_node_observers(self):
-        class CountingSlotProbe(SlotProbe):
-            """Asserts node hooks never reach a slot-level probe."""
-
-        class CountingNodeProbe(ProtocolProbe):
-            def __init__(self):
-                self.actions = 0
-
-            def on_action(self, slot, node, action):
-                self.actions += 1
-
-        node_probe = CountingNodeProbe()
-        multi = MultiProbe([CountingSlotProbe(), node_probe])
-        assert multi.observes_nodes
-        run_local_broadcast(small_network(), seed=11, max_slots=5000, probe=multi)
-        assert node_probe.actions > 0
-
-    def test_children_fire_in_registration_order(self):
-        calls: list[tuple[str, str]] = []
-
-        class OrderedSlot(SlotProbe):
-            def __init__(self, tag):
-                self.tag = tag
-
-            def on_slot_begin(self, slot):
-                calls.append((self.tag, "slot_begin"))
-
-            def on_run_end(self, slots):
-                calls.append((self.tag, "run_end"))
-
-        class OrderedNode(ProtocolProbe):
-            def __init__(self, tag):
-                self.tag = tag
-
-            def on_slot_begin(self, slot):
-                calls.append((self.tag, "slot_begin"))
-
-            def on_action(self, slot, node, action):
-                calls.append((self.tag, "action"))
-
-        multi = MultiProbe([OrderedSlot("a"), OrderedNode("b"), OrderedSlot("c")])
-        multi.on_slot_begin(0)
-        assert calls == [("a", "slot_begin"), ("b", "slot_begin"), ("c", "slot_begin")]
-        calls.clear()
-        multi.on_action(0, 1, None)
-        assert calls == [("b", "action")]  # slot-level children skipped
-        calls.clear()
-        multi.on_run_end(3)
-        assert calls == [("a", "run_end"), ("c", "run_end")]
-
-    def test_parity_through_multiprobe(self):
-        network = small_network()
-        trace = EventTrace()
-        registry = MetricsRegistry()
-        run_local_broadcast(
-            network,
-            seed=11,
-            max_slots=5000,
-            trace=trace,
-            probe=MultiProbe([MetricsProbe(registry, protocol="cogcast"), SpanProbe()]),
-        )
-        assert streamed_counts(registry, "cogcast") == trace_counts(
-            compute_metrics(trace)
-        )
-
-
 class TestAttach:
     def test_engine_fires_only_probe_api_hooks(self):
         fired: set[str] = set()
 
-        class Recorder(ProtocolProbe):
+        class Recorder(SlotProbe):
             def __getattribute__(self, name):
                 if name.startswith("on_"):
                     fired.add(name)
@@ -402,13 +362,8 @@ class TestAttach:
             collision=DestructiveCollision(),
         )
         engine.run(20, stop_when=lambda _: False)
-        assert fired == {
-            "on_run_start",
-            "on_slot_begin",
-            "on_channel_event",
-            "on_action",
-            "on_run_end",
-        }
+        assert engine.fast_path_engaged is False
+        assert fired == {"on_run_start", "on_run_totals", "on_run_end"}
 
     def test_run_lifecycle_hooks(self):
         class Lifecycle(SlotProbe):
@@ -714,34 +669,6 @@ class TestRunnerTelemetry:
                 require_completion=True,
             )
         assert json.loads(handle.getvalue())["outcome"] == "budget"
-
-    def test_non_integer_probe_snapshot_is_not_embedded(self):
-        # A probe's own snapshot is never copied into the run record
-        # (counts ride in the ``metrics`` snapshot): the run must still
-        # return and record, just without ``counters``.
-        class Snapshotting(SlotProbe):
-            def __init__(self):
-                self.contention: dict[int, int] = {}
-
-            def on_channel_event(self, event):
-                contenders = len(event.broadcasters)
-                self.contention[contenders] = self.contention.get(contenders, 0) + 1
-
-            def as_dict(self):
-                return {"contention": dict(self.contention)}
-
-        handle = io.StringIO()
-        probe = Snapshotting()
-        result = run_local_broadcast(
-            small_network(), seed=1, max_slots=5000, probe=probe,
-            telemetry=TelemetrySink(handle),
-        )
-        assert result.completed
-        assert probe.contention
-        records = [json.loads(line) for line in handle.getvalue().splitlines()]
-        assert len(records) == 1
-        assert validate_record(records[0]) == []
-        assert "counters" not in records[0]
 
     @pytest.mark.parametrize("case_id", runner_golden.case_ids())
     def test_records_match_golden_fixture(self, case_id):

@@ -204,6 +204,30 @@ class TestExportTrace:
         assert any(e["ph"] == "i" for e in doc["traceEvents"])
 
 
+    @pytest.mark.parametrize(
+        "sizes",
+        [
+            pytest.param(["--n", "1"], id="n-below-2"),
+            pytest.param(["--c", "0"], id="c-below-1"),
+            pytest.param(["--k", "0"], id="k-below-1"),
+            pytest.param(["--c", "2", "--k", "3"], id="k-above-c"),
+        ],
+    )
+    def test_bad_sizes_are_usage_errors(self, sizes, tmp_path, capsys):
+        trace_path = tmp_path / "trace.json"
+        try:
+            code = obs_main(["export-trace", *sizes, "-o", str(trace_path)])
+        except SystemExit as exit_info:
+            code = exit_info.code
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert len(errors) == 1
+        assert not trace_path.exists()
+
+
 class TestReproObsSubcommand:
     def test_validate_via_main_cli(self, telemetry_file, capsys):
         assert repro_main(["obs", "validate", str(telemetry_file)]) == 0

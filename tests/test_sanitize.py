@@ -227,6 +227,16 @@ class TestSanitizeCli:
         assert code == 2
         assert "repro sanitize" in capsys.readouterr().err
 
+    def test_cli_trials_below_one_refused_before_capture(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            repro_main(
+                ["sanitize", "E01", "--fast", "--trials", "0", "--checks", "hashseed"]
+            )
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --trials: must be >= 1, got 0" in err
+        assert "Traceback" not in err
+
     def test_cli_jobs_below_two_needs_no_jobs_check(self, child_path, capsys):
         entry = ["sanitize", "tests.sanitize_entry:run_clean", "--trials", "2"]
         assert repro_main([*entry, "--jobs", "0"]) == 2

@@ -10,16 +10,26 @@ Acceptance criteria locked here:
   protocol's ``phase2_start`` / ``phase3_start`` / ``phase4_start``
   timetable;
 - the exported Chrome-trace JSON validates against its schema;
-- the fast path still engages when no probe is attached, and a
+- span node extents, folded from each event's broadcasters and
+  listeners, equal every node's first and last non-idle action;
+- a reused probe reports each run's own timetable, and a bounded trace
+  beside it bounds only itself;
+- the fast path still engages when no event sink is attached, and a
   late-attached probe is never silently ignored.
 """
 
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
+from repro.analysis.theory import cogcast_slot_bound
+from repro.assignment import shared_core
+from repro.core.aggregation import SumAggregator
+from repro.core.cogcast import CogCast
+from repro.core.cogcomp import CogComp
 from repro.core.messages import (
     AckPayload,
     ClusterSizePayload,
@@ -37,10 +47,14 @@ from repro.obs.export import (
 )
 from repro.obs.probe import SlotProbe
 from repro.obs.spans import InformEdge, Span, SpanProbe, SpanTree, payload_kind
-from repro.sim.actions import Envelope
-from repro.sim.engine import build_engine
+from repro.sim.actions import Envelope, Idle
+from repro.sim.adversary import RandomJammer
+from repro.sim.backends import AllInformed
+from repro.sim.channels import Network
+from repro.sim.engine import Engine, build_engine, make_views
 from repro.sim.protocol import IdleProtocol
-from repro.sim.trace import ChannelEvent
+from repro.sim.rng import derive_rng
+from repro.sim.trace import ChannelEvent, EventTrace
 from repro.types import SimulationError
 
 
@@ -264,9 +278,9 @@ class TestChromeTraceExport:
 
 
 class TestFastPathInteraction:
-    def _engine(self, network, probe=None):
+    def _engine(self, network, **options):
         return build_engine(
-            network, lambda view: IdleProtocol(view), seed=0, probe=probe
+            network, lambda view: IdleProtocol(view), seed=0, **options
         )
 
     def test_fast_path_engages_without_probe(self, small_network):
@@ -275,7 +289,7 @@ class TestFastPathInteraction:
         assert engine.fast_path_engaged is True
 
     def test_span_probe_disengages_fast_path(self, small_network):
-        engine = self._engine(small_network, probe=SpanProbe())
+        engine = self._engine(small_network, trace=SpanProbe())
         engine.run(5)
         assert engine.fast_path_engaged is False
 
@@ -283,8 +297,8 @@ class TestFastPathInteraction:
         class SlotCounter(SlotProbe):
             seen = 0
 
-            def on_slot_begin(self, slot):
-                self.seen += 1
+            def on_run_totals(self, *, slots, **totals):
+                self.seen += slots
 
         engine = self._engine(small_network)
         engine.run(3)
@@ -292,8 +306,8 @@ class TestFastPathInteraction:
         probe = SlotCounter()
         engine.probe = probe  # attach between runs: allowed ...
         engine.run(3, stop_when=lambda _: False)
-        assert engine.fast_path_engaged is False  # ... and not ignored
-        assert probe.seen == 3
+        assert engine.fast_path_engaged is True  # a probe keeps the kernel
+        assert probe.seen == 3  # ... and is not ignored
 
     def test_attaching_probe_mid_fast_run_raises(self, small_network):
         engine = self._engine(small_network)
@@ -307,6 +321,20 @@ class TestFastPathInteraction:
         # The engine recovers: the flag is cleared and runs still work.
         engine.run(3)
         assert engine.fast_path_engaged is True
+
+    def test_attaching_probe_mid_general_run_raises(self, small_network):
+        # The general kernel, too, feeds totals only to the probe it
+        # started with, so a late probe would be silently ignored.
+        engine = self._engine(small_network, fast_path=False)
+
+        def sabotage(running_engine):
+            running_engine.probe = SlotProbe()
+            return False
+
+        with pytest.raises(SimulationError):
+            engine.run(10, stop_when=sabotage)
+        assert engine.fast_path_engaged is False
+        engine.probe = SlotProbe()  # between runs, attaching works again
 
     def test_detaching_probe_mid_fast_run_is_harmless(self, small_network):
         engine = self._engine(small_network)
@@ -322,7 +350,7 @@ class TestFastPathInteraction:
 class TestSpanProbeUnit:
     def test_inform_edges_skip_jammed_listeners(self):
         probe = SpanProbe()
-        probe.on_run_start(num_nodes=4, num_channels=2, overlap=1)
+        probe.start(num_nodes=4)
         event = ChannelEvent(
             slot=0,
             channel=0,
@@ -331,14 +359,14 @@ class TestSpanProbeUnit:
             winner=Envelope(sender=0, payload=InitPayload(origin=0)),
             jammed_nodes=frozenset({2}),
         )
-        probe.on_channel_event(event)
-        probe.on_run_end(1)
+        probe.record(event)
+        probe.finish(1)
         assert set(probe.tree.edges) == {1}
         assert probe.tree.edges[1] == _edge(0, 1, 0)
 
     def test_first_inform_wins(self):
         probe = SpanProbe()
-        probe.on_run_start(num_nodes=3, num_channels=2, overlap=1)
+        probe.start(num_nodes=3)
         first = ChannelEvent(
             slot=0, channel=0, broadcasters=(0,), listeners=(1,),
             winner=Envelope(sender=0, payload=InitPayload(origin=0)),
@@ -347,7 +375,126 @@ class TestSpanProbeUnit:
             slot=1, channel=1, broadcasters=(0,), listeners=(1, 2),
             winner=Envelope(sender=0, payload=InitPayload(origin=0)),
         )
-        probe.on_channel_event(first)
-        probe.on_channel_event(again)
+        probe.record(first)
+        probe.record(again)
         assert probe.tree.edges[1].slot == 0  # not overwritten at slot 1
         assert probe.tree.edges[2].slot == 1
+
+
+class ActionLog:
+    """Wraps a protocol and records the slots of its non-idle actions."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.extent = None
+        self.idle_slots = 0
+
+    @property
+    def done(self):
+        return self.inner.done
+
+    def begin_slot(self, slot):
+        action = self.inner.begin_slot(slot)
+        if isinstance(action, Idle):
+            self.idle_slots += 1
+        else:
+            first = slot if self.extent is None else self.extent[0]
+            self.extent = (first, slot)
+        return action
+
+    def end_slot(self, slot, outcome):
+        self.inner.end_slot(slot, outcome)
+
+
+def _action_extents(protocols):
+    return {
+        node: protocol.extent
+        for node, protocol in enumerate(protocols)
+        if protocol.extent is not None
+    }
+
+
+class TestNodeExtents:
+    """Extents folded from events equal each node's non-idle actions."""
+
+    def test_cogcomp_run_with_idle_slots(self, small_network):
+        n = small_network.num_nodes
+        l = cogcast_slot_bound(
+            n, small_network.channels_per_node, small_network.overlap
+        )
+        protocols = [
+            ActionLog(
+                CogComp(
+                    view,
+                    phase1_slots=l,
+                    value=float(view.node_id + 1),
+                    aggregator=SumAggregator(),
+                    is_source=view.node_id == 0,
+                )
+            )
+            for view in make_views(small_network, 5)
+        ]
+        spans = SpanProbe()
+        spans.start(num_nodes=n, phase1_slots=l)
+        engine = Engine(small_network, protocols, seed=5, trace=spans)
+        result = engine.run(
+            2 * l + n + 3 * (6 * n + 64), stop_when=lambda _: protocols[0].done
+        )
+        spans.finish(result.slots)
+        assert result.completed
+        assert sum(protocol.idle_slots for protocol in protocols) > 0
+        assert spans.node_extents() == _action_extents(protocols)
+
+    def test_jammed_cogcast_run(self, medium_network):
+        universe = sorted(medium_network.assignment_at(0).universe)
+        protocols = [
+            ActionLog(CogCast(view, is_source=view.node_id == 0))
+            for view in make_views(medium_network, 3)
+        ]
+        spans = SpanProbe()
+        spans.start(num_nodes=medium_network.num_nodes)
+        engine = Engine(
+            medium_network,
+            protocols,
+            seed=3,
+            trace=spans,
+            jammer=RandomJammer(universe, 3, derive_rng(3, "test-spans-jam")),
+        )
+        result = engine.run(
+            2000, stop_when=AllInformed([p.inner for p in protocols])
+        )
+        spans.finish(result.slots)
+        assert result.completed
+        assert spans.node_extents() == _action_extents(protocols)
+
+
+def _network(n, c, k, seed=0):
+    return Network.static(shared_core(n, c, k, random.Random(seed)))
+
+
+class TestSpanProbeReuse:
+    def test_each_run_reports_its_own_timetable(self):
+        # l is 72 at n=8 and 111 at n=24 (c=6, k=2).
+        small, large = _network(8, 6, 2), _network(24, 6, 2)
+        reused = SpanProbe()
+        run_data_aggregation(small, [1.0] * 8, seed=0, spans=reused)
+        run_data_aggregation(large, [1.0] * 24, seed=0, spans=reused)
+        fresh = SpanProbe()
+        run_data_aggregation(large, [1.0] * 24, seed=0, spans=fresh)
+        phases = {span.name: span for span in reused.spans()}
+        assert (phases["phase1"].start, phases["phase1"].end) == (0, 111)
+        assert reused.summary() == fresh.summary()
+        # A COGCAST run afterwards has no COGCOMP timetable at all.
+        run_local_broadcast(small, seed=0, max_slots=500, spans=reused)
+        assert [span.kind for span in reused.spans()] == ["run"]
+
+    def test_bounded_trace_bounds_only_itself(self, medium_network):
+        traced, bounded = SpanProbe(), EventTrace(max_events=5)
+        run_local_broadcast(
+            medium_network, seed=7, max_slots=2000, spans=traced, trace=bounded
+        )
+        alone = SpanProbe()
+        run_local_broadcast(medium_network, seed=7, max_slots=2000, spans=alone)
+        assert len(bounded) == 5
+        assert traced.summary() == alone.summary()
+        assert traced.node_extents() == alone.node_extents()

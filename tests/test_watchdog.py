@@ -46,18 +46,17 @@ def _event(slot, channel, payload, sender, *, broadcasters=None, listeners=(),
 
 
 def _start(watchdog, *, n=4, c=2, k=1):
-    watchdog.on_run_start(num_nodes=n, num_channels=c, overlap=k)
+    watchdog.start(num_nodes=n, num_channels=c, overlap=k)
 
 
 class TestSlotBudgetWatchdog:
     def test_alarms_once_past_explicit_budget(self):
         dog = SlotBudgetWatchdog(budget=5)
         _start(dog)
-        dog.on_channel_event(
+        dog.record(
             _event(0, 0, InitPayload(origin=0), 0, listeners=(1,))
         )
-        for slot in range(8):
-            dog.on_slot_begin(slot)
+        dog.finish(8)  # slots 0..7 began
         assert len(dog.anomalies) == 1
         anomaly = dog.anomalies[0]
         assert anomaly.rule == "slot-budget"
@@ -65,14 +64,27 @@ class TestSlotBudgetWatchdog:
         assert anomaly.data["informed"] == 2
         assert anomaly.data["nodes"] == 4
 
+    def test_slot_begins_are_read_off_later_events(self):
+        # No slot-begin hook exists: the first event of slot 7 checks
+        # the begins of slots 1..7, and the alarm names the first slot
+        # at or past the budget, as a per-slot check would.
+        dog = SlotBudgetWatchdog(budget=5)
+        _start(dog)
+        init = InitPayload(origin=0)
+        dog.record(_event(0, 0, init, 0, listeners=(1,)))
+        dog.record(_event(7, 0, init, 1, listeners=(2,)))
+        assert [anomaly.slot for anomaly in dog.anomalies] == [5]
+        assert dog.anomalies[0].data["informed"] == 2
+        dog.finish(9)
+        assert len(dog.anomalies) == 1
+
     def test_silent_when_everyone_informed_in_time(self):
         dog = SlotBudgetWatchdog(budget=5)
         _start(dog)
-        dog.on_channel_event(
+        dog.record(
             _event(0, 0, InitPayload(origin=0), 0, listeners=(1, 2, 3))
         )
-        for slot in range(10):
-            dog.on_slot_begin(slot)
+        dog.finish(10)
         assert dog.anomalies == []
 
     def test_default_budget_is_theorem_four(self):
@@ -83,11 +95,11 @@ class TestSlotBudgetWatchdog:
     def test_jammed_listeners_stay_uninformed(self):
         dog = SlotBudgetWatchdog(budget=1)
         _start(dog)
-        dog.on_channel_event(
+        dog.record(
             _event(0, 0, InitPayload(origin=0), 0, listeners=(1, 2, 3),
                    jammed={2, 3})
         )
-        dog.on_slot_begin(3)
+        dog.finish(4)  # slots up to 3 began
         assert len(dog.anomalies) == 1
         assert dog.anomalies[0].data["informed"] == 2
 
@@ -97,11 +109,11 @@ class TestMediatorUniquenessWatchdog:
         dog = MediatorUniquenessWatchdog()
         _start(dog)
         announce = MediatorAnnouncePayload(cluster_slot=3)
-        dog.on_channel_event(_event(10, 0, announce, 4))
-        dog.on_channel_event(_event(13, 0, announce, 4))  # same sender: fine
+        dog.record(_event(10, 0, announce, 4))
+        dog.record(_event(13, 0, announce, 4))  # same sender: fine
         assert dog.anomalies == []
-        dog.on_channel_event(_event(16, 0, announce, 1))  # impostor
-        dog.on_channel_event(_event(19, 0, announce, 1))  # deduped
+        dog.record(_event(16, 0, announce, 1))  # impostor
+        dog.record(_event(19, 0, announce, 1))  # deduped
         assert len(dog.anomalies) == 1
         anomaly = dog.anomalies[0]
         assert anomaly.rule == "mediator-unique"
@@ -111,8 +123,8 @@ class TestMediatorUniquenessWatchdog:
         dog = MediatorUniquenessWatchdog()
         _start(dog)
         announce = MediatorAnnouncePayload(cluster_slot=3)
-        dog.on_channel_event(_event(10, 0, announce, 4))
-        dog.on_channel_event(_event(10, 1, announce, 5))
+        dog.record(_event(10, 0, announce, 4))
+        dog.record(_event(10, 1, announce, 5))
         assert dog.anomalies == []
 
 
@@ -121,14 +133,14 @@ class TestWatchdogReset:
         dog = MediatorUniquenessWatchdog()
         _start(dog)
         announce = MediatorAnnouncePayload(cluster_slot=3)
-        dog.on_channel_event(_event(10, 0, announce, 4))
-        dog.on_channel_event(_event(16, 0, announce, 1))
+        dog.record(_event(10, 0, announce, 4))
+        dog.record(_event(16, 0, announce, 1))
         assert len(dog.anomalies) == 1
         _start(dog)  # new run: prior announcers must not linger
         assert dog.anomalies == []
-        dog.on_channel_event(_event(10, 0, announce, 2))
+        dog.record(_event(10, 0, announce, 2))
         assert dog.anomalies == []
-        dog.on_channel_event(_event(16, 0, announce, 3))
+        dog.record(_event(16, 0, announce, 3))
         assert len(dog.anomalies) == 1  # key 0 alarms again post-reset
 
 
@@ -137,13 +149,13 @@ class TestInformedSetWatchdog:
         dog = InformedSetWatchdog(source=0)
         _start(dog)
         init = InitPayload(origin=0)
-        dog.on_channel_event(_event(0, 0, init, 0, listeners=(1,)))
+        dog.record(_event(0, 0, init, 0, listeners=(1,)))
         assert dog.anomalies == []
         # Node 3 was never informed, yet contends (twice — deduped).
-        dog.on_channel_event(
+        dog.record(
             _event(1, 0, init, 1, broadcasters=(1, 3), listeners=(2,))
         )
-        dog.on_channel_event(
+        dog.record(
             _event(2, 0, init, 3, broadcasters=(3,), listeners=())
         )
         assert len(dog.anomalies) == 1
@@ -152,7 +164,7 @@ class TestInformedSetWatchdog:
     def test_source_inferred_from_first_winner(self):
         dog = InformedSetWatchdog()
         _start(dog)
-        dog.on_channel_event(
+        dog.record(
             _event(0, 0, InitPayload(origin=2), 2, listeners=(0,))
         )
         assert dog.anomalies == []
@@ -163,8 +175,8 @@ class TestAnomalyTelemetry:
         dog = MediatorUniquenessWatchdog()
         _start(dog)
         announce = MediatorAnnouncePayload(cluster_slot=3)
-        dog.on_channel_event(_event(10, 0, announce, 4))
-        dog.on_channel_event(_event(16, 0, announce, 1))
+        dog.record(_event(10, 0, announce, 4))
+        dog.record(_event(16, 0, announce, 1))
 
         path = tmp_path / "telemetry.jsonl"
         with TelemetrySink(path) as sink:
@@ -298,7 +310,7 @@ class TestDuplicateMediatorFault:
             network=network,
             protocols=protocols,
             seed=self.SEED,
-            probe=dog,
+            trace=dog,
         )
         budget = 2 * l + self.N + 3 * (6 * self.N + 64)
         engine.run(budget, stop_when=lambda _: protocols[0].done)
