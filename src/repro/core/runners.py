@@ -15,11 +15,11 @@ Every runner optionally takes observability instruments from
 attaches (:class:`repro.obs.metrics.MetricsProbe`), and a *telemetry*
 sink that receives one ``kind="run"`` manifest per call — emitted even
 when ``require_completion`` raises, so failed runs leave a record.  The
-broadcast and aggregation runners also take the event sinks: a *trace*,
-a *spans* sink (:class:`repro.obs.spans.SpanProbe`) for causal tracing,
-and *watchdogs* (:class:`repro.obs.watchdog.WatchdogProbe`) that check
-the paper's invariants as events arrive.  Watchdog anomalies flow into
-the telemetry sink as ``kind="anomaly"`` records.
+broadcast and aggregation runners also take the event sinks, a *trace*
+and a *spans* sink (:class:`repro.obs.spans.SpanProbe`) for causal
+tracing, and *watchdogs* (:class:`repro.obs.watchdog.WatchdogProbe`)
+that check the paper's invariants on the finished run.  Watchdog
+anomalies flow into the telemetry sink as ``kind="anomaly"`` records.
 
 Every runner — these and the baselines' in
 :mod:`repro.baselines.runners` — goes through :func:`run_protocol`,
@@ -108,10 +108,11 @@ def run_protocol(
     kernel engaged.  The engine gets at most one probe, a
     :class:`MetricsProbe` given *metrics*, which keeps the fast (or
     columnar) kernel.  Its one event sink is *trace*, *spans* or a
-    watchdog, or a fan-out to all of them: *spans* (started with
-    COGCOMP's *phase1_slots*) and each watchdog are started before the
-    run and finished after it, and fold every event as it arrives, so
-    a bounded *trace* bounds only itself.  Broadcast runners pass
+    watchdog that defines ``record``, or a fan-out to all of them, so a
+    bounded *trace* bounds only itself.  *spans* (given COGCOMP's
+    *phase1_slots*) and each watchdog are started before the run and
+    finished after it, a watchdog with the final protocols and the
+    network; the others cost no kernel.  Broadcast runners pass
     :class:`AllInformed` itself as *stop*: the columnar kernel
     recognises it, and a closure around it would run exact.  Given
     *telemetry*, emits the run record (``outcome(protocols, result)``
@@ -127,7 +128,8 @@ def run_protocol(
             num_channels=network.channels_per_node,
             overlap=network.overlap,
         )
-    sinks = [sink for sink in (trace, spans, *watchdogs) if sink is not None]
+    streaming = [watchdog for watchdog in watchdogs if hasattr(watchdog, "record")]
+    sinks = [sink for sink in (trace, spans, *streaming) if sink is not None]
     if len(sinks) > 1:
         sinks = [_Fanout(sinks)]
     probe = None
@@ -152,7 +154,7 @@ def run_protocol(
     if spans is not None:
         spans.finish(result.slots)
     for watchdog in watchdogs:
-        watchdog.finish(result.slots)
+        watchdog.finish(result.slots, protocols, network)
     if telemetry is not None:
         from repro.obs.telemetry import run_record
         from repro.obs.watchdog import flush_anomalies
@@ -202,7 +204,8 @@ def run_local_broadcast(
     node learns the message — rather than running for the fixed
     Theorem 4 bound.  *spans* reconstructs the distribution tree
     (:class:`repro.obs.spans.SpanProbe`); *watchdogs* check invariants
-    live, their anomalies flowing to *telemetry* when given.
+    on the finished run, their anomalies flowing to *telemetry* when
+    given.
     *metrics* (a :class:`repro.obs.metrics.MetricsRegistry`) attaches a
     :class:`~repro.obs.metrics.MetricsProbe` and embeds its snapshot in
     the run record; *resources* (a started

@@ -15,12 +15,13 @@ theorem's bookkeeping identity).
 
 from __future__ import annotations
 
+from collections import Counter
+
 from repro.assignment import shared_core
 from repro.core import DistributionTree, run_local_broadcast
-from repro.core.clusters import clusters_from_trace, largest_cluster_per_slot
 from repro.experiments.harness import Table, mean, trial_seeds
 from repro.experiments.registry import register
-from repro.sim import EventTrace, Network
+from repro.sim import Network
 from repro.sim.rng import derive_rng
 
 
@@ -29,22 +30,29 @@ def measure_tree(n: int, c: int, k: int, seed: int) -> dict[str, float]:
     rng = derive_rng(seed, "assignment")
     assignment = shared_core(n, c, k, rng).shuffled_labels(rng)
     network = Network.static(assignment, validate=False)
-    trace = EventTrace()
     result = run_local_broadcast(
-        network, seed=seed, max_slots=500_000, trace=trace, require_completion=True
+        network, seed=seed, max_slots=500_000, require_completion=True
     )
     tree = DistributionTree.from_parents(0, result.parents)
-    clusters = clusters_from_trace(trace, root=0)
-    per_slot = largest_cluster_per_slot(clusters)
+    # One informer broadcasts on one channel per slot, so the nodes that
+    # share an (informed slot, parent) pair are one (r, c)-cluster.
+    clusters = Counter(
+        (slot, parent)
+        for slot, parent in zip(result.informed_slots, result.parents)
+        if parent is not None
+    )
+    per_slot: dict[int, int] = {}
+    for (slot, _), size in clusters.items():
+        per_slot[slot] = max(per_slot.get(slot, 0), size)
     depths = [tree.depth(node) for node in range(n)]
     degrees = [len(tree.children(node)) for node in range(n)]
-    assert sum(info.size for info in clusters.values()) == n - 1
+    assert sum(clusters.values()) == n - 1
     return {
         "height": tree.height(),
         "mean_depth": sum(depths) / n,
         "max_degree": max(degrees),
         "sum_ki": sum(per_slot.values()),
-        "largest_cluster": max(info.size for info in clusters.values()),
+        "largest_cluster": max(clusters.values()),
     }
 
 

@@ -11,7 +11,7 @@ constant-memory alternative:
   ``on_run_end`` and nothing else, so a probe (e.g.
   :class:`MetricsProbe`) never costs the fast or columnar kernel.
   Per-event observers are *event sinks* on the engine's ``trace``
-  instead: the spans and watchdogs below.
+  instead: the spans and the mediator-uniqueness watchdog below.
 - **Streaming aggregators** (:class:`StreamingStat`,
   :class:`FixedHistogram`) — constant-memory moments and buckets, the
   building blocks of the metrics histograms, span statistics and query
@@ -26,10 +26,12 @@ constant-memory alternative:
 - **Watchdogs** (:class:`WatchdogProbe` and the concrete
   :class:`SlotBudgetWatchdog`, :class:`MediatorUniquenessWatchdog`,
   :class:`ClusterSizeAgreementWatchdog`, :class:`InformedSetWatchdog`)
-  — streaming event sinks that check the paper's invariants as each
-  channel event arrives and raise structured
+  — check the paper's invariants and raise structured
   :class:`Anomaly` records into telemetry (``kind="anomaly"``) instead
-  of crashing the run.
+  of crashing the run.  Three decide from the finished run (the
+  protocols' final state and the network), so a checked run keeps the
+  fast or columnar kernel; :class:`MediatorUniquenessWatchdog` is an
+  event sink, because a forged announce shows only on the channel.
 - **Telemetry** (:class:`TelemetrySink`) — machine-readable JSONL run
   manifests (seed, ``n``/``c``/``k``/``C``, protocol, slot count,
   outcome, metrics, span summaries) emitted by the runner

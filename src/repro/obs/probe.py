@@ -13,8 +13,8 @@ So attaching a probe never costs a kernel.  What happens on each
 channel in each slot reaches analysis through the engine's one
 per-event output instead, its ``trace``: an *event sink* such as an
 :class:`~repro.sim.trace.EventTrace`, a
-:class:`~repro.obs.spans.SpanProbe` or a watchdog
-(:mod:`repro.obs.watchdog`).
+:class:`~repro.obs.spans.SpanProbe` or the mediator-uniqueness
+watchdog (:mod:`repro.obs.watchdog`).
 
 :class:`~repro.obs.metrics.MetricsProbe` is the probe :mod:`repro.obs`
 ships.  All hooks are no-ops on :class:`SlotProbe`; subclass and

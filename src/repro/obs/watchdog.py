@@ -1,24 +1,21 @@
-"""Live invariant watchdogs: paper guarantees checked while a run unfolds.
+"""Invariant watchdogs: the paper's guarantees, checked on every run.
 
-The paper's theorems promise structural properties — all nodes informed
-within the Theorem 4 slot budget, one mediator per used channel, cluster
-sizes agreeing between phases two and three, an informed set that only
-grows.  A :class:`WatchdogProbe` checks one such invariant against the
-engine-side channel-event stream and, on violation, records a structured
+A :class:`WatchdogProbe` checks one of the paper's invariants — all
+nodes informed within the Theorem 4 slot budget, each parent informed
+before its child, cluster sizes agreeing with the census, one mediator
+per used channel — and, on violation, records a structured
 :class:`Anomaly` instead of crashing the run: anomalies flow into the
 JSONL telemetry stream as validated ``kind="anomaly"`` records
 (:func:`repro.obs.telemetry.anomaly_record`), where ``repro obs
 anomalies`` surfaces them.
 
-Watchdogs are streaming event sinks, like
-:class:`~repro.obs.spans.SpanProbe`: ``start`` a run, ``record`` each
-:class:`~repro.sim.trace.ChannelEvent` as the engine emits it, and
-``finish`` with the run length.  The runners' ``watchdogs=`` does all
-three and fans the events out with any trace and spans; with no
-watchdog attached, nothing is checked and nothing costs.  Checks stay
-per event because final state cannot see every fault: a non-mediator
-that forges ``MediatorAnnounce`` while its own state stays honest shows
-only on the channel.  Like :mod:`repro.obs.spans`, payloads are
+The runners' ``watchdogs=`` calls ``start`` before the run and
+``finish(slots, protocols, network)`` after it.  Three rules are
+statements about how a run ends, decided there from the protocols'
+final state, so they cost no kernel.  A forged ``MediatorAnnounce``
+from a node whose own state stays honest shows only on the channel, so
+:class:`MediatorUniquenessWatchdog` also defines ``record(event)``: it
+is an event sink, and the runners fan events out to it.  Payloads are
 classified structurally (:func:`~repro.obs.spans.payload_kind`), never
 by importing protocol modules.
 """
@@ -26,12 +23,15 @@ by importing protocol modules.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Hashable, Iterable, Mapping
+from typing import TYPE_CHECKING, Any, Hashable, Iterable, Mapping, Sequence
 
 from repro.obs.spans import payload_kind
 from repro.obs.telemetry import anomaly_record
 from repro.sim.trace import ChannelEvent
 from repro.types import Channel, NodeId, Slot
+
+if TYPE_CHECKING:  # pragma: no cover - types only
+    from repro.sim.channels import Network
 
 
 @dataclass(frozen=True)
@@ -52,14 +52,19 @@ class Anomaly:
     data: Mapping[str, Any] = field(default_factory=dict)
 
 
-class WatchdogProbe:
-    """Base class: an event sink that accumulates :class:`Anomaly` records.
+def _informed_slot(protocol: Any) -> Slot | None:
+    """*protocol*'s informed slot: -1 for the source, ``None`` if never."""
+    return -1 if protocol.is_source else protocol.informed_slot
 
-    Subclasses set :attr:`rule`, fold events in :meth:`record`, and call
-    :meth:`alarm` when an invariant breaks.  Anomalies accumulate on
-    :attr:`anomalies` (reset by :meth:`start`); :meth:`as_records`
-    renders them as telemetry records and :func:`flush_anomalies` emits
-    a batch to a sink.
+
+class WatchdogProbe:
+    """Base class: a run check that accumulates :class:`Anomaly` records.
+
+    Subclasses set :attr:`rule`, decide the finished run in
+    :meth:`finish`, and call :meth:`alarm` when an invariant breaks.
+    Anomalies accumulate on :attr:`anomalies` (reset by :meth:`start`);
+    :meth:`as_records` renders them as telemetry records and
+    :func:`flush_anomalies` emits a batch to a sink.
     """
 
     #: Rule name stamped into every anomaly this watchdog raises.
@@ -74,11 +79,12 @@ class WatchdogProbe:
         self.anomalies = []
         self._alarm_keys = set()
 
-    def record(self, event: ChannelEvent) -> None:
-        """Check one channel event."""
+    def finish(self, slots: int, protocols: Sequence[Any], network: "Network") -> None:
+        """Check the run that ended after *slots* slots, counted from 0.
 
-    def finish(self, slots: int) -> None:
-        """The run ended after *slots* slots, counted from slot 0."""
+        *protocols* are the nodes' protocols in their final state, by
+        node id; *network* is the network the run was on.
+        """
 
     def alarm(
         self,
@@ -115,16 +121,14 @@ class WatchdogProbe:
 
 
 class SlotBudgetWatchdog(WatchdogProbe):
-    """Theorem 4 alarm: all nodes informed within the slot budget.
+    """Theorem 4: all nodes informed within the slot budget.
 
     The budget defaults to :func:`repro.analysis.theory.cogcast_slot_bound`
     — ``constant * (c/k) * max{1, c/n} * lg n`` — computed from the run's
     ``(n, c, k)`` at :meth:`start`; pass ``budget`` to pin an explicit
-    slot count instead.  One anomaly fires (at most once per run) when a
-    slot at or past the budget begins with the informed set still
-    incomplete.  Slot begins are read off the event stream: the first
-    event of a slot, and :meth:`finish`, check every slot that began
-    since the last check, all of which saw the same informed set.
+    slot count instead.  One anomaly, at the budget slot, when the run
+    executed that slot and fewer than ``n`` nodes were informed before
+    it.
     """
 
     rule = "slot-budget"
@@ -134,17 +138,10 @@ class SlotBudgetWatchdog(WatchdogProbe):
         self.constant = constant
         self._configured_budget = budget
         self.budget: int | None = budget
-        self._n = 0
-        self._informed: set[NodeId] = set()
-        #: The first slot whose begin is not checked yet.
-        self._unchecked = 0
 
     def start(self, *, num_nodes: int, num_channels: int, overlap: int) -> None:
         """Compute the Theorem 4 budget for this run's ``(n, c, k)``."""
         super().start(num_nodes=num_nodes, num_channels=num_channels, overlap=overlap)
-        self._n = num_nodes
-        self._informed = set()
-        self._unchecked = 0
         if self._configured_budget is not None:
             self.budget = self._configured_budget
         else:
@@ -154,41 +151,25 @@ class SlotBudgetWatchdog(WatchdogProbe):
                 num_nodes, num_channels, overlap, constant=self.constant
             )
 
-    def _check_begins(self, last: Slot) -> None:
-        """Check every slot begin from the first unchecked one through *last*.
-
-        All of them saw the current informed set, so the first one at or
-        past the budget is the slot a per-slot check would alarm at.
-        """
-        if self.budget is not None:
-            slot = max(self._unchecked, self.budget)
-            if slot <= last and 0 < len(self._informed) < self._n:
-                self.alarm(
-                    slot,
-                    f"{self._n - len(self._informed)} of {self._n} nodes "
-                    f"uninformed at slot {slot} (budget {self.budget})",
-                    key="budget",
-                    informed=len(self._informed),
-                    nodes=self._n,
-                    budget=self.budget,
-                )
-        self._unchecked = last + 1
-
-    def record(self, event: ChannelEvent) -> None:
-        """Check the slot begins up to this event; track the informed set."""
-        if event.slot >= self._unchecked:
-            self._check_begins(event.slot)
-        winner = event.winner
-        if winner is None or payload_kind(winner.payload) != "init":
+    def finish(self, slots: int, protocols: Sequence[Any], network: "Network") -> None:
+        """Alarm if the budget slot ran with a node still uninformed."""
+        budget = self.budget
+        if budget is None or slots <= budget:
             return
-        self._informed.add(winner.sender)
-        for node in event.listeners:
-            if node not in event.jammed_nodes:
-                self._informed.add(node)
-
-    def finish(self, slots: int) -> None:
-        """Check the slot begins after the last event."""
-        self._check_begins(slots - 1)
+        nodes = len(protocols)
+        informed_slots = [_informed_slot(protocol) for protocol in protocols]
+        informed = sum(
+            1 for slot in informed_slots if slot is not None and slot < budget
+        )
+        if informed < nodes:
+            self.alarm(
+                budget,
+                f"{nodes - informed} of {nodes} nodes uninformed at slot "
+                f"{budget} (budget {budget})",
+                informed=informed,
+                nodes=nodes,
+                budget=budget,
+            )
 
 
 class MediatorUniquenessWatchdog(WatchdogProbe):
@@ -198,7 +179,9 @@ class MediatorUniquenessWatchdog(WatchdogProbe):
     id in the last-informed cluster); every winning
     ``MediatorAnnounce`` therefore comes from the same sender on any
     given channel.  A second distinct announcer raises one anomaly per
-    offending channel.
+    offending channel.  Final state cannot see a forged announce, so
+    this watchdog is an event sink: it checks each event in
+    :meth:`record`.
     """
 
     rule = "mediator-unique"
@@ -231,101 +214,84 @@ class MediatorUniquenessWatchdog(WatchdogProbe):
 
 
 class ClusterSizeAgreementWatchdog(WatchdogProbe):
-    """COGCOMP invariant: phase-three sizes match the phase-two census.
+    """COGCOMP invariant: each member's census count is its cluster's size.
 
-    During the phase-two census every channel member's ``Count``
-    message wins exactly once (winners go silent, so the broadcaster
-    pool strictly shrinks — Lemma 7), so the distinct census winners
-    for a ``(channel, informed_slot)`` cluster *are* that cluster.
-    Phase three's ``ClusterSize`` report for the same cluster must
-    carry exactly that count.  One anomaly per disagreeing cluster.
+    An (r, c)-cluster is the nodes first informed in slot ``r`` on
+    channel ``c`` (Definition 6).  One informer broadcasts on one
+    channel per slot, so the nodes sharing an ``(informed_slot,
+    parent)`` pair are one cluster, and each member's phase-two
+    ``cluster_size`` (what phase three reports, Lemmas 7 and 9) must
+    equal the group's size.  One anomaly per disagreeing cluster, at
+    its informed slot.
     """
 
     rule = "cluster-size"
 
-    def __init__(self) -> None:
-        super().__init__()
-        self._census: dict[tuple[Channel, Slot], set[NodeId]] = {}
-
-    def start(self, *, num_nodes: int, num_channels: int, overlap: int) -> None:
-        """Reset the census roster."""
-        super().start(num_nodes=num_nodes, num_channels=num_channels, overlap=overlap)
-        self._census = {}
-
-    def record(self, event: ChannelEvent) -> None:
-        """Record census broadcasters; check cluster-size reports."""
-        winner = event.winner
-        if winner is None:
-            return
-        kind = payload_kind(winner.payload)
-        if kind == "census":
-            members = self._census.setdefault(
-                (event.channel, winner.payload.informed_slot), set()
+    def finish(self, slots: int, protocols: Sequence[Any], network: "Network") -> None:
+        """Group the census members by cluster; alarm on a miscount."""
+        clusters: dict[tuple[Slot, NodeId], list[NodeId]] = {}
+        for node, protocol in enumerate(protocols):
+            if getattr(protocol, "cluster_size", None) is not None:
+                key = (protocol.informed_slot, protocol.parent)
+                clusters.setdefault(key, []).append(node)
+        for (slot, _), members in sorted(clusters.items()):
+            census = len(members)
+            sizes = [protocols[node].cluster_size for node in members]
+            reported = next((size for size in sizes if size != census), census)
+            if reported == census:
+                continue
+            first = members[0]
+            channel = network.physical(slot, first, protocols[first].informed_label)
+            self.alarm(
+                slot,
+                f"cluster (channel {channel}, informed slot {slot}) reported "
+                f"size {reported}, census saw {census}",
+                channel=channel,
+                cluster_slot=slot,
+                reported=reported,
+                census=census,
             )
-            members.add(winner.payload.node)
-        elif kind == "cluster-size":
-            key = (event.channel, winner.payload.informed_slot)
-            members = self._census.get(key)
-            if members is not None and winner.payload.size != len(members):
-                self.alarm(
-                    event.slot,
-                    f"cluster (channel {event.channel}, informed slot "
-                    f"{winner.payload.informed_slot}) reported size "
-                    f"{winner.payload.size}, census saw {len(members)}",
-                    key=key,
-                    channel=event.channel,
-                    cluster_slot=winner.payload.informed_slot,
-                    reported=winner.payload.size,
-                    census=len(members),
-                )
 
 
 class InformedSetWatchdog(WatchdogProbe):
-    """COGCAST invariant: only informed nodes broadcast, and the informed
-    set grows monotonically.
+    """COGCAST invariant: Lemma 5's distribution tree is consistent.
 
-    Every init broadcaster must already be in the informed set (seeded
-    by the source — configured, or inferred from the first init winner);
-    a broadcast from outside it means protocol state went backwards or a
-    node fabricated the message.  One anomaly per offending node.
+    For every informed node ``u`` with parent ``p``: ``p`` was informed
+    strictly before ``u`` (the source at slot -1), and ``u``'s channel
+    in its informed slot is one ``p`` holds in that slot.  A failure
+    means a node broadcast the message without having it, or protocol
+    state went wrong.  One anomaly per offending parent, at the slot it
+    informed its first offending child.
     """
 
     rule = "informed-set"
 
-    def __init__(self, *, source: NodeId | None = None) -> None:
-        super().__init__()
-        self._configured_source = source
-        self._informed: set[NodeId] = set()
-
-    def start(self, *, num_nodes: int, num_channels: int, overlap: int) -> None:
-        """Reset the informed set (re-seeded by the first init winner)."""
-        super().start(num_nodes=num_nodes, num_channels=num_channels, overlap=overlap)
-        self._informed = set()
-        if self._configured_source is not None:
-            self._informed.add(self._configured_source)
-
-    def record(self, event: ChannelEvent) -> None:
-        """Check init broadcasters against the tracked informed set."""
-        winner = event.winner
-        if winner is None or payload_kind(winner.payload) != "init":
-            return
-        if not self._informed:
-            # First init traffic: the winner is the source by
-            # construction (only the source is informed at slot 0).
-            self._informed.add(winner.sender)
-        for node in sorted(event.broadcasters):
-            if node not in self._informed:
-                self.alarm(
-                    event.slot,
-                    f"node {node} broadcast init at slot {event.slot} without "
-                    f"having been informed",
-                    key=node,
-                    node=node,
-                    channel=event.channel,
-                )
-        for node in event.listeners:
-            if node not in event.jammed_nodes:
-                self._informed.add(node)
+    def finish(self, slots: int, protocols: Sequence[Any], network: "Network") -> None:
+        """Check every parent-child edge of the final distribution tree."""
+        informed = [_informed_slot(protocol) for protocol in protocols]
+        children = sorted(
+            (slot, child)
+            for child, slot in enumerate(informed)
+            if slot is not None and protocols[child].parent is not None
+        )
+        for slot, child in children:
+            parent = protocols[child].parent
+            channel = network.physical(slot, child, protocols[child].informed_label)
+            parent_slot = informed[parent]
+            if parent_slot is None or parent_slot >= slot:
+                problem = "without having been informed"
+            elif channel not in network.assignment_at(slot).channels[parent]:
+                problem = f"on channel {channel}, which it does not hold"
+            else:
+                continue
+            self.alarm(
+                slot,
+                f"node {parent} informed node {child} at slot {slot} {problem}",
+                key=parent,
+                node=parent,
+                channel=channel,
+                child=child,
+            )
 
 
 def flush_anomalies(

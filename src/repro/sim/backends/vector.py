@@ -29,7 +29,7 @@ Equivalence contract (see ``docs/performance.md`` "Backends"):
   engine, so equivalence is established statistically:
   ``tests/test_backends.py`` cross-validates completion-slot and
   collision-rate distributions against the exact backend with
-  bootstrap CIs and checks the PR-4 watchdog invariants on the results.
+  bootstrap CIs and checks the epidemic invariants on the results.
 
 The engine only vectorizes populations whose protocols advertise a
 columnar program via the duck-typed ``vector_kind`` /
@@ -39,13 +39,15 @@ random label each slot, informed nodes broadcast one message,
 uninformed nodes listen and become informed on any reception, and no
 node ever terminates on its own).  Any run it cannot prove equivalent
 — jammers, non-default collision models, event sinks (traces, spans,
-watchdogs), unknown protocols, unknown stop conditions — falls back
-transparently: the same engine runs it on the exact kernels
-(``Engine.run``), with one slot clock, one collision stream and one
-probe across every run, so ``backend="vector"`` is always safe to
-request.  Probes (e.g. :class:`repro.obs.metrics.MetricsProbe`) keep
+the mediator-uniqueness watchdog), unknown protocols, unknown stop
+conditions — falls back transparently: the same engine runs it on the
+exact kernels (``Engine.run``), with one slot clock, one collision
+stream and one probe across every run, so ``backend="vector"`` is
+always safe to request.  Probes (e.g. :class:`repro.obs.metrics.MetricsProbe`) keep
 working on the columnar path: it keeps the same run totals as the
-exact kernels and feeds them through the engine's one run end.
+exact kernels and feeds them through the engine's one run end.  So do
+the run-end watchdogs (:mod:`repro.obs.watchdog`), which read the
+protocols' state after :meth:`~VectorEngine.run` imports it back.
 
 numpy itself is imported lazily: constructing the backend without
 numpy installed raises one actionable error instead of an ImportError

@@ -187,12 +187,10 @@ class Engine:
         broadcasters: dict[Channel, list[tuple[NodeId, Envelope]]] = {}
         listeners: dict[Channel, list[NodeId]] = {}
         jammed_participants: dict[Channel, set[NodeId]] = {}
-        tuned: dict[NodeId, Channel] = {}
         for node, action in actions.items():
             if isinstance(action, Idle):
                 continue
             channel = self.network.physical(slot, node, action.label)
-            tuned[node] = channel
             if channel in jammed_at.get(node, frozenset()):
                 jammed_participants.setdefault(channel, set()).add(node)
                 continue

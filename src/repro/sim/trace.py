@@ -11,8 +11,9 @@ Recording every slot of a long run can be memory-heavy, so tracing is
 opt-in on the engine and the trace can be bounded.  The engine's
 ``trace`` slot takes any *event sink*, an object with ``record(event)``
 called in (slot, channel) order: an :class:`EventTrace` retains events,
-while the streaming sinks of :mod:`repro.obs` (spans and watchdogs)
-fold each event as it arrives and keep none.
+while the streaming sinks of :mod:`repro.obs` (spans and the
+mediator-uniqueness watchdog) fold each event as it arrives and keep
+none.
 """
 
 from __future__ import annotations

@@ -31,7 +31,11 @@ from repro.analysis.theory import cogcast_slot_bound
 from repro.assignment import dynamic_shared_core_schedule, shared_core
 from repro.core import CogCast, run_local_broadcast
 from repro.obs.metrics import MetricsProbe, MetricsRegistry
-from repro.obs.watchdog import InformedSetWatchdog, SlotBudgetWatchdog
+from repro.obs.watchdog import (
+    InformedSetWatchdog,
+    MediatorUniquenessWatchdog,
+    SlotBudgetWatchdog,
+)
 from repro.sim import EventTrace, Network
 from repro.sim.adversary import RandomJammer
 from repro.sim.backends import (
@@ -66,6 +70,14 @@ def make_dynamic_network(seed: int, n: int = 24, c: int = 6, k: int = 2) -> Netw
 
 def cogcast_factory(view):
     return CogCast(view, is_source=(view.node_id == 0))
+
+
+class KeepEngine(VectorBackend):
+    """The vector backend, keeping the engine it built last."""
+
+    def build(self, network, protocols, **options):
+        self.engine = super().build(network, protocols, **options)
+        return self.engine
 
 
 def drive(seed: int, *, backend, network=None, probe=None):
@@ -202,18 +214,20 @@ class TestTierBStatistical:
 
     @pytest.mark.parametrize("seed", SEEDS[:2])
     def test_watchdogs_clean_under_vector_backend(self, seed):
-        """Per-slot watchdogs force the exact kernel and stay silent."""
+        """Run-end watchdogs keep the columnar kernel and stay silent."""
         n, c, k = 48, 6, 2
         budget = SlotBudgetWatchdog()
-        informed = InformedSetWatchdog(source=0)
+        informed = InformedSetWatchdog()
+        backend = KeepEngine()
         run_local_broadcast(
             make_network(seed, n=n, c=c, k=k),
             seed=seed,
             max_slots=10_000,
             require_completion=True,
             watchdogs=(budget, informed),
-            backend="vector",
+            backend=backend,
         )
+        assert backend.engine.vector_engaged
         assert budget.anomalies == []
         assert informed.anomalies == []
 
@@ -276,8 +290,8 @@ class TestFallbackTransparency:
         assert engine.vector_fallback_reason == "stop condition has no columnar form"
 
     def test_per_slot_probe_falls_back(self):
-        # A watchdog is a per-event sink: it rides the engine's trace.
-        engine = self.run_vector(trace=InformedSetWatchdog(source=0))
+        # The mediator watchdog is a per-event sink: it rides the trace.
+        engine = self.run_vector(trace=MediatorUniquenessWatchdog())
         assert not engine.vector_engaged
         assert engine.vector_fallback_reason == "event trace attached"
 

@@ -2,21 +2,34 @@
 
 Acceptance criteria locked here: clean seeded runs raise **zero**
 anomalies from every watchdog, while an injected duplicate-mediator
-fault raises **exactly one** ``mediator-unique`` anomaly.  Anomalies
-round-trip through the JSONL telemetry sink as validated
-``kind="anomaly"`` records.
+fault raises **exactly one** ``mediator-unique`` anomaly.  The three
+rules decided from final state each catch a planted fault on the fast
+kernel, and keep the fast and columnar kernels on clean runs; the
+final-state ``slot-budget`` rule equals the same rule read off a full
+event trace.  Anomalies round-trip through the JSONL telemetry sink as
+validated ``kind="anomaly"`` records.
 """
 
 from __future__ import annotations
 
+import io
 import json
+from types import SimpleNamespace
+
+import pytest
 
 from repro.analysis.theory import cogcast_slot_bound
 from repro.assignment import shared_core
 from repro.core.aggregation import SumAggregator
+from repro.core.cogcast import CogCast
 from repro.core.cogcomp import CogComp
 from repro.core.messages import InitPayload, MediatorAnnouncePayload
-from repro.core.runners import run_data_aggregation, run_local_broadcast
+from repro.core.runners import (
+    run_data_aggregation,
+    run_local_broadcast,
+    run_protocol,
+)
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.telemetry import TelemetrySink, read_telemetry, validate_record
 from repro.obs.watchdog import (
     Anomaly,
@@ -27,21 +40,24 @@ from repro.obs.watchdog import (
     flush_anomalies,
 )
 from repro.sim.actions import Broadcast, Envelope, SlotOutcome
-from repro.sim.channels import Network
+from repro.sim.adversary import RandomJammer, TargetedJammer
+from repro.sim.backends import AllInformed, numpy_available
+from repro.sim.channels import ChannelAssignment, Network
 from repro.sim.engine import Engine, make_views
+from repro.sim.metrics import informed_curve
 from repro.sim.rng import derive_rng
-from repro.sim.trace import ChannelEvent
+from repro.sim.trace import ChannelEvent, EventTrace
 
 
-def _event(slot, channel, payload, sender, *, broadcasters=None, listeners=(),
-           jammed=frozenset()):
+def _event(slot, channel, payload, sender):
+    """A channel event that *sender* won alone."""
     return ChannelEvent(
         slot=slot,
         channel=channel,
-        broadcasters=broadcasters if broadcasters is not None else (sender,),
-        listeners=tuple(listeners),
+        broadcasters=(sender,),
+        listeners=(),
         winner=Envelope(sender=sender, payload=payload),
-        jammed_nodes=frozenset(jammed),
+        jammed_nodes=frozenset(),
     )
 
 
@@ -49,14 +65,34 @@ def _start(watchdog, *, n=4, c=2, k=1):
     watchdog.start(num_nodes=n, num_channels=c, overlap=k)
 
 
+def _node(informed_slot=None, parent=None, *, label=0):
+    """A node's final state as the run-end watchdogs read it."""
+    return SimpleNamespace(
+        is_source=False,
+        informed_slot=informed_slot,
+        parent=parent,
+        informed_label=label,
+    )
+
+
+def _source():
+    return SimpleNamespace(
+        is_source=True, informed_slot=-1, parent=None, informed_label=None
+    )
+
+
+def _network(n=4):
+    """*n* nodes that all hold channels 0 and 1."""
+    return Network.static(ChannelAssignment(((0, 1),) * n, overlap=2))
+
+
 class TestSlotBudgetWatchdog:
     def test_alarms_once_past_explicit_budget(self):
         dog = SlotBudgetWatchdog(budget=5)
         _start(dog)
-        dog.record(
-            _event(0, 0, InitPayload(origin=0), 0, listeners=(1,))
-        )
-        dog.finish(8)  # slots 0..7 began
+        # Node 2 was informed only after the budget slot: it does not count.
+        protocols = [_source(), _node(0, 0), _node(6, 1), _node()]
+        dog.finish(8, protocols, _network())  # slots 0..7 ran
         assert len(dog.anomalies) == 1
         anomaly = dog.anomalies[0]
         assert anomaly.rule == "slot-budget"
@@ -64,27 +100,17 @@ class TestSlotBudgetWatchdog:
         assert anomaly.data["informed"] == 2
         assert anomaly.data["nodes"] == 4
 
-    def test_slot_begins_are_read_off_later_events(self):
-        # No slot-begin hook exists: the first event of slot 7 checks
-        # the begins of slots 1..7, and the alarm names the first slot
-        # at or past the budget, as a per-slot check would.
+    def test_silent_when_the_run_ends_before_the_budget_slot(self):
         dog = SlotBudgetWatchdog(budget=5)
         _start(dog)
-        init = InitPayload(origin=0)
-        dog.record(_event(0, 0, init, 0, listeners=(1,)))
-        dog.record(_event(7, 0, init, 1, listeners=(2,)))
-        assert [anomaly.slot for anomaly in dog.anomalies] == [5]
-        assert dog.anomalies[0].data["informed"] == 2
-        dog.finish(9)
-        assert len(dog.anomalies) == 1
+        dog.finish(5, [_source(), _node(0, 0), _node(), _node()], _network())
+        assert dog.anomalies == []
 
     def test_silent_when_everyone_informed_in_time(self):
         dog = SlotBudgetWatchdog(budget=5)
         _start(dog)
-        dog.record(
-            _event(0, 0, InitPayload(origin=0), 0, listeners=(1, 2, 3))
-        )
-        dog.finish(10)
+        protocols = [_source(), _node(0, 0), _node(0, 0), _node(4, 1)]
+        dog.finish(10, protocols, _network())
         assert dog.anomalies == []
 
     def test_default_budget_is_theorem_four(self):
@@ -93,13 +119,17 @@ class TestSlotBudgetWatchdog:
         assert dog.budget == cogcast_slot_bound(12, 6, 2, constant=8.0)
 
     def test_jammed_listeners_stay_uninformed(self):
+        # Four nodes on one channel: node 1 hears the source in slot 0,
+        # nodes 2 and 3 are jammed on it for the whole run.
+        network = Network.static(ChannelAssignment(((0,),) * 4, overlap=1))
         dog = SlotBudgetWatchdog(budget=1)
-        _start(dog)
-        dog.record(
-            _event(0, 0, InitPayload(origin=0), 0, listeners=(1, 2, 3),
-                   jammed={2, 3})
+        run_local_broadcast(
+            network,
+            seed=0,
+            max_slots=4,
+            jammer=TargetedJammer({2: {0}, 3: {0}}),
+            watchdogs=[dog],
         )
-        dog.finish(4)  # slots up to 3 began
         assert len(dog.anomalies) == 1
         assert dog.anomalies[0].data["informed"] == 2
 
@@ -144,28 +174,47 @@ class TestWatchdogReset:
         assert len(dog.anomalies) == 1  # key 0 alarms again post-reset
 
 
+    def test_source_jammed_throughout_still_alarms(self):
+        # No init ever wins, yet the source itself counts as informed.
+        network = Network.static(shared_core(8, 4, 2, derive_rng(0, "j")))
+        source_channels = network.assignment_at(0).channels[0]
+        dog = SlotBudgetWatchdog(budget=3)
+        run_local_broadcast(
+            network,
+            seed=0,
+            max_slots=10,
+            jammer=TargetedJammer({0: frozenset(source_channels)}),
+            watchdogs=[dog],
+        )
+        assert [(a.slot, a.data["informed"]) for a in dog.anomalies] == [(3, 1)]
+
+
 class TestInformedSetWatchdog:
     def test_uninformed_broadcaster_alarms_once(self):
-        dog = InformedSetWatchdog(source=0)
-        _start(dog)
-        init = InitPayload(origin=0)
-        dog.record(_event(0, 0, init, 0, listeners=(1,)))
-        assert dog.anomalies == []
-        # Node 3 was never informed, yet contends (twice — deduped).
-        dog.record(
-            _event(1, 0, init, 1, broadcasters=(1, 3), listeners=(2,))
-        )
-        dog.record(
-            _event(2, 0, init, 3, broadcasters=(3,), listeners=())
-        )
+        dog = InformedSetWatchdog()
+        _start(dog, n=5)
+        # Node 3 was never informed, yet informed nodes 2 and 4 (deduped).
+        protocols = [_source(), _node(0, 0), _node(1, 3), _node(), _node(2, 3)]
+        dog.finish(3, protocols, _network(5))
         assert len(dog.anomalies) == 1
-        assert dog.anomalies[0].data["node"] == 3
+        anomaly = dog.anomalies[0]
+        assert anomaly.rule == "informed-set"
+        assert anomaly.slot == 1
+        assert anomaly.data == {"node": 3, "channel": 0, "child": 2}
 
-    def test_source_inferred_from_first_winner(self):
+    def test_parent_informed_in_the_same_slot_alarms(self):
         dog = InformedSetWatchdog()
         _start(dog)
-        dog.record(
-            _event(0, 0, InitPayload(origin=2), 2, listeners=(0,))
+        protocols = [_source(), _node(1, 0), _node(1, 1), _node(2, 0)]
+        dog.finish(3, protocols, _network())
+        assert [anomaly.data["node"] for anomaly in dog.anomalies] == [1]
+
+    def test_source_need_not_be_node_zero(self):
+        network = Network.static(shared_core(12, 6, 2, derive_rng(42, "smoke")))
+        dog = InformedSetWatchdog()
+        run_local_broadcast(
+            network, source=5, seed=3, max_slots=600, watchdogs=[dog],
+            require_completion=True,
         )
         assert dog.anomalies == []
 
@@ -326,3 +375,233 @@ class TestDuplicateMediatorFault:
         assert anomaly.rule == "mediator-unique"
         assert anomaly.data["channel"] == 0
         assert anomaly.data["announcers"] == [1, 4]
+
+
+def _run_records(handle):
+    return [json.loads(line) for line in handle.getvalue().splitlines()]
+
+
+class InitFabricator(CogCast):
+    """Broadcasts init every slot, informed or not."""
+
+    def begin_slot(self, slot):
+        action = super().begin_slot(slot)
+        return Broadcast(action.label, InitPayload(origin=self.view.node_id))
+
+
+class MislabelledCogCast(CogCast):
+    """Claims it was informed on its last label.
+
+    On an unshuffled ``shared_core`` network the last label is a private
+    channel, which no other node holds.
+    """
+
+    def end_slot(self, slot, outcome):
+        super().end_slot(slot, outcome)
+        if self.informed_slot == slot:
+            self.informed_label = self.view.num_channels - 1
+
+
+class MiscountingCogComp(CogComp):
+    """Counts one member too many in the phase-two census."""
+
+    def _finish_phase2(self):
+        super()._finish_phase2()
+        if self.cluster_size is not None:
+            self.cluster_size += 1
+
+
+class TestPlantedFaultsOnTheFastKernel:
+    """Each run-end rule catches its planted fault on the fast kernel."""
+
+    N, C, K, SEED = 12, 6, 2, 7
+
+    def _network(self):
+        return Network.static(
+            shared_core(self.N, self.C, self.K, derive_rng(42, "planted"))
+        )
+
+    def _cogcast(self, faulty, cls, dog):
+        """A COGCAST run in which node *faulty* runs *cls*."""
+        def factory(view):
+            node_cls = cls if view.node_id == faulty else CogCast
+            return node_cls(view, is_source=view.node_id == 0)
+
+        handle = io.StringIO()
+        protocols, _ = run_protocol(
+            self._network(),
+            factory,
+            protocol="cogcast",
+            seed=self.SEED,
+            max_slots=60,
+            stop=AllInformed,
+            watchdogs=[dog],
+            telemetry=TelemetrySink(handle),
+        )
+        record, *anomalies = _run_records(handle)
+        assert record["fast_path"] is True
+        assert len(anomalies) == len(dog.anomalies)
+        return protocols
+
+    def test_init_fabricator_breaks_informed_before(self):
+        dog = InformedSetWatchdog()
+        protocols = self._cogcast(5, InitFabricator, dog)
+        assert len(dog.anomalies) == 1
+        anomaly = dog.anomalies[0]
+        assert anomaly.data["node"] == 5
+        # A lost contention may inform the fabricator later, never before.
+        assert protocols[5].informed_slot is None or (
+            protocols[5].informed_slot >= anomaly.slot
+        )
+        assert protocols[anomaly.data["child"]].parent == 5
+        assert anomaly.message.startswith(
+            f"node 5 informed node {anomaly.data['child']} at slot {anomaly.slot}"
+        )
+        assert anomaly.message.endswith("without having been informed")
+
+    def test_tampered_label_breaks_the_shared_channel(self):
+        dog = InformedSetWatchdog()
+        protocols = self._cogcast(3, MislabelledCogCast, dog)
+        assert len(dog.anomalies) == 1
+        anomaly = dog.anomalies[0]
+        slot = protocols[3].informed_slot
+        assert anomaly.slot == slot
+        assert anomaly.data == {
+            "node": protocols[3].parent,
+            "channel": self._network().physical(slot, 3, self.C - 1),
+            "child": 3,
+        }
+        assert anomaly.message.endswith("which it does not hold")
+
+    def test_census_miscount_breaks_cluster_size(self):
+        network = self._network()
+        l = cogcast_slot_bound(self.N, self.C, self.K)
+
+        def factory(view):
+            node_cls = MiscountingCogComp if view.node_id == 5 else CogComp
+            return node_cls(
+                view,
+                phase1_slots=l,
+                value=float(view.node_id),
+                aggregator=SumAggregator(),
+                is_source=view.node_id == 0,
+            )
+
+        dog = ClusterSizeAgreementWatchdog()
+        handle = io.StringIO()
+        protocols, _ = run_protocol(
+            network,
+            factory,
+            protocol="cogcomp",
+            seed=self.SEED,
+            max_slots=2 * l + self.N + 3 * (6 * self.N + 64),
+            stop=lambda protocols: lambda _: protocols[0].done,
+            watchdogs=[dog],
+            telemetry=TelemetrySink(handle),
+        )
+        record, anomaly_record = _run_records(handle)
+        assert record["fast_path"] is True
+        assert anomaly_record["rule"] == "cluster-size"
+        assert len(dog.anomalies) == 1
+        anomaly = dog.anomalies[0]
+        cluster_slot = protocols[5].informed_slot
+        assert anomaly.slot == cluster_slot
+        assert anomaly.data["cluster_slot"] == cluster_slot
+        assert anomaly.data["reported"] == anomaly.data["census"] + 1
+        assert anomaly.data["channel"] == network.physical(
+            cluster_slot, 5, protocols[5].informed_label
+        )
+
+    def test_tight_budget_breaks_slot_budget(self):
+        dog = SlotBudgetWatchdog(budget=1)
+        handle = io.StringIO()
+        run_local_broadcast(
+            self._network(),
+            seed=self.SEED,
+            max_slots=60,
+            watchdogs=[dog],
+            telemetry=TelemetrySink(handle),
+        )
+        record, anomaly_record = _run_records(handle)
+        assert record["fast_path"] is True
+        assert anomaly_record["rule"] == "slot-budget"
+        assert [anomaly.slot for anomaly in dog.anomalies] == [1]
+
+
+RUN_END_WATCHDOGS = (
+    SlotBudgetWatchdog,
+    InformedSetWatchdog,
+    ClusterSizeAgreementWatchdog,
+)
+
+
+class TestRunEndChecksKeepTheKernel:
+    """Only ``mediator-unique`` reads events; the other rules cost no kernel."""
+
+    def _record(self, backend, dogs):
+        handle = io.StringIO()
+        run_local_broadcast(
+            Network.static(shared_core(24, 6, 2, derive_rng(42, "kernel"))),
+            seed=3,
+            max_slots=600,
+            require_completion=True,
+            watchdogs=dogs,
+            metrics=MetricsRegistry(),
+            telemetry=TelemetrySink(handle),
+            backend=backend,
+        )
+        (record,) = _run_records(handle)
+        for dog in dogs:
+            assert dog.anomalies == [], dog.rule
+        return record
+
+    def test_exact_keeps_the_fast_kernel(self):
+        dogs = [cls() for cls in RUN_END_WATCHDOGS]
+        assert self._record("exact", dogs)["fast_path"] is True
+        dogs.append(MediatorUniquenessWatchdog())
+        assert self._record("exact", dogs)["fast_path"] is False
+
+    @pytest.mark.parametrize("backend", ["vector", "vector-replay"])
+    def test_vector_keeps_the_columnar_kernel(self, backend):
+        if not numpy_available():
+            pytest.skip("numpy not installed")
+        dogs = [cls() for cls in RUN_END_WATCHDOGS]
+        assert "vector_fallback_reason" not in self._record(backend, dogs)
+        dogs.append(MediatorUniquenessWatchdog())
+        record = self._record(backend, dogs)
+        assert record["vector_fallback_reason"] == "event trace attached"
+
+
+class TestSlotBudgetReference:
+    """The final-state rule equals the rule read off a full event trace."""
+
+    N, C, K = 16, 8, 2
+
+    @pytest.mark.parametrize("budget", [2, 6, 12])
+    @pytest.mark.parametrize("jammed", [False, True])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_the_informed_curve_of_a_trace(self, seed, jammed, budget):
+        rng = derive_rng(seed, "reference")
+        network = Network.static(
+            shared_core(self.N, self.C, self.K, rng).shuffled_labels(rng)
+        )
+        jammer = None
+        if jammed:
+            universe = sorted(network.assignment_at(0).universe)
+            jammer = RandomJammer(universe, budget=2, rng=derive_rng(seed, "jam"))
+        dog, trace = SlotBudgetWatchdog(budget=budget), EventTrace()
+        result = run_local_broadcast(
+            network, seed=seed, max_slots=40, trace=trace, jammer=jammer,
+            watchdogs=[dog],
+        )
+        curve = informed_curve(trace, root=0, num_nodes=self.N)
+        informed = max(
+            (count for slot, count in curve if slot < budget), default=1
+        )
+        expected = []
+        if result.slots > budget and informed < self.N:
+            expected = [(budget, informed, self.N, budget)]
+        assert [
+            (a.slot, a.data["informed"], a.data["nodes"], a.data["budget"])
+            for a in dog.anomalies
+        ] == expected
