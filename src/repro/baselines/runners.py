@@ -38,7 +38,7 @@ from repro.types import NodeId
 if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.obs.metrics import MetricsRegistry, ResourceSampler
     from repro.obs.telemetry import TelemetrySink
-    from repro.sim.backends import EngineBackend, StopCondition
+    from repro.sim.backends import StopCondition
 
 
 def run_rendezvous_broadcast(
@@ -52,7 +52,7 @@ def run_rendezvous_broadcast(
     metrics: "MetricsRegistry | None" = None,
     resources: "ResourceSampler | None" = None,
     telemetry: "TelemetrySink | None" = None,
-    backend: "str | EngineBackend | None" = None,
+    backend: str | None = None,
 ) -> BroadcastResult:
     """Run the baseline until every node has heard the source."""
 
@@ -88,7 +88,7 @@ def run_stay_and_scan_broadcast(
     metrics: "MetricsRegistry | None" = None,
     resources: "ResourceSampler | None" = None,
     telemetry: "TelemetrySink | None" = None,
-    backend: "str | EngineBackend | None" = None,
+    backend: str | None = None,
 ) -> BroadcastResult:
     """Run the deterministic broadcast to completion (<= c^2 slots)."""
     c = network.channels_per_node
@@ -126,7 +126,7 @@ def run_rendezvous_aggregation(
     metrics: "MetricsRegistry | None" = None,
     resources: "ResourceSampler | None" = None,
     telemetry: "TelemetrySink | None" = None,
-    backend: "str | EngineBackend | None" = None,
+    backend: str | None = None,
 ) -> BaselineAggregationResult:
     """Run the baseline until the source holds every node's value."""
     n = network.num_nodes
@@ -173,7 +173,7 @@ def run_hopping_together(
     metrics: "MetricsRegistry | None" = None,
     resources: "ResourceSampler | None" = None,
     telemetry: "TelemetrySink | None" = None,
-    backend: "str | EngineBackend | None" = None,
+    backend: str | None = None,
 ) -> BroadcastResult:
     """Run the lockstep scan until every node is informed.
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import Sequence
+from typing import Any, Sequence
 
 
 def _version_string() -> str:
@@ -208,16 +208,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_one(
-    experiment_id: str,
+def _run_experiment(
+    spec: Any,
     trials: int | None,
     seed: int,
     fast: bool,
     telemetry: object | None = None,
-) -> None:
-    from repro.experiments.registry import get
+) -> tuple[Any, float]:
+    """Run one experiment: its table and the seconds it took.
 
-    spec = get(experiment_id)
+    ``run`` and ``report`` both come here, so given *telemetry* both
+    write the same ``kind="experiment"`` record: it embeds a metrics
+    registry that counts the experiment and a resource-sampler delta.
+    """
     start = time.perf_counter()
     if telemetry is not None:
         from repro.experiments.harness import run_with_telemetry
@@ -226,7 +229,7 @@ def _run_one(
         registry = MetricsRegistry()
         registry.counter(
             "experiments_run", "experiments executed", labels=("experiment",)
-        ).inc(experiment=experiment_id)
+        ).inc(experiment=spec.experiment_id)
         table = run_with_telemetry(
             spec,
             telemetry,
@@ -241,7 +244,19 @@ def _run_one(
         if trials is not None:
             kwargs["trials"] = trials
         table = spec.run(**kwargs)
-    elapsed = time.perf_counter() - start
+    return table, time.perf_counter() - start
+
+
+def _run_one(
+    experiment_id: str,
+    trials: int | None,
+    seed: int,
+    fast: bool,
+    telemetry: object | None = None,
+) -> None:
+    from repro.experiments.registry import get
+
+    table, elapsed = _run_experiment(get(experiment_id), trials, seed, fast, telemetry)
     print(table.render())
     print(f"[{experiment_id} finished in {elapsed:.1f}s]\n")
 
@@ -363,7 +378,8 @@ def write_report(
     The report records the exact invocation so any table can be
     regenerated in isolation.  When *telemetry* (a
     :class:`repro.obs.telemetry.TelemetrySink`) is given, each
-    experiment also emits one manifest record.
+    experiment also emits one manifest record, the same one ``run``
+    writes.
     """
     from repro.experiments.registry import load_all
 
@@ -375,19 +391,7 @@ def write_report(
         "",
     ]
     for experiment_id, spec in load_all().items():
-        start = time.perf_counter()
-        if telemetry is not None:
-            from repro.experiments.harness import run_with_telemetry
-
-            table = run_with_telemetry(
-                spec, telemetry, trials=trials, seed=seed, fast=fast
-            )
-        else:
-            kwargs: dict[str, object] = {"seed": seed, "fast": fast}
-            if trials is not None:
-                kwargs["trials"] = trials
-            table = spec.run(**kwargs)
-        elapsed = time.perf_counter() - start
+        table, elapsed = _run_experiment(spec, trials, seed, fast, telemetry)
         sections.append(f"## {experiment_id} — {spec.title}")
         sections.append("")
         sections.append(f"Claim: {spec.claim}.")

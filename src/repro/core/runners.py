@@ -51,7 +51,7 @@ if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.obs.spans import SpanProbe
     from repro.obs.telemetry import TelemetrySink
     from repro.obs.watchdog import WatchdogProbe
-    from repro.sim.backends import EngineBackend, StopCondition
+    from repro.sim.backends import StopCondition
 
 
 def _broadcast_result(result: RunResult, protocols: Sequence[Any]) -> BroadcastResult:
@@ -99,7 +99,7 @@ def run_protocol(
     metrics: "MetricsRegistry | None" = None,
     resources: "ResourceSampler | None" = None,
     telemetry: "TelemetrySink | None" = None,
-    backend: "str | EngineBackend | None" = None,
+    backend: str | None = None,
 ) -> tuple[list[Any], RunResult]:
     """Build, run and record one protocol run: the path every runner shares.
 
@@ -119,7 +119,12 @@ def run_protocol(
     as its outcome), then this run's watchdog anomalies.  Returns the
     protocols and the :class:`RunResult`; the caller checks completion,
     so a run that misses its budget still leaves a record.
+
+    *backend* is a name in :data:`~repro.sim.backends.BACKEND_NAMES` or
+    ``None`` (the process default), resolved once: the record's
+    ``backend`` field names the backend the run was built with.
     """
+    backend_name = resolve_backend(backend)
     if spans is not None:
         spans.start(num_nodes=network.num_nodes, phase1_slots=phase1_slots)
     for watchdog in watchdogs:
@@ -145,7 +150,7 @@ def run_protocol(
         trace=sinks[0] if sinks else None,
         jammer=jammer,
         probe=probe,
-        backend=backend,
+        backend=backend_name,
     )
     protocols: list[Any] = engine.protocols
     run_start = perf_counter()
@@ -171,7 +176,7 @@ def run_protocol(
                 resources=None if resources is None else resources.delta(),
                 elapsed_s=elapsed_s,
                 fast_path=engine.fast_path_engaged,
-                backend=resolve_backend(backend).name,
+                backend=backend_name,
                 vector_fallback_reason=getattr(engine, "vector_fallback_reason", None),
             )
         )
@@ -195,7 +200,7 @@ def run_local_broadcast(
     metrics: "MetricsRegistry | None" = None,
     resources: "ResourceSampler | None" = None,
     telemetry: "TelemetrySink | None" = None,
-    backend: "str | EngineBackend | None" = None,
+    backend: str | None = None,
 ) -> BroadcastResult:
     """Run COGCAST until every node is informed (or *max_slots*).
 
@@ -213,10 +218,10 @@ def run_local_broadcast(
     Run records always carry ``elapsed_s`` (harness ``perf_counter``
     around :meth:`Engine.run`, so it never disengages the fast path)
     and ``fast_path`` (whether the fast kernel ran) when telemetry is
-    attached.  *backend* selects the execution backend (see
-    :mod:`repro.sim.backends`); results are equivalent per the
-    backend's tier, and ineligible configurations transparently run
-    exact.
+    attached.  *backend* names the execution backend, one of
+    :data:`~repro.sim.backends.BACKEND_NAMES` or ``None`` for the
+    process default; results are equivalent per the backend's tier,
+    and ineligible configurations transparently run exact.
     """
 
     def factory(view: NodeView) -> CogCast:
@@ -264,7 +269,7 @@ def run_data_aggregation(
     metrics: "MetricsRegistry | None" = None,
     resources: "ResourceSampler | None" = None,
     telemetry: "TelemetrySink | None" = None,
-    backend: "str | EngineBackend | None" = None,
+    backend: str | None = None,
 ) -> AggregationResult:
     """Run COGCOMP end to end and return the source's aggregate.
 
@@ -292,9 +297,10 @@ def run_data_aggregation(
         Optional started :class:`repro.obs.metrics.ResourceSampler`;
         its delta rides on the run record as ``resources``.
     backend:
-        Execution backend selection (see :mod:`repro.sim.backends`).
-        COGCOMP's phased protocol has no columnar program, so the
-        vector backend transparently runs it exact.
+        Execution backend name (one of
+        :data:`~repro.sim.backends.BACKEND_NAMES`, or ``None`` for the
+        process default).  COGCOMP's phased protocol has no columnar
+        program, so the vector backends transparently run it exact.
     """
     from repro.analysis.theory import cogcast_slot_bound
 
@@ -381,15 +387,15 @@ def run_gossip(
     metrics: "MetricsRegistry | None" = None,
     resources: "ResourceSampler | None" = None,
     telemetry: "TelemetrySink | None" = None,
-    backend: "str | EngineBackend | None" = None,
+    backend: str | None = None,
 ) -> GossipResult:
     """Run gossip until every node knows every source's message.
 
     ``sources`` maps originating node id to its message body.
     *metrics* / *resources* embed registry snapshots and sampler deltas
     in the run record, as in :func:`run_local_broadcast`.  *backend*
-    selects the execution backend; gossip's stop predicate has no
-    columnar form, so the vector backend transparently runs it exact.
+    names the execution backend; gossip's stop predicate has no
+    columnar form, so the vector backends transparently run it exact.
     """
     if not sources:
         raise ValueError("need at least one source")

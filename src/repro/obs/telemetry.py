@@ -202,15 +202,10 @@ def _type_names(types: tuple[type, ...]) -> str:
 def _attach(
     record: dict[str, Any],
     *,
-    spans: Any = None,
     metrics: Any = None,
     resources: Mapping[str, float] | None = None,
 ) -> None:
     """Embed the instrument snapshots every record kind may carry."""
-    if spans is not None:
-        record["spans"] = (
-            spans.summary() if hasattr(spans, "summary") else dict(spans)
-        )
     if metrics is not None:
         record["metrics"] = (
             metrics.snapshot() if hasattr(metrics, "snapshot") else dict(metrics)
@@ -267,7 +262,11 @@ def run_record(
         "slots": slots,
         "outcome": outcome,
     }
-    _attach(record, spans=spans, metrics=metrics, resources=resources)
+    if spans is not None:
+        record["spans"] = (
+            spans.summary() if hasattr(spans, "summary") else dict(spans)
+        )
+    _attach(record, metrics=metrics, resources=resources)
     if elapsed_s is not None:
         record["elapsed_s"] = round(float(elapsed_s), 6)
     if fast_path is not None:
@@ -300,17 +299,16 @@ def experiment_record(
     fast: bool,
     elapsed_s: float,
     rows: int,
-    spans: Any = None,
     metrics: Any = None,
     resources: Mapping[str, float] | None = None,
 ) -> dict[str, Any]:
     """Build a ``kind="experiment"`` manifest for one table generation.
 
-    When *spans* exposes ``summary()`` (or is already a mapping) it
-    rides along as ``spans``; *metrics* (a registry or its snapshot)
-    and *resources* (a sampler delta) embed like they do on run
-    records.  The ``provenance`` block hashes ``(experiment id,
-    trials, fast, backend)``.
+    *metrics* (a registry or its snapshot) and *resources* (a sampler
+    delta) embed like they do on run records; an experiment makes many
+    engine runs, so span summaries stay on each run's record.  The
+    ``provenance`` block hashes ``(experiment id, trials, fast,
+    backend)``.
     """
     from repro.obs.provenance import provenance_block
     from repro.sim.backends.base import default_backend_name
@@ -334,7 +332,7 @@ def experiment_record(
             }
         ),
     }
-    _attach(record, spans=spans, metrics=metrics, resources=resources)
+    _attach(record, metrics=metrics, resources=resources)
     return record
 
 

@@ -1,19 +1,21 @@
 """Engine execution backends.
 
-One registry, three entries:
+A backend is one of three names (:data:`BACKEND_NAMES`), which
+:func:`repro.sim.engine.build_engine` turns into an engine:
 
-- ``"exact"`` — the reference per-node engine (general + fast-path
-  kernels), bit-identical to historical behavior.  The default.
-- ``"vector"`` — the numpy columnar engine (Tier-B numpy RNG streams;
-  an order of magnitude faster at ``n >= 10^4``).
-- ``"vector-replay"`` — the columnar engine drawing from the exact
+- ``"exact"`` — the reference per-node :class:`~repro.sim.engine.Engine`
+  (general + fast-path kernels), bit-identical to historical behavior.
+  The default.
+- ``"vector"`` — a :class:`~repro.sim.backends.vector.VectorEngine`,
+  which adds the numpy columnar kernel (Tier-B numpy RNG streams; an
+  order of magnitude faster at ``n >= 10^4``).
+- ``"vector-replay"`` — the columnar kernel drawing from the exact
   engine's Python RNG streams in the exact engine's order, producing
   bit-identical runs (Tier A); used by the equivalence tests and
   available anywhere a slower-but-provably-exact vector run is wanted.
 
 Importing this package loads no kernel and never imports numpy: the
-registry is built on the first :func:`get_backend`, and the vector
-backend loads numpy lazily on first build and raises
+vector engine loads numpy when it is built and raises
 :class:`BackendUnavailableError` with an actionable one-liner when it
 is missing.  Use :func:`available_backends` to see what can run here.
 """
@@ -26,7 +28,6 @@ _EXPORTS = {
     "AllInformed": "repro.sim.backends.base",
     "BACKEND_NAMES": "repro.sim.backends.base",
     "BackendUnavailableError": "repro.sim.backends.base",
-    "EngineBackend": "repro.sim.backends.base",
     "StopCondition": "repro.sim.backends.base",
     "VECTOR_CONTRACTS": "repro.sim.backends.base",
     "VectorContract": "repro.sim.backends.base",
@@ -34,13 +35,10 @@ _EXPORTS = {
     "available_backends": "repro.sim.backends.base",
     "backend_scope": "repro.sim.backends.base",
     "default_backend_name": "repro.sim.backends.base",
-    "get_backend": "repro.sim.backends.base",
     "numpy_available": "repro.sim.backends.base",
     "resolve_backend": "repro.sim.backends.base",
     "set_default_backend": "repro.sim.backends.base",
     "vector_contract": "repro.sim.backends.base",
-    "ExactBackend": "repro.sim.backends.exact",
-    "VectorBackend": "repro.sim.backends.vector",
     "VectorEngine": "repro.sim.backends.vector",
 }
 

@@ -1,56 +1,35 @@
-"""The :class:`EngineBackend` contract and backend-selection state.
+"""Backend names, backend-selection state and the columnar contracts.
 
-A *backend* is a strategy for executing a population of per-node
-protocols over a :class:`~repro.sim.channels.Network`.  Every backend
-builds a :class:`repro.sim.engine.Engine` (or a subclass of it), so
-the measurement harnesses in :mod:`repro.core.runners` and
-:mod:`repro.baselines.runners` never branch on which backend is
-active.
+A *backend* is one of the names in :data:`BACKEND_NAMES`, and
+:func:`repro.sim.engine.build_engine` turns it into an engine:
 
-Two backends ship:
-
-- :class:`~repro.sim.backends.exact.ExactBackend` — the reference
-  per-node engine (the general kernel plus the PR-3 fast-path kernel),
-  bit-identical to historical behavior.
-- :class:`~repro.sim.backends.vector.VectorBackend` — builds a
+- ``"exact"`` builds the reference :class:`~repro.sim.engine.Engine`
+  (the general kernel plus the fast-path kernel), bit-identical to
+  historical behavior.
+- ``"vector"`` and ``"vector-replay"`` build a
   :class:`~repro.sim.backends.vector.VectorEngine`, an ``Engine`` that
   adds a numpy columnar kernel representing the whole node population
-  as arrays.  That kernel engages only for configurations it can prove
-  equivalent (see ``docs/performance.md`` "Backends"); otherwise the
-  same engine runs its exact kernels, so selecting it is always safe.
+  as arrays (``rng_mode="numpy"`` and ``"replay"``).  That kernel
+  engages only for configurations it can prove equivalent (see
+  ``docs/performance.md`` "Backends"); otherwise the same engine runs
+  its exact kernels, so selecting it is always safe.
 
-Selection flows through :func:`repro.sim.engine.build_engine`'s
-``backend=`` parameter; ``None`` defers to the per-process default set
-by :func:`set_default_backend` (the CLI's ``--backend`` flag), which
-:func:`repro.perf.pmap_trials` propagates into worker processes.
+Selection flows through ``build_engine``'s ``backend=`` parameter;
+``None`` defers to the per-process default set by
+:func:`set_default_backend` (the CLI's ``--backend`` flag), which
+:func:`repro.perf.pmap_trials` propagates into worker processes.  This
+module imports neither the engine nor numpy.
 """
 
 from __future__ import annotations
 
-import abc
 import functools
 import importlib.util
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    Callable,
-    ClassVar,
-    Iterator,
-    Mapping,
-    Sequence,
-)
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from repro.types import SimulationError
-
-if TYPE_CHECKING:  # pragma: no cover - types only
-    from repro.sim.adversary import Jammer
-    from repro.sim.channels import Network
-    from repro.sim.collision import CollisionModel
-    from repro.sim.engine import Engine
-    from repro.sim.protocol import Protocol
-    from repro.sim.trace import EventTrace
 
 
 class BackendUnavailableError(SimulationError):
@@ -60,40 +39,6 @@ class BackendUnavailableError(SimulationError):
 def numpy_available() -> bool:
     """Whether numpy can be imported (without importing it)."""
     return importlib.util.find_spec("numpy") is not None
-
-
-class EngineBackend(abc.ABC):
-    """Strategy interface: build the :class:`~repro.sim.engine.Engine` for one run.
-
-    Backends are stateless factories; all per-run state lives in the
-    engine object they build.  ``name`` is the registry key users spell
-    in ``build_engine(backend=...)`` and ``--backend``.
-    """
-
-    name: ClassVar[str]
-
-    @abc.abstractmethod
-    def build(
-        self,
-        network: "Network",
-        protocols: "Sequence[Protocol]",
-        *,
-        collision: "CollisionModel | None" = None,
-        seed: int = 0,
-        trace: "EventTrace | None" = None,
-        jammer: "Jammer | None" = None,
-        probe: Any = None,
-        fast_path: bool = True,
-    ) -> "Engine":
-        """Build the engine for *protocols* over *network*."""
-
-    def unavailable_reason(self) -> str | None:
-        """Why this backend cannot run here, or ``None`` if it can."""
-        return None
-
-    def available(self) -> bool:
-        """Whether this backend's runtime requirements are met."""
-        return self.unavailable_reason() is None
 
 
 class AllInformed:
@@ -189,8 +134,6 @@ def vector_contract(kind: str) -> VectorContract | None:
 
 
 #: Names accepted by ``build_engine(backend=...)`` and ``--backend``.
-#: Reading them loads no kernel: :func:`get_backend` checks a name
-#: against them and builds the backends only on first use.
 BACKEND_NAMES: tuple[str, ...] = ("exact", "vector", "vector-replay")
 
 #: Per-process default backend name used when ``backend=None``.
@@ -208,7 +151,7 @@ def set_default_backend(name: str | None) -> None:
     worker processes, so parallel trial loops honor it too.
     """
     global _DEFAULT_BACKEND
-    _DEFAULT_BACKEND = "exact" if name is None else _check_backend_name(name)
+    _DEFAULT_BACKEND = "exact" if name is None else resolve_backend(name)
 
 
 def default_backend_name() -> str:
@@ -234,55 +177,27 @@ def backend_scope(name: str | None) -> Iterator[None]:
         set_default_backend(previous)
 
 
-def _check_backend_name(name: str) -> str:
-    """Validate a backend name against :data:`BACKEND_NAMES`."""
-    if name not in BACKEND_NAMES:
-        known = ", ".join(BACKEND_NAMES)
-        raise ValueError(f"unknown backend {name!r}; known backends: {known}")
-    return name
+def resolve_backend(backend: str | None) -> str:
+    """The backend name a ``backend=`` argument selects.
 
-
-@functools.cache
-def _registry() -> dict[str, EngineBackend]:
-    """One shared stateless instance per backend, built on first use.
-
-    Building it imports the kernels, which is why this module (and so
-    the CLI's ``--backend`` choices) does not.
+    ``None`` is the per-process default; a name in
+    :data:`BACKEND_NAMES` is itself; anything else raises
+    ``ValueError``.
     """
-    from repro.sim.backends.exact import ExactBackend
-    from repro.sim.backends.vector import VectorBackend
-
-    backends = (ExactBackend(), VectorBackend(), VectorBackend(rng_mode="replay"))
-    return {backend.name: backend for backend in backends}
-
-
-def get_backend(name: str) -> EngineBackend:
-    """The registered backend for *name* (shared stateless instance)."""
-    return _registry()[_check_backend_name(name)]
+    if backend is None:
+        return _DEFAULT_BACKEND
+    if backend not in BACKEND_NAMES:
+        known = ", ".join(BACKEND_NAMES)
+        raise ValueError(f"unknown backend {backend!r}; known backends: {known}")
+    return backend
 
 
 def available_backends() -> dict[str, str | None]:
     """Map every backend name to ``None`` (usable) or why it is not."""
-    return {name: get_backend(name).unavailable_reason() for name in BACKEND_NAMES}
-
-
-def resolve_backend(
-    backend: "str | EngineBackend | None",
-) -> "EngineBackend":
-    """Resolve a ``backend=`` argument to a concrete backend instance.
-
-    Accepts a registry name, an :class:`EngineBackend` instance (passed
-    through), or ``None`` (the per-process default).
-    """
-    if backend is None:
-        return get_backend(_DEFAULT_BACKEND)
-    if isinstance(backend, str):
-        return get_backend(backend)
-    if isinstance(backend, EngineBackend):
-        return backend
-    raise TypeError(
-        f"backend must be a name, an EngineBackend, or None; got {backend!r}"
-    )
+    missing = None
+    if not numpy_available():
+        missing = "numpy is not installed (pip install 'repro[perf]')"
+    return {name: None if name == "exact" else missing for name in BACKEND_NAMES}
 
 
 StopCondition = Callable[[Any], bool]

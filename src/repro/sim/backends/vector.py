@@ -1,4 +1,4 @@
-"""The vector backend: an engine with a numpy columnar kernel.
+"""The vector backends: an engine with a numpy columnar kernel.
 
 :class:`VectorEngine` is an :class:`~repro.sim.engine.Engine` that adds
 one kernel.  Instead of driving ``n`` Python protocol objects slot by
@@ -49,21 +49,18 @@ exact kernels and feeds them through the engine's one run end.  So do
 the run-end watchdogs (:mod:`repro.obs.watchdog`), which read the
 protocols' state after :meth:`~VectorEngine.run` imports it back.
 
-numpy itself is imported lazily: constructing the backend without
+numpy itself is imported lazily: constructing the engine without
 numpy installed raises one actionable error instead of an ImportError
-at package import time.
+at package import time.  ``build_engine(backend="vector")`` builds it
+with ``rng_mode="numpy"``, and ``backend="vector-replay"`` with
+``rng_mode="replay"``.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Sequence
 
-from repro.sim.backends.base import (
-    BackendUnavailableError,
-    EngineBackend,
-    numpy_available,
-    vector_contract,
-)
+from repro.sim.backends.base import BackendUnavailableError, vector_contract
 from repro.sim.channels import DynamicSchedule, Network, StaticSchedule
 from repro.sim.engine import Engine, RunResult
 from repro.sim.rng import derive_seed
@@ -81,8 +78,9 @@ _NEVER = -2
 def _numpy():
     """Import numpy on first use, with a one-line actionable error.
 
-    Called once per run, not per slot; repeat imports are a
-    ``sys.modules`` dict hit, so no extra caching layer is needed.
+    Called when the engine is built and once per run, not per slot;
+    repeat imports are a ``sys.modules`` dict hit, so no extra caching
+    layer is needed.
     """
     try:
         import numpy
@@ -112,7 +110,9 @@ class VectorEngine(Engine):
         winners from a seeded :class:`numpy.random.Generator` — the
         fast, Tier-B mode.  ``"replay"`` draws from the exact engine's
         Python streams in the exact engine's order, producing
-        bit-identical runs (Tier A) at reduced speedup.
+        bit-identical runs (Tier A) at reduced speedup.  Any other
+        value raises ``ValueError``; a missing numpy raises
+        :class:`~repro.sim.backends.base.BackendUnavailableError`.
     """
 
     def __init__(
@@ -124,9 +124,10 @@ class VectorEngine(Engine):
         rng_mode: str = "numpy",
         **options: Any,
     ) -> None:
-        super().__init__(network, protocols, seed=seed, **options)
         if rng_mode not in ("numpy", "replay"):
             raise ValueError(f"rng_mode must be 'numpy' or 'replay', got {rng_mode!r}")
+        _numpy()
+        super().__init__(network, protocols, seed=seed, **options)
         self.rng_mode = rng_mode
         #: Whether the most recent :meth:`run` used the columnar kernel.
         self.vector_engaged = False
@@ -389,29 +390,3 @@ class VectorEngine(Engine):
         self._deliveries = deliveries
         self._wasted_listens = wasted_listens
         return executed, completed
-
-
-class VectorBackend(EngineBackend):
-    """Build a :class:`VectorEngine` (numpy required at build time)."""
-
-    name = "vector"
-
-    def __init__(self, rng_mode: str = "numpy") -> None:
-        if rng_mode not in ("numpy", "replay"):
-            raise ValueError(
-                f"rng_mode must be 'numpy' or 'replay', got {rng_mode!r}"
-            )
-        self.rng_mode = rng_mode
-        if rng_mode == "replay":
-            self.name = "vector-replay"
-
-    def unavailable_reason(self) -> str | None:
-        if numpy_available():
-            return None
-        return "numpy is not installed (pip install 'repro[perf]')"
-
-    def build(
-        self, network: Network, protocols: "Sequence[Protocol]", **options: Any
-    ) -> VectorEngine:
-        _numpy()
-        return VectorEngine(network, protocols, rng_mode=self.rng_mode, **options)

@@ -574,7 +574,7 @@ def build_engine(
     jammer: Jammer | None = None,
     probe: "SlotProbe | None" = None,
     fast_path: bool = True,
-    backend: object = None,
+    backend: str | None = None,
 ) -> Engine:
     """Convenience constructor: build views, protocols, and the engine.
 
@@ -582,23 +582,23 @@ def build_engine(
     that node's protocol (it can branch on ``view.node_id`` to make one
     node the source).
 
-    *backend* selects the execution backend: a registry name
-    (``"exact"``, ``"vector"``, ``"vector-replay"``), an
-    :class:`~repro.sim.backends.base.EngineBackend` instance, or
-    ``None`` for the per-process default (``"exact"`` unless changed via
+    *backend* names the execution backend: ``"exact"`` builds an
+    :class:`Engine`, ``"vector"`` and ``"vector-replay"`` a
+    :class:`~repro.sim.backends.vector.VectorEngine` with
+    ``rng_mode="numpy"`` and ``"replay"``.  ``None`` is the per-process
+    default (``"exact"`` unless changed via
     :func:`repro.sim.backends.set_default_backend` / the CLI's
-    ``--backend`` flag).  Whatever the backend, the returned object is
-    an :class:`Engine`; views, protocols, and seed derivation are
-    identical across backends.
+    ``--backend`` flag); any other value raises ``ValueError``.
+    Whatever the backend, the returned object is an :class:`Engine`;
+    views, protocols, and seed derivation are identical across backends.
     """
     # Imported here, not at module top: backends import this module.
     from repro.sim.backends.base import resolve_backend
 
+    name = resolve_backend(backend)
     views = make_views(network, seed)
     protocols = [protocol_factory(view) for view in views]
-    return resolve_backend(backend).build(
-        network,
-        protocols,
+    options = dict(
         collision=collision,
         seed=seed,
         trace=trace,
@@ -606,3 +606,9 @@ def build_engine(
         probe=probe,
         fast_path=fast_path,
     )
+    if name == "exact":
+        return Engine(network, protocols, **options)
+    from repro.sim.backends.vector import VectorEngine
+
+    rng_mode = "replay" if name == "vector-replay" else "numpy"
+    return VectorEngine(network, protocols, rng_mode=rng_mode, **options)

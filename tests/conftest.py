@@ -43,17 +43,20 @@ def medium_network() -> Network:
 
 
 @pytest.fixture(scope="session")
-def cli_report(tmp_path_factory) -> tuple[int, Path, str]:
-    """One ``repro report --fast --trials 2`` pass: exit code, file, stdout.
+def cli_report(tmp_path_factory) -> tuple[int, Path, str, Path]:
+    """One ``repro report --fast --trials 2 --telemetry`` pass.
 
+    Returns the exit code, the report, stdout and the telemetry file.
     Regenerating every experiment is the suite's most expensive step,
     so the tests that only read a default-seed report share this pass.
     """
-    path = tmp_path_factory.mktemp("cli-report") / "out.md"
+    directory = tmp_path_factory.mktemp("cli-report")
+    path, telemetry = directory / "out.md", directory / "telemetry.jsonl"
+    argv = ["report", "--fast", "--trials", "2", "--output", str(path)]
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
-        code = main(["report", "--fast", "--trials", "2", "--output", str(path)])
-    return code, path, stdout.getvalue()
+        code = main([*argv, "--telemetry", str(telemetry)])
+    return code, path, stdout.getvalue(), telemetry
 
 
 @pytest.fixture(scope="session")

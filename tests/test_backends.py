@@ -26,6 +26,7 @@ import sys
 
 import pytest
 
+import repro.core.runners
 from repro.analysis.stats import mean_confidence_interval
 from repro.analysis.theory import cogcast_slot_bound
 from repro.assignment import dynamic_shared_core_schedule, shared_core
@@ -42,11 +43,10 @@ from repro.sim.backends import (
     AllInformed,
     BACKEND_NAMES,
     BackendUnavailableError,
-    VectorBackend,
+    VectorEngine,
     available_backends,
     backend_scope,
     default_backend_name,
-    get_backend,
     numpy_available,
     resolve_backend,
 )
@@ -72,12 +72,16 @@ def cogcast_factory(view):
     return CogCast(view, is_source=(view.node_id == 0))
 
 
-class KeepEngine(VectorBackend):
-    """The vector backend, keeping the engine it built last."""
+def keep_engines(monkeypatch):
+    """Make the runners' ``build_engine`` keep every engine it builds."""
+    engines = []
 
-    def build(self, network, protocols, **options):
-        self.engine = super().build(network, protocols, **options)
-        return self.engine
+    def keeping(*args, **kwargs):
+        engines.append(build_engine(*args, **kwargs))
+        return engines[-1]
+
+    monkeypatch.setattr(repro.core.runners, "build_engine", keeping)
+    return engines
 
 
 def drive(seed: int, *, backend, network=None, probe=None):
@@ -213,21 +217,22 @@ class TestTierBStatistical:
             assert protocol.message == protocols[0].message
 
     @pytest.mark.parametrize("seed", SEEDS[:2])
-    def test_watchdogs_clean_under_vector_backend(self, seed):
+    def test_watchdogs_clean_under_vector_backend(self, seed, monkeypatch):
         """Run-end watchdogs keep the columnar kernel and stay silent."""
         n, c, k = 48, 6, 2
         budget = SlotBudgetWatchdog()
         informed = InformedSetWatchdog()
-        backend = KeepEngine()
+        engines = keep_engines(monkeypatch)
         run_local_broadcast(
             make_network(seed, n=n, c=c, k=k),
             seed=seed,
             max_slots=10_000,
             require_completion=True,
             watchdogs=(budget, informed),
-            backend=backend,
+            backend="vector",
         )
-        assert backend.engine.vector_engaged
+        [engine] = engines
+        assert engine.vector_engaged
         assert budget.anomalies == []
         assert informed.anomalies == []
 
@@ -325,14 +330,22 @@ class TestBackendSelection:
         assert set(available_backends()) == set(BACKEND_NAMES)
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            get_backend("columnar")
+        # A backend is a name: an object that is not one is refused like
+        # an unknown name, by the resolver, the engine builder and a runner.
+        for backend in ("columnar", object(), ["exact"], 0):
+            with pytest.raises(ValueError, match="unknown backend"):
+                resolve_backend(backend)
+            with pytest.raises(ValueError, match="unknown backend"):
+                build_engine(make_network(0), cogcast_factory, backend=backend)
+            with pytest.raises(ValueError, match="unknown backend"):
+                run_local_broadcast(make_network(0), max_slots=10, backend=backend)
 
-    def test_resolve_accepts_name_instance_and_none(self):
-        assert resolve_backend("exact").name == "exact"
-        backend = VectorBackend()
-        assert resolve_backend(backend) is backend
-        assert resolve_backend(None).name == default_backend_name()
+    def test_resolve_returns_a_name(self):
+        assert resolve_backend("exact") == "exact"
+        assert resolve_backend("vector-replay") == "vector-replay"
+        assert resolve_backend(None) == default_backend_name()
+        with backend_scope("vector"):
+            assert resolve_backend(None) == "vector"
 
     def test_backend_scope_restores_default(self):
         before = default_backend_name()
@@ -368,15 +381,21 @@ class TestBackendSelection:
 
     def test_missing_numpy_raises_actionable_error(self, monkeypatch):
         monkeypatch.setitem(sys.modules, "numpy", None)
-        network = make_network(0)
-        with pytest.raises(
-            BackendUnavailableError, match="pip install 'repro\\[perf\\]'"
-        ):
-            VectorBackend().build(network, _protocols_for(network))
+        for backend in ("vector", "vector-replay"):
+            with pytest.raises(
+                BackendUnavailableError, match="pip install 'repro\\[perf\\]'"
+            ):
+                build_engine(make_network(0), cogcast_factory, backend=backend)
+        assert available_backends() == {
+            "exact": None,
+            "vector": "numpy is not installed (pip install 'repro[perf]')",
+            "vector-replay": "numpy is not installed (pip install 'repro[perf]')",
+        }
 
     def test_invalid_rng_mode_rejected(self):
+        network = make_network(0)
         with pytest.raises(ValueError, match="rng_mode"):
-            VectorBackend(rng_mode="exotic")
+            VectorEngine(network, _protocols_for(network), rng_mode="exotic")
 
 
 def _protocols_for(network: Network):

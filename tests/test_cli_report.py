@@ -6,11 +6,12 @@ import pytest
 
 from repro.cli import main
 from repro.experiments import load_all
+from repro.obs.telemetry import read_telemetry
 
 
 class TestWriteReport:
     def test_report_contains_all_experiments(self, cli_report):
-        _, path, _ = cli_report
+        _, path, _, _ = cli_report
         content = path.read_text()
         for experiment_id in load_all():
             assert f"## {experiment_id} — " in content
@@ -25,10 +26,24 @@ class TestWriteReport:
         assert "fast=True" in content
 
     def test_report_cli(self, cli_report):
-        code, path, out = cli_report
+        code, path, out, _ = cli_report
         assert code == 0
         assert path.exists()
         assert str(path) in out
+
+    def test_report_experiment_records_carry_metrics_and_resources(self, cli_report):
+        """``report`` writes the experiment record ``run`` writes."""
+        *_, telemetry = cli_report
+        records = [
+            record
+            for record in read_telemetry(telemetry)
+            if record["kind"] == "experiment"
+        ]
+        assert [record["experiment"] for record in records] == list(load_all())
+        for record in records:
+            counted = record["metrics"]["metrics"]["experiments_run"]["series"]
+            assert counted == [{"labels": [record["experiment"]], "value": 1.0}]
+            assert "max_rss_kb" in record["resources"]
 
 
 class TestCliEdges:

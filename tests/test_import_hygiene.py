@@ -7,7 +7,8 @@ stack, the experiment registry nor ``subprocess``; trace persistence
 does not load the runners; and the obs read path (the CLI parser, then
 the query, store and regression modules) loads none of the engine,
 the protocols, the experiments, the span and watchdog probes or numpy,
-so it runs on the standard library alone.
+so it runs on the standard library alone.  ``repro --version`` names
+the backends that can run here without loading a kernel or numpy.
 """
 
 from __future__ import annotations
@@ -45,6 +46,10 @@ CASES = {
             "repro.obs.watchdog",
             "numpy",
         ),
+    ),
+    "version": (
+        "import repro.cli\nrepro.cli._version_string()",
+        ("repro.sim.engine", "repro.sim.backends.vector", "numpy"),
     ),
 }
 

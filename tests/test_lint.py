@@ -398,7 +398,7 @@ class TestR4ProtocolIsolation:
         findings = lint_snippet(
             tmp_path,
             """
-            from repro.sim.backends import VectorBackend
+            from repro.sim.backends import VectorEngine
             from repro.sim.protocol import Protocol
 
             class SelfVectorizing(Protocol):
@@ -1609,10 +1609,17 @@ class TestExplainAndEffects:
         assert "rng" in out
         assert "VectorEngine._run_vector" in out
 
-    def test_effects_unknown_function_exits_two(self, capsys):
+    def test_effects_unknown_function_exits_two(self, tmp_path, capsys):
+        root = tmp_path / "repro"
+        root.mkdir()
+        (root / "__init__.py").write_text("")
+        (root / "known.py").write_text("def present():\n    return 1\n")
+        assert lint_main(["effects", "repro.known:present", "--root", str(root)]) == 0
+        capsys.readouterr()
         assert (
-            lint_main(["effects", "repro.nope:missing", "--root", str(SRC)]) == 2
+            lint_main(["effects", "repro.nope:missing", "--root", str(root)]) == 2
         )
+        assert "unknown function 'repro.nope:missing'" in capsys.readouterr().err
 
     def test_effects_usage_error(self, capsys):
         assert lint_main(["effects"]) == 2

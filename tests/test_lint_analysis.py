@@ -11,6 +11,8 @@ import ast
 import pathlib
 import textwrap
 
+import pytest
+
 from repro.lint.analysis import (
     EFFECT_AMBIENT_RNG,
     EFFECT_GLOBAL_WRITE,
@@ -366,39 +368,39 @@ class TestQualnameResolution:
         assert project.resolve_callable_qualname("repro.mod:Missing.act") is None
 
 
-class TestShippedSources:
-    def build(self):
-        modules = [load_module(path) for path in iter_python_files([SRC])]
-        return build_project(
-            module for module in modules if isinstance(module, ModuleContext)
-        )
+@pytest.fixture(scope="module")
+def shipped_project():
+    """The whole-program analysis of ``src/repro``, built once per module."""
+    modules = [load_module(path) for path in iter_python_files([SRC])]
+    return build_project(
+        module for module in modules if isinstance(module, ModuleContext)
+    )
 
-    def test_engine_run_signature_is_rng_and_perf_counter(self):
-        project = self.build()
-        signature = project.effects.signature("repro.sim.engine:Engine.run")
+
+class TestShippedSources:
+    def test_engine_run_signature_is_rng_and_perf_counter(self, shipped_project):
+        signature = shipped_project.effects.signature("repro.sim.engine:Engine.run")
         assert EFFECT_RNG in signature
         assert signature <= {EFFECT_RNG, "perf-counter"}
 
-    def test_experiment_measures_are_parallel_pure(self):
+    def test_experiment_measures_are_parallel_pure(self, shipped_project):
         from repro.lint.analysis import IMPURE_EFFECTS
 
-        project = self.build()
         measures = [
             qualname
-            for qualname in project.callgraph.functions
+            for qualname in shipped_project.callgraph.functions
             if qualname.startswith("repro.experiments.")
             and ":measure_" in qualname
         ]
         assert measures, "expected measure_* trial functions in experiments"
         for qualname in measures:
-            impure = project.effects.signature(qualname) & IMPURE_EFFECTS
+            impure = shipped_project.effects.signature(qualname) & IMPURE_EFFECTS
             assert not impure, f"{qualname} has impure effects {sorted(impure)}"
 
-    def test_import_graph_covers_package(self):
-        project = self.build()
-        assert "repro.sim.engine" in project.imports.modules
-        assert "repro.experiments.harness" in project.imports.modules
-        assert "repro.obs.metrics" in project.imports.modules
+    def test_import_graph_covers_package(self, shipped_project):
+        assert "repro.sim.engine" in shipped_project.imports.modules
+        assert "repro.experiments.harness" in shipped_project.imports.modules
+        assert "repro.obs.metrics" in shipped_project.imports.modules
 
 
 class TestMetricsRegistryEffects:

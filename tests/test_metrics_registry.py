@@ -11,11 +11,13 @@ byte-identical across the fast, general and columnar kernels), the
 
 from __future__ import annotations
 
+import functools
 import io
 import json
 
 import pytest
 
+import repro.core.runners
 from repro.assignment import shared_core
 from repro.baselines.runners import run_rendezvous_broadcast
 from repro.core import CogCast
@@ -32,7 +34,7 @@ from repro.obs.metrics import (
     validate_snapshot,
 )
 from repro.obs.telemetry import read_telemetry, run_record, validate_record
-from repro.sim.backends import AllInformed, ExactBackend, numpy_available
+from repro.sim.backends import AllInformed, numpy_available
 from repro.sim.channels import Network
 from repro.sim.engine import build_engine
 from repro.sim.metrics import compute_metrics
@@ -268,7 +270,7 @@ class TestMetricsProbe:
             snapshots.append(registry.snapshot())
         assert snapshots[0] == snapshots[1]
 
-    def test_attaching_metrics_keeps_fast_path(self, tmp_path):
+    def test_attaching_metrics_keeps_fast_path(self, tmp_path, monkeypatch):
         path = tmp_path / "t.jsonl"
         registry = MetricsRegistry()
         with TelemetrySink(path) as sink:
@@ -287,21 +289,18 @@ class TestMetricsProbe:
         assert records[1]["fast_path"] is True
         assert records[0]["slots"] == records[1]["slots"]
         general = MetricsRegistry()
-        run_local_broadcast(
-            small_network(),
-            seed=0,
-            max_slots=60,
-            metrics=general,
-            backend=GeneralKernel(),
-        )
+        force_general_kernel(monkeypatch)
+        run_local_broadcast(small_network(), seed=0, max_slots=60, metrics=general)
         assert general.snapshot() == registry.snapshot() == records[0]["metrics"]
 
 
-class GeneralKernel(ExactBackend):
-    """The exact engine with its fast kernel switched off."""
-
-    def build(self, network, protocols, **kwargs):
-        return super().build(network, protocols, **{**kwargs, "fast_path": False})
+def force_general_kernel(monkeypatch):
+    """Make every runner build the exact engine with its fast kernel off."""
+    monkeypatch.setattr(
+        repro.core.runners,
+        "build_engine",
+        functools.partial(build_engine, fast_path=False),
+    )
 
 
 #: Runner name -> call taking ``(network, **instruments)``.
@@ -321,12 +320,13 @@ KERNEL_PARITY_RUNNERS = {
 }
 
 
-def _cogcast_engine(probe, backend="exact"):
+def _cogcast_engine(probe, backend="exact", fast_path=True):
     return build_engine(
         small_network(),
         lambda view: CogCast(view, is_source=view.node_id == 0),
         seed=2,
         probe=probe,
+        fast_path=fast_path,
         backend=backend,
     )
 
@@ -336,21 +336,22 @@ class TestRunTotals:
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     @pytest.mark.parametrize("runner", sorted(KERNEL_PARITY_RUNNERS))
-    def test_snapshot_identical_across_kernels(self, runner, seed):
+    def test_snapshot_identical_across_kernels(self, runner, seed, monkeypatch):
         rng = derive_rng(seed, "kernel-parity")
         network = Network.static(shared_core(12, 6, 2, rng).shuffled_labels(rng))
-        kernels = {"fast": "exact", "general": GeneralKernel()}
-        if numpy_available():
-            kernels["vector-replay"] = "vector-replay"
+        kernels = ["fast", "vector-replay"] if numpy_available() else ["fast"]
+        kernels.append("general")  # last: its patch lasts to the end of the test
         snapshots, fast_paths = {}, {}
-        for kernel, backend in kernels.items():
+        for kernel in kernels:
+            if kernel == "general":
+                force_general_kernel(monkeypatch)
             registry, handle = MetricsRegistry(), io.StringIO()
             KERNEL_PARITY_RUNNERS[runner](
                 network,
                 seed=seed,
                 metrics=registry,
                 telemetry=TelemetrySink(handle),
-                backend=backend,
+                backend="vector-replay" if kernel == "vector-replay" else "exact",
             )
             snapshots[kernel] = json.dumps(registry.snapshot(), sort_keys=True)
             fast_paths[kernel] = json.loads(handle.getvalue())["fast_path"]
@@ -372,7 +373,8 @@ class TestRunTotals:
 
         engine = _cogcast_engine(
             Recorder(MetricsRegistry()),
-            GeneralKernel() if backend == "general" else backend,
+            "exact" if backend == "general" else backend,
+            fast_path=backend != "general",
         )
         engine.run(200, stop_when=AllInformed(engine.protocols))
         engaged = engine.fast_path_engaged or getattr(engine, "vector_engaged", False)

@@ -438,33 +438,15 @@ class TestTelemetryRecords:
         assert record["spans"] == spans.summary()
         assert "timings" not in record
 
+    def test_experiment_and_campaign_records_valid(self):
         experiment = experiment_record(
-            experiment_id="E01",
-            seed=3,
-            trials=1,
-            fast=True,
-            elapsed_s=0.1,
-            rows=1,
-            spans=spans,
+            experiment_id="E01", seed=0, trials=None, fast=True, elapsed_s=0.5, rows=4
         )
         assert validate_record(experiment) == []
-        assert experiment["spans"]["informed"] == len(spans.informed)
-        assert "timings" not in experiment
-
-    def test_experiment_and_campaign_records_valid(self):
-        assert (
-            validate_record(
-                experiment_record(
-                    experiment_id="E01",
-                    seed=0,
-                    trials=None,
-                    fast=True,
-                    elapsed_s=0.5,
-                    rows=4,
-                )
-            )
-            == []
-        )
+        # An experiment record carries no spans, but a file written
+        # with them still validates.
+        assert "spans" not in experiment
+        assert validate_record({**experiment, "spans": {"informed": 1}}) == []
         assert (
             validate_record(
                 campaign_record(
