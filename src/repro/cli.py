@@ -248,17 +248,15 @@ def _run_experiment(
 
 
 def _run_one(
-    experiment_id: str,
+    spec: Any,
     trials: int | None,
     seed: int,
     fast: bool,
     telemetry: object | None = None,
 ) -> None:
-    from repro.experiments.registry import get
-
-    table, elapsed = _run_experiment(get(experiment_id), trials, seed, fast, telemetry)
+    table, elapsed = _run_experiment(spec, trials, seed, fast, telemetry)
     print(table.render())
-    print(f"[{experiment_id} finished in {elapsed:.1f}s]\n")
+    print(f"[{spec.experiment_id} finished in {elapsed:.1f}s]\n")
 
 
 def _open_sink(path: str | None) -> object | None:
@@ -289,17 +287,20 @@ def main(argv: Sequence[str] | None = None) -> int:
 
         set_default_backend(args.backend)
     if args.command == "run":
+        from repro.experiments.registry import get, load_all
+
+        if args.experiment.lower() == "all":
+            specs = list(load_all().values())
+        else:
+            try:
+                specs = [get(args.experiment.upper())]
+            except KeyError as error:
+                print(f"repro run: error: {error.args[0]}", file=sys.stderr)
+                return 2
         sink = _open_sink(args.telemetry)
         try:
-            if args.experiment.lower() == "all":
-                from repro.experiments.registry import load_all
-
-                for experiment_id in load_all():
-                    _run_one(experiment_id, args.trials, args.seed, args.fast, sink)
-            else:
-                _run_one(
-                    args.experiment.upper(), args.trials, args.seed, args.fast, sink
-                )
+            for spec in specs:
+                _run_one(spec, args.trials, args.seed, args.fast, sink)
         finally:
             if sink is not None:
                 sink.close()  # type: ignore[attr-defined]

@@ -79,6 +79,7 @@ def get(experiment_id: str) -> ExperimentSpec:
     try:
         return _REGISTRY[experiment_id]
     except KeyError:
+        known = ", ".join(sorted(_REGISTRY))
         raise KeyError(
-            f"unknown experiment {experiment_id!r}; known: {sorted(_REGISTRY)}"
+            f"unknown experiment {experiment_id!r}; known: {known}"
         ) from None

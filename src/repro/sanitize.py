@@ -559,6 +559,8 @@ def sanitize(
             f"the jobs check compares jobs=1 with jobs={jobs}, which perturbs "
             "nothing; use 2 or more workers or leave the jobs check out"
         )
+    if ":" not in target:
+        resolve_entry(target)  # an unknown id raises before any capture starts
 
     report = SanitizeReport(
         experiment=target, control=CONTROL, pool=pool_fingerprint()
@@ -680,8 +682,11 @@ def dispatch(args: Any) -> int:
             checks=checks,
             workdir=args.workdir,
         )
-    except (SanitizeError, ValueError, KeyError, ImportError, AttributeError) as error:
+    except (SanitizeError, ValueError, ImportError, AttributeError) as error:
         print(f"repro sanitize: {error}", file=sys.stderr)
+        return 2
+    except KeyError as error:
+        print(f"repro sanitize: error: {error.args[0]}", file=sys.stderr)
         return 2
     print(report.render())
     if args.report is not None:

@@ -10,9 +10,10 @@ A backend is one of three names (:data:`BACKEND_NAMES`), which
   which adds the numpy columnar kernel (Tier-B numpy RNG streams; an
   order of magnitude faster at ``n >= 10^4``).
 - ``"vector-replay"`` — the columnar kernel drawing from the exact
-  engine's Python RNG streams in the exact engine's order, producing
-  bit-identical runs (Tier A); used by the equivalence tests and
-  available anywhere a slower-but-provably-exact vector run is wanted.
+  engine's Python RNG streams, consuming each as the exact engine
+  does, producing bit-identical runs (Tier A); used by the equivalence
+  tests and available anywhere a slower-but-provably-exact vector run
+  is wanted.
 
 Importing this package loads no kernel and never imports numpy: the
 vector engine loads numpy when it is built and raises

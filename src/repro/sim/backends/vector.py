@@ -14,14 +14,20 @@ magnitude faster than the exact engine's fast path
 Equivalence contract (see ``docs/performance.md`` "Backends"):
 
 - **Tier A (bit-identical).**  With ``rng_mode="replay"`` the kernel
-  draws every random number from the same streams, in the same order,
-  as the exact engine: one ``randrange(c)`` per node per slot from the
-  node's own :class:`random.Random`, and one ``choice`` per contended
-  channel (ascending physical channel order) from the engine's
-  collision stream.  Final protocol states, ``RunResult``, and both
-  RNG stream states are equal draw for draw — this mode exists to
-  prove the columnar grouping/collision/delivery machinery exact, and
-  it reuses the fast path's eligibility discipline (exact types only).
+  consumes every stream exactly as the exact engine does.  Each slot
+  it takes the draws ``randrange(c)`` makes from every node's own
+  :class:`random.Random` — ``getrandbits`` of ``c``'s bit length,
+  redrawn while ``>= c`` — batched across nodes: one pass for all
+  nodes, then redraws for only the rejected ones.  The order across
+  nodes is free because each stream is one node's, so a population
+  whose streams are not distinct plain ``random.Random`` objects takes
+  the exact kernels.  From the engine's collision stream it takes one
+  ``choice`` per contended channel, in ascending physical channel
+  order; a lone broadcaster wins with no draw.  Final protocol states,
+  ``RunResult``, and both RNG stream states are equal draw for draw —
+  this mode exists to prove the columnar grouping/collision/delivery
+  machinery exact, and it reuses the fast path's eligibility
+  discipline (exact types only).
 - **Tier B (statistical).**  The default ``rng_mode="numpy"`` draws
   from a :class:`numpy.random.Generator` seeded via the repository's
   seed discipline (``derive_seed(seed, "vector-engine")``).  Runs are
@@ -58,6 +64,7 @@ with ``rng_mode="numpy"``, and ``backend="vector-replay"`` with
 
 from __future__ import annotations
 
+import random
 from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.sim.backends.base import BackendUnavailableError, vector_contract
@@ -108,8 +115,9 @@ class VectorEngine(Engine):
     rng_mode:
         ``"numpy"`` (default) draws channel choices and collision
         winners from a seeded :class:`numpy.random.Generator` — the
-        fast, Tier-B mode.  ``"replay"`` draws from the exact engine's
-        Python streams in the exact engine's order, producing
+        fast, Tier-B mode.  ``"replay"`` consumes the exact engine's
+        Python streams as the exact engine does (each node's stream
+        as ``randrange`` would, in any order across nodes), producing
         bit-identical runs (Tier A) at reduced speedup.  Any other
         value raises ``ValueError``; a missing numpy raises
         :class:`~repro.sim.backends.base.BackendUnavailableError`.
@@ -177,7 +185,7 @@ class VectorEngine(Engine):
         the vector backend never changes observable behavior, only speed.
 
         Also returns the protocols' ``vector_export()`` snapshots, which
-        the last two checks read and the kernel starts from (empty when
+        the last three checks read and the kernel starts from (empty when
         an earlier check already failed).  Every check runs before any
         state mutates, so falling back is always safe.
         """
@@ -210,6 +218,13 @@ class VectorEngine(Engine):
             # Logs are per-slot Python records; populations that keep
             # them (COGCOMP phase one) take the exact engine.
             return "protocol keeps a per-slot log", []
+        if self.rng_mode == "replay":
+            # The batched label draws reproduce randrange only on
+            # distinct plain random.Random streams.
+            streams = [export["rng"] for export in exports]
+            plain = all(type(stream) is random.Random for stream in streams)
+            if not plain or len(set(streams)) < len(streams):
+                return "node streams are not distinct random.Random instances", []
         return None, exports
 
     # -- the columnar kernel --------------------------------------------
@@ -266,7 +281,8 @@ class VectorEngine(Engine):
         replay = self.rng_mode == "replay"
         if replay:
             rng_choice = self.rng.choice
-            label_draws = [e["rng"].randrange for e in exports]
+            label_bits = c.bit_length()
+            label_draws = [e["rng"].getrandbits for e in exports]
             np_rng = None
         else:
             if self._np_rng is None:
@@ -301,9 +317,19 @@ class VectorEngine(Engine):
             if not static:
                 table, num_channels = table_for(slot)
             if replay:
-                labels = np.fromiter(
-                    (draw(c) for draw in label_draws), dtype=np.int64, count=n
+                # randrange(c) on a plain random.Random: getrandbits of
+                # c's bit length, redrawn while >= c.  Each stream is
+                # one node's, so drawing node by node per round leaves
+                # every stream where per-node randrange would.
+                labels = np.array(
+                    [draw(label_bits) for draw in label_draws], dtype=np.int64
                 )
+                redraw = np.flatnonzero(labels >= c)
+                while redraw.size:
+                    labels[redraw] = [
+                        label_draws[node](label_bits) for node in redraw.tolist()
+                    ]
+                    redraw = redraw[labels[redraw] >= c]
             else:
                 labels = np_rng.integers(0, c, size=n)
             channels = table[rows, labels]
@@ -313,23 +339,25 @@ class VectorEngine(Engine):
             winner_node = np.full(num_channels, -1, dtype=np.int64)
             if broadcaster_nodes.size:
                 if replay:
-                    # Contended channels resolve in ascending channel
-                    # order with one draw each, matching the exact
-                    # engine's RNG stream draw for draw; the stable
-                    # sort keeps each group in ascending node order,
-                    # matching its envelope list.
-                    order = np.argsort(broadcaster_channels, kind="stable")
-                    sorted_channels = broadcaster_channels[order]
-                    sorted_nodes = broadcaster_nodes[order]
-                    starts = np.flatnonzero(
-                        np.r_[True, sorted_channels[1:] != sorted_channels[:-1]]
-                    )
-                    ends = np.r_[starts[1:], sorted_channels.size]
-                    for start, end in zip(starts.tolist(), ends.tolist()):
-                        size = end - start
-                        offset = 0 if size == 1 else rng_choice(range(size))
-                        winner_node[sorted_channels[start]] = sorted_nodes[
-                            start + offset
+                    # A lone broadcaster wins its channel with no draw;
+                    # the scatter leaves an arbitrary one on contended
+                    # channels, which are then resolved in ascending
+                    # channel order with one draw each, matching the
+                    # exact engine's RNG stream draw for draw.  The
+                    # stable sort keeps each group in ascending node
+                    # order, matching its envelope list.
+                    winner_node[broadcaster_channels] = broadcaster_nodes
+                    contended = np.flatnonzero(counts > 1)
+                    if contended.size:
+                        sizes = counts[contended]
+                        in_contest = counts[broadcaster_channels] > 1
+                        contest_channels = broadcaster_channels[in_contest]
+                        grouped = broadcaster_nodes[in_contest][
+                            np.argsort(contest_channels, kind="stable")
+                        ]
+                        offsets = [rng_choice(range(size)) for size in sizes.tolist()]
+                        winner_node[contended] = grouped[
+                            np.cumsum(sizes) - sizes + offsets
                         ]
                 else:
                     # Uniform winner per channel: iid keys, scatter-min.

@@ -103,23 +103,65 @@ def drive(seed: int, *, backend, network=None, probe=None):
     return engine, result, states, node_rng_states
 
 
+@pytest.mark.parametrize("seed", SEEDS)
+def test_randrange_is_getrandbits_with_rejection(seed):
+    """Replay's label-draw rule is ``randrange``'s on this interpreter.
+
+    The replay kernel draws ``getrandbits(c.bit_length())`` and redraws
+    values ``>= c``, which is how ``random.Random.randrange(c)`` draws;
+    Tier A holds only while that stays true.
+    """
+    reference, rule = random.Random(seed), random.Random(seed)
+    for c in range(1, 71):
+        bits = c.bit_length()
+        for _ in range(20):
+            value = rule.getrandbits(bits)
+            while value >= c:
+                value = rule.getrandbits(bits)
+            assert reference.randrange(c) == value, c
+    assert reference.getstate() == rule.getstate()
+
+
+#: Replay shapes beyond the default network, by id: ``(seed, (n, c, k))``.
+#: ``c`` = 1 gives every node one channel; at ``c`` = 16 and 64 half of
+#: all candidate label draws are redrawn; ``n`` = 300 with ``c - k`` = 12
+#: private channels a node has thousands of single-broadcaster channels.
+REPLAY_SHAPES = {
+    "c1": (0, (12, 1, 1)),
+    "c16": (1, (24, 16, 4)),
+    "c64": (7, (24, 64, 8)),
+    "n300-c16-k4": (11, (300, 16, 4)),
+}
+
+
+def replay_cases(seeds, shapes=tuple(REPLAY_SHAPES)):
+    """*seeds* on the default network, then the named *shapes*."""
+    return [pytest.param(seed, (24, 6, 2), id=str(seed)) for seed in seeds] + [
+        pytest.param(*REPLAY_SHAPES[name], id=name) for name in shapes
+    ]
+
+
 @needs_numpy
 class TestTierAReplayBitIdentity:
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_static_schedule_identical(self, seed):
-        exact = drive(seed, backend="exact")
-        vector = drive(seed, backend="vector-replay")
+    @pytest.mark.parametrize(("seed", "shape"), replay_cases(SEEDS))
+    def test_static_schedule_identical(self, seed, shape):
+        exact = drive(seed, backend="exact", network=make_network(seed, *shape))
+        vector = drive(
+            seed, backend="vector-replay", network=make_network(seed, *shape)
+        )
         assert vector[0].vector_engaged
         assert exact[1] == vector[1]  # RunResult
         assert exact[2] == vector[2]  # protocol states + messages
         assert exact[3] == vector[3]  # every node RNG stream
         assert exact[0].rng.getstate() == vector[0].rng.getstate()
 
-    @pytest.mark.parametrize("seed", SEEDS[:3])
-    def test_dynamic_schedule_identical(self, seed):
-        exact = drive(seed, backend="exact", network=make_dynamic_network(seed))
+    @pytest.mark.parametrize(("seed", "shape"), replay_cases(SEEDS[:3], ("c1", "c16")))
+    def test_dynamic_schedule_identical(self, seed, shape):
+        exact = drive(
+            seed, backend="exact", network=make_dynamic_network(seed, *shape)
+        )
         vector = drive(
-            seed, backend="vector-replay", network=make_dynamic_network(seed)
+            seed, backend="vector-replay", network=make_dynamic_network(seed, *shape)
         )
         assert vector[0].vector_engaged
         assert exact[1] == vector[1]
@@ -127,13 +169,18 @@ class TestTierAReplayBitIdentity:
         assert exact[3] == vector[3]
         assert exact[0].rng.getstate() == vector[0].rng.getstate()
 
-    @pytest.mark.parametrize("seed", SEEDS[:3])
-    def test_metrics_snapshots_identical(self, seed):
+    @pytest.mark.parametrize(("seed", "shape"), replay_cases(SEEDS[:3]))
+    def test_metrics_snapshots_identical(self, seed, shape):
         """Aggregate-feed probes see the same counters either way."""
         snapshots = []
         for backend in ("exact", "vector-replay"):
             registry = MetricsRegistry()
-            drive(seed, backend=backend, probe=MetricsProbe(registry))
+            drive(
+                seed,
+                backend=backend,
+                network=make_network(seed, *shape),
+                probe=MetricsProbe(registry),
+            )
             snapshots.append(registry.snapshot())
         assert snapshots[0] == snapshots[1]
 

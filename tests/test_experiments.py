@@ -117,6 +117,11 @@ class TestCli:
         assert "E10" in out
         assert "finished in" in out
 
-    def test_run_unknown(self):
-        with pytest.raises(KeyError):
-            main(["run", "E77", "--fast"])
+    def test_run_unknown(self, capsys):
+        """An unknown id is a usage error: exit 2, one line naming the ids."""
+        assert main(["run", "E77", "--fast"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"repro run: error: unknown experiment 'E77'; known: {', '.join(ALL_IDS)}"
+        ]

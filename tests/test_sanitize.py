@@ -237,6 +237,17 @@ class TestSanitizeCli:
         assert "argument --trials: must be >= 1, got 0" in err
         assert "Traceback" not in err
 
+    def test_cli_unknown_experiment_refused_before_capture(self, monkeypatch, capsys):
+        def no_capture(*args, **kwargs):
+            raise AssertionError("a capture child started")
+
+        monkeypatch.setattr("repro.sanitize.capture_subprocess", no_capture)
+        code = repro_main(["sanitize", "E99", "--fast", "--checks", "hashseed"])
+        assert code == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("repro sanitize: error: unknown experiment 'E99'; ")
+        assert line.endswith("known: " + ", ".join(f"E{i:02d}" for i in range(1, 30)))
+
     def test_cli_jobs_below_two_needs_no_jobs_check(self, child_path, capsys):
         entry = ["sanitize", "tests.sanitize_entry:run_clean", "--trials", "2"]
         assert repro_main([*entry, "--jobs", "0"]) == 2

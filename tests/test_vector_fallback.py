@@ -1,9 +1,10 @@
 """The vector backend's fallbacks to the exact kernels.
 
-Two checks read the protocols' ``vector_export()`` snapshots rather
+Three checks read the protocols' ``vector_export()`` snapshots rather
 than the engine configuration: a declared-contract violation (an export
-missing fields the kernel materializes) and a population that keeps
-per-slot logs.  Both must fall back to the exact engine like every
+missing fields the kernel materializes), a population that keeps
+per-slot logs, and (replay only) node streams the batched label draws
+cannot replay.  All must fall back to the exact engine like every
 other ineligible configuration: same reason strings, same results, and
 one engine run per ``run()`` in whatever a probe observes.
 
@@ -15,6 +16,7 @@ collision stream, exactly as two runs of the exact engine do.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -51,6 +53,35 @@ def partial_factory(view):
     return PartialExport(view, is_source=(view.node_id == 0))
 
 
+class Stream(random.Random):
+    """A ``random.Random`` subclass, which may draw by rules of its own."""
+
+
+def shared_stream_factory():
+    """A factory whose node 1 draws labels from node 0's stream."""
+    node_zero = []
+
+    def factory(view):
+        if view.node_id == 0:
+            node_zero.append(view.rng)
+        elif view.node_id == 1:
+            view = replace(view, rng=node_zero[0])
+        return CogCast(view, is_source=(view.node_id == 0))
+
+    return factory
+
+
+def subclass_stream_factory():
+    """A factory whose nodes draw from ``Stream`` copies of their streams."""
+
+    def factory(view):
+        stream = Stream()
+        stream.setstate(view.rng.getstate())
+        return CogCast(replace(view, rng=stream), is_source=(view.node_id == 0))
+
+    return factory
+
+
 def network(seed: int = 5) -> Network:
     return Network.static(shared_core(24, 6, 2, random.Random(seed)))
 
@@ -78,6 +109,44 @@ def test_export_checks_fall_back_with_their_reason(factory, reason, backend):
     assert engine.fast_path_engaged == exact_engine.fast_path_engaged
     assert engine.slot == exact_engine.slot
     assert [p.parent for p in engine.protocols] == [p.parent for p in exact_engine.protocols]
+
+
+def final_states(engine):
+    """Every protocol's state and node stream after a run."""
+    return [
+        (
+            p.informed,
+            p.parent,
+            p.informed_slot,
+            p.informed_label,
+            p.message,
+            p.view.rng.getstate(),
+        )
+        for p in engine.protocols
+    ]
+
+
+@pytest.mark.parametrize(
+    "make_factory", [shared_stream_factory, subclass_stream_factory]
+)
+def test_replay_falls_back_on_streams_it_cannot_batch(make_factory):
+    """A shared stream or a ``Random`` subclass takes the exact kernels.
+
+    Replay reorders label draws across nodes, which is exact only for
+    distinct plain ``random.Random`` streams; numpy mode draws none of
+    them and stays columnar.
+    """
+    engine, result = drive(make_factory(), "vector-replay")
+    assert not engine.vector_engaged
+    assert (
+        engine.vector_fallback_reason
+        == "node streams are not distinct random.Random instances"
+    )
+    exact_engine, exact_result = drive(make_factory(), "exact")
+    assert result == exact_result
+    assert final_states(engine) == final_states(exact_engine)
+    assert engine.rng.getstate() == exact_engine.rng.getstate()
+    assert drive(make_factory(), "vector")[0].vector_engaged
 
 
 @pytest.mark.parametrize("factory", [logging_factory, partial_factory])
