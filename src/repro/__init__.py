@@ -35,21 +35,20 @@ Subpackages
 __version__ = "1.0.0"
 
 from repro._lazy import lazy_exports
-from repro.types import (
-    Channel,
-    GameError,
-    InvalidAssignmentError,
-    LocalLabel,
-    NodeId,
-    ProtocolViolationError,
-    ReproError,
-    SimulationError,
-    Slot,
-)
 
-#: Subpackages, each imported on first attribute access, so that
-#: ``import repro.sim.engine`` loads none of the others.
+#: Every exported name and the module that defines it (a subpackage to
+#: itself), imported on first use, so that ``import repro.sim.engine``
+#: loads none of the other subpackages.
 _EXPORTS = {
+    "Channel": "repro.types",
+    "GameError": "repro.types",
+    "InvalidAssignmentError": "repro.types",
+    "LocalLabel": "repro.types",
+    "NodeId": "repro.types",
+    "ProtocolViolationError": "repro.types",
+    "ReproError": "repro.types",
+    "SimulationError": "repro.types",
+    "Slot": "repro.types",
     "analysis": "repro.analysis",
     "apps": "repro.apps",
     "assignment": "repro.assignment",
@@ -61,18 +60,6 @@ _EXPORTS = {
     "spectrum": "repro.spectrum",
 }
 
-__all__ = [
-    "Channel",
-    "GameError",
-    "InvalidAssignmentError",
-    "LocalLabel",
-    "NodeId",
-    "ProtocolViolationError",
-    "ReproError",
-    "SimulationError",
-    "Slot",
-    *_EXPORTS,
-    "__version__",
-]
+__all__ = sorted(_EXPORTS)
 
 __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

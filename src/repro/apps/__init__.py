@@ -5,6 +5,13 @@ contains the compositions it names — currently consensus
 (:mod:`repro.apps.consensus`).
 """
 
-from repro.apps.consensus import ConsensusResult, run_consensus
+from repro._lazy import lazy_exports
 
-__all__ = ["ConsensusResult", "run_consensus"]
+_EXPORTS = {
+    "ConsensusResult": "repro.apps.consensus",
+    "run_consensus": "repro.apps.consensus",
+}
+
+__all__ = sorted(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

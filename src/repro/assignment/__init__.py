@@ -6,44 +6,27 @@ schedules) and :mod:`repro.assignment.validation` for structural
 statistics.
 """
 
-from repro.assignment.generators import (
-    GENERATORS,
-    dynamic_shared_core_schedule,
-    hopping_discussion_instance,
-    identical,
-    pairwise_blocks,
-    random_with_core,
-    shared_core,
-    two_set_worst_case,
-)
-from repro.assignment.jammed import (
-    effective_overlap,
-    jammed_dynamic_schedule,
-    random_jam_schedule,
-)
-from repro.assignment.validation import (
-    AssignmentSummary,
-    channel_load,
-    overlap_matrix,
-    shared_channels,
-    summarize,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "GENERATORS",
-    "AssignmentSummary",
-    "channel_load",
-    "dynamic_shared_core_schedule",
-    "effective_overlap",
-    "hopping_discussion_instance",
-    "jammed_dynamic_schedule",
-    "random_jam_schedule",
-    "identical",
-    "overlap_matrix",
-    "pairwise_blocks",
-    "random_with_core",
-    "shared_channels",
-    "shared_core",
-    "summarize",
-    "two_set_worst_case",
-]
+_EXPORTS = {
+    "GENERATORS": "repro.assignment.generators",
+    "dynamic_shared_core_schedule": "repro.assignment.generators",
+    "hopping_discussion_instance": "repro.assignment.generators",
+    "identical": "repro.assignment.generators",
+    "pairwise_blocks": "repro.assignment.generators",
+    "random_with_core": "repro.assignment.generators",
+    "shared_core": "repro.assignment.generators",
+    "two_set_worst_case": "repro.assignment.generators",
+    "effective_overlap": "repro.assignment.jammed",
+    "jammed_dynamic_schedule": "repro.assignment.jammed",
+    "random_jam_schedule": "repro.assignment.jammed",
+    "AssignmentSummary": "repro.assignment.validation",
+    "channel_load": "repro.assignment.validation",
+    "overlap_matrix": "repro.assignment.validation",
+    "shared_channels": "repro.assignment.validation",
+    "summarize": "repro.assignment.validation",
+}
+
+__all__ = sorted(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -1,16 +1,15 @@
 """The decay-backoff substrate validating the paper's collision abstraction
 (footnote 4): one message succeeds w.h.p. within O(log^2 n) micro-slots."""
 
-from repro.backoff.decay import (
-    DecayResult,
-    DecaySchedule,
-    resolve_contention,
-    success_probability_curve,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DecayResult",
-    "DecaySchedule",
-    "resolve_contention",
-    "success_probability_curve",
-]
+_EXPORTS = {
+    "DecayResult": "repro.backoff.decay",
+    "DecaySchedule": "repro.backoff.decay",
+    "resolve_contention": "repro.backoff.decay",
+    "success_probability_curve": "repro.backoff.decay",
+}
+
+__all__ = sorted(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

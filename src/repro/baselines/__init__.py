@@ -10,46 +10,28 @@
   harnesses, kept out of the protocol modules (lint rule R4).
 """
 
-from repro.baselines.aggregation import (
-    BaselineAggregationResult,
-    RendezvousCollector,
-    RendezvousReporter,
-)
-from repro.baselines.deterministic import (
-    StayAndScanBroadcast,
-    stay_and_scan_pairwise,
-)
-from repro.baselines.hopping import HoppingTogether
-from repro.baselines.rendezvous import (
-    RendezvousBroadcast,
-    pairwise_rendezvous_slots,
-)
-from repro.baselines.runners import (
-    run_hopping_together,
-    run_rendezvous_aggregation,
-    run_rendezvous_broadcast,
-    run_stay_and_scan_broadcast,
-)
-from repro.baselines.seeded import (
-    PairSetup,
-    make_pair,
-    repeated_rendezvous_gaps,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BaselineAggregationResult",
-    "HoppingTogether",
-    "PairSetup",
-    "RendezvousBroadcast",
-    "RendezvousCollector",
-    "RendezvousReporter",
-    "StayAndScanBroadcast",
-    "make_pair",
-    "pairwise_rendezvous_slots",
-    "repeated_rendezvous_gaps",
-    "run_stay_and_scan_broadcast",
-    "stay_and_scan_pairwise",
-    "run_hopping_together",
-    "run_rendezvous_aggregation",
-    "run_rendezvous_broadcast",
-]
+#: Every exported name and the module that defines it, imported on first
+#: use: importing a protocol module loads no runner and no engine.
+_EXPORTS = {
+    "BaselineAggregationResult": "repro.baselines.aggregation",
+    "RendezvousCollector": "repro.baselines.aggregation",
+    "RendezvousReporter": "repro.baselines.aggregation",
+    "StayAndScanBroadcast": "repro.baselines.deterministic",
+    "stay_and_scan_pairwise": "repro.baselines.deterministic",
+    "HoppingTogether": "repro.baselines.hopping",
+    "RendezvousBroadcast": "repro.baselines.rendezvous",
+    "pairwise_rendezvous_slots": "repro.baselines.rendezvous",
+    "run_hopping_together": "repro.baselines.runners",
+    "run_rendezvous_aggregation": "repro.baselines.runners",
+    "run_rendezvous_broadcast": "repro.baselines.runners",
+    "run_stay_and_scan_broadcast": "repro.baselines.runners",
+    "PairSetup": "repro.baselines.seeded",
+    "make_pair": "repro.baselines.seeded",
+    "repeated_rendezvous_gaps": "repro.baselines.seeded",
+}
+
+__all__ = sorted(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -75,63 +75,42 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_parser = subparsers.add_parser("run", help="run one experiment or 'all'")
     run_parser.add_argument("experiment", help="experiment id (e.g. E01) or 'all'")
-    run_parser.add_argument(
-        "--trials", type=_positive, default=None, help="trials per row"
-    )
-    run_parser.add_argument("--seed", type=int, default=0, help="root seed")
-    run_parser.add_argument(
-        "--fast", action="store_true", help="shrunken sweeps (CI-sized)"
-    )
-    run_parser.add_argument(
-        "--jobs",
-        type=_non_negative,
-        default=1,
-        metavar="N",
-        help="worker processes for trial loops (0 = all cores); results "
-        "are identical to --jobs 1",
-    )
-    run_parser.add_argument(
-        "--telemetry",
-        default=None,
-        metavar="FILE",
-        help="append one JSONL manifest per experiment to FILE",
-    )
-    run_parser.add_argument(
-        "--backend",
-        choices=BACKEND_NAMES,
-        default=None,
-        help="engine backend for all runs (default: exact); 'vector' "
-        "needs numpy and transparently falls back per run when a "
-        "configuration has no columnar form",
-    )
-
     report_parser = subparsers.add_parser(
         "report", help="run every experiment and write a markdown report"
     )
     report_parser.add_argument(
         "--output", default="experiments_report.md", help="report file path"
     )
-    report_parser.add_argument("--trials", type=_positive, default=None)
-    report_parser.add_argument("--seed", type=int, default=0)
-    report_parser.add_argument("--fast", action="store_true")
-    report_parser.add_argument(
-        "--jobs",
-        type=_non_negative,
-        default=1,
-        metavar="N",
-        help="worker processes for trial loops (0 = all cores); results "
-        "are identical to --jobs 1",
-    )
-    report_parser.add_argument(
-        "--telemetry", default=None, metavar="FILE",
-        help="append one JSONL manifest per experiment to FILE",
-    )
-    report_parser.add_argument(
-        "--backend",
-        choices=BACKEND_NAMES,
-        default=None,
-        help="engine backend for all runs (default: exact)",
-    )
+    for command in (run_parser, report_parser):
+        command.add_argument(
+            "--trials", type=_positive, default=None, help="trials per row"
+        )
+        command.add_argument("--seed", type=int, default=0, help="root seed")
+        command.add_argument(
+            "--fast", action="store_true", help="shrunken sweeps (CI-sized)"
+        )
+        command.add_argument(
+            "--jobs",
+            type=_non_negative,
+            default=1,
+            metavar="N",
+            help="worker processes for trial loops (0 = all cores); results "
+            "are identical to --jobs 1",
+        )
+        command.add_argument(
+            "--telemetry",
+            default=None,
+            metavar="FILE",
+            help="append one JSONL manifest per experiment to FILE",
+        )
+        command.add_argument(
+            "--backend",
+            choices=BACKEND_NAMES,
+            default=None,
+            help="engine backend for all runs (default: exact); 'vector' "
+            "needs numpy and transparently falls back per run when a "
+            "configuration has no columnar form",
+        )
 
     obs_parser = subparsers.add_parser(
         "obs", help="inspect telemetry files / export causal traces"
@@ -188,23 +167,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     add_sanitize_arguments(sanitize_parser)
 
-    lint_parser = subparsers.add_parser(
-        "lint", help="check sources against the model-soundness rules"
+    from repro.lint.cli import add_arguments as add_lint_arguments
+
+    add_lint_arguments(
+        subparsers.add_parser(
+            "lint", help="check sources against the model-soundness rules"
+        )
     )
-    lint_parser.add_argument(
-        "paths", nargs="*", help="files or directories (default: src/repro)"
-    )
-    lint_parser.add_argument(
-        "--format", choices=("text", "json", "sarif"), default="text"
-    )
-    lint_parser.add_argument("--select", default=None, metavar="RULES")
-    lint_parser.add_argument("--ignore", default=None, metavar="RULES")
-    lint_parser.add_argument("--baseline", default=None, metavar="FILE")
-    lint_parser.add_argument("--update-baseline", action="store_true")
-    lint_parser.add_argument("--prune-baseline", action="store_true")
-    lint_parser.add_argument("--list-rules", action="store_true")
-    lint_parser.add_argument("--explain", default=None, metavar="RULE")
-    lint_parser.add_argument("--root", default="src/repro", metavar="PATH")
     return parser
 
 
@@ -321,29 +290,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"wrote {args.output}")
         return 0
     if args.command == "lint":
-        from repro.lint import cli as lint_cli
+        from repro.lint.cli import dispatch as lint_dispatch
 
-        if args.list_rules:
-            return lint_cli.list_rules()
-        if args.explain is not None:
-            return lint_cli.explain(args.explain)
-        if args.paths and args.paths[0] == "effects":
-            if len(args.paths) != 2:
-                print(
-                    "usage: repro lint effects MODULE:FUNC [--root PATH]",
-                    file=sys.stderr,
-                )
-                return 2
-            return lint_cli.effects_command(args.paths[1], root=args.root)
-        return lint_cli.run(
-            args.paths,
-            output_format=args.format,
-            select=args.select,
-            ignore=args.ignore,
-            baseline=args.baseline,
-            update_baseline=args.update_baseline,
-            prune_baseline=args.prune_baseline,
-        )
+        return lint_dispatch(args)
     if args.command == "sanitize":
         from repro.sanitize import dispatch as sanitize_dispatch
 

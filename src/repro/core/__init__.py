@@ -18,67 +18,44 @@
   (enforced by ``repro-lint`` rule R4).
 """
 
-from repro.core.aggregation import (
-    Aggregator,
-    CollectAggregator,
-    CountAggregator,
-    MajorityAggregator,
-    MaxAggregator,
-    MeanAggregator,
-    MinAggregator,
-    SumAggregator,
-)
-from repro.core.clusters import (
-    ClusterInfo,
-    ClusterKey,
-    cluster_of,
-    clusters_from_trace,
-    largest_cluster_per_slot,
-)
-from repro.core.cogcast import BroadcastResult, CogCast, LogEntry
-from repro.core.cogcomp import AggregationResult, CogComp
-from repro.core.gossip import GossipCast, GossipResult
-from repro.core.runners import run_data_aggregation, run_gossip, run_local_broadcast
-from repro.core.messages import (
-    AckPayload,
-    ClusterSizePayload,
-    CountPayload,
-    InitPayload,
-    MediatorAnnouncePayload,
-    ValueReportPayload,
-)
-from repro.core.tree import DistributionTree, TreeError
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AckPayload",
-    "AggregationResult",
-    "Aggregator",
-    "BroadcastResult",
-    "ClusterInfo",
-    "ClusterKey",
-    "ClusterSizePayload",
-    "CogCast",
-    "CogComp",
-    "CollectAggregator",
-    "CountAggregator",
-    "CountPayload",
-    "DistributionTree",
-    "GossipCast",
-    "GossipResult",
-    "InitPayload",
-    "LogEntry",
-    "MajorityAggregator",
-    "MaxAggregator",
-    "MeanAggregator",
-    "MediatorAnnouncePayload",
-    "MinAggregator",
-    "SumAggregator",
-    "TreeError",
-    "ValueReportPayload",
-    "cluster_of",
-    "clusters_from_trace",
-    "largest_cluster_per_slot",
-    "run_data_aggregation",
-    "run_gossip",
-    "run_local_broadcast",
-]
+#: Every exported name and the module that defines it, imported on first
+#: use: importing a protocol module loads no runner and no engine.
+_EXPORTS = {
+    "Aggregator": "repro.core.aggregation",
+    "CollectAggregator": "repro.core.aggregation",
+    "CountAggregator": "repro.core.aggregation",
+    "MajorityAggregator": "repro.core.aggregation",
+    "MaxAggregator": "repro.core.aggregation",
+    "MeanAggregator": "repro.core.aggregation",
+    "MinAggregator": "repro.core.aggregation",
+    "SumAggregator": "repro.core.aggregation",
+    "ClusterInfo": "repro.core.clusters",
+    "ClusterKey": "repro.core.clusters",
+    "cluster_of": "repro.core.clusters",
+    "clusters_from_trace": "repro.core.clusters",
+    "largest_cluster_per_slot": "repro.core.clusters",
+    "BroadcastResult": "repro.core.cogcast",
+    "CogCast": "repro.core.cogcast",
+    "LogEntry": "repro.core.cogcast",
+    "AggregationResult": "repro.core.cogcomp",
+    "CogComp": "repro.core.cogcomp",
+    "GossipCast": "repro.core.gossip",
+    "GossipResult": "repro.core.gossip",
+    "run_data_aggregation": "repro.core.runners",
+    "run_gossip": "repro.core.runners",
+    "run_local_broadcast": "repro.core.runners",
+    "AckPayload": "repro.core.messages",
+    "ClusterSizePayload": "repro.core.messages",
+    "CountPayload": "repro.core.messages",
+    "InitPayload": "repro.core.messages",
+    "MediatorAnnouncePayload": "repro.core.messages",
+    "ValueReportPayload": "repro.core.messages",
+    "DistributionTree": "repro.core.tree",
+    "TreeError": "repro.core.tree",
+}
+
+__all__ = sorted(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

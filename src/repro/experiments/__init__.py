@@ -13,14 +13,17 @@ or programmatically::
     print(table.render())
 """
 
-from repro.experiments.harness import ExperimentSpec, Table, trial_seeds
-from repro.experiments.registry import get, load_all, register
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ExperimentSpec",
-    "Table",
-    "get",
-    "load_all",
-    "register",
-    "trial_seeds",
-]
+_EXPORTS = {
+    "ExperimentSpec": "repro.experiments.harness",
+    "Table": "repro.experiments.harness",
+    "trial_seeds": "repro.experiments.harness",
+    "get": "repro.experiments.registry",
+    "load_all": "repro.experiments.registry",
+    "register": "repro.experiments.registry",
+}
+
+__all__ = sorted(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

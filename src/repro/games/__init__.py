@@ -1,34 +1,23 @@
 """Lower-bound machinery: hitting games, players, and the Lemma 12 reduction."""
 
-from repro.games.bipartite import (
-    Edge,
-    HittingGame,
-    LazyHittingGame,
-    bipartite_hitting_game,
-    complete_hitting_game,
-    sample_matching,
-)
-from repro.games.players import (
-    DiagonalPlayer,
-    ExhaustivePlayer,
-    Player,
-    UniformRandomPlayer,
-    play,
-)
-from repro.games.reduction import BroadcastReductionPlayer, ReductionOutcome
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BroadcastReductionPlayer",
-    "DiagonalPlayer",
-    "Edge",
-    "ExhaustivePlayer",
-    "HittingGame",
-    "LazyHittingGame",
-    "Player",
-    "ReductionOutcome",
-    "UniformRandomPlayer",
-    "bipartite_hitting_game",
-    "complete_hitting_game",
-    "play",
-    "sample_matching",
-]
+_EXPORTS = {
+    "Edge": "repro.games.bipartite",
+    "HittingGame": "repro.games.bipartite",
+    "LazyHittingGame": "repro.games.bipartite",
+    "bipartite_hitting_game": "repro.games.bipartite",
+    "complete_hitting_game": "repro.games.bipartite",
+    "sample_matching": "repro.games.bipartite",
+    "DiagonalPlayer": "repro.games.players",
+    "ExhaustivePlayer": "repro.games.players",
+    "Player": "repro.games.players",
+    "UniformRandomPlayer": "repro.games.players",
+    "play": "repro.games.players",
+    "BroadcastReductionPlayer": "repro.games.reduction",
+    "ReductionOutcome": "repro.games.reduction",
+}
+
+__all__ = sorted(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

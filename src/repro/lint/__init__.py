@@ -39,43 +39,30 @@ rationale, ``repro-lint --explain RULE`` for any single rule, and
 ``repro-lint effects MODULE:FUNC`` for an effect-signature dump.
 """
 
-from repro.lint.baseline import load_baseline, partition, write_baseline
-from repro.lint.context import ModuleContext
-from repro.lint.findings import Finding
-from repro.lint.registry import ProjectRule, Rule, all_rules, register
-from repro.lint.reporters import (
-    render_json,
-    render_sarif,
-    render_text,
-    sarif_document,
-    validate_sarif,
-)
-from repro.lint.runner import (
-    clear_cache,
-    iter_python_files,
-    lint_file,
-    lint_paths,
-    load_module,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Finding",
-    "ModuleContext",
-    "ProjectRule",
-    "Rule",
-    "all_rules",
-    "clear_cache",
-    "iter_python_files",
-    "lint_file",
-    "lint_paths",
-    "load_baseline",
-    "load_module",
-    "partition",
-    "register",
-    "render_json",
-    "render_sarif",
-    "render_text",
-    "sarif_document",
-    "validate_sarif",
-    "write_baseline",
-]
+_EXPORTS = {
+    "load_baseline": "repro.lint.baseline",
+    "partition": "repro.lint.baseline",
+    "write_baseline": "repro.lint.baseline",
+    "ModuleContext": "repro.lint.context",
+    "Finding": "repro.lint.findings",
+    "ProjectRule": "repro.lint.registry",
+    "Rule": "repro.lint.registry",
+    "all_rules": "repro.lint.registry",
+    "register": "repro.lint.registry",
+    "render_json": "repro.lint.reporters",
+    "render_sarif": "repro.lint.reporters",
+    "render_text": "repro.lint.reporters",
+    "sarif_document": "repro.lint.reporters",
+    "validate_sarif": "repro.lint.reporters",
+    "clear_cache": "repro.lint.runner",
+    "iter_python_files": "repro.lint.runner",
+    "lint_file": "repro.lint.runner",
+    "lint_paths": "repro.lint.runner",
+    "load_module": "repro.lint.runner",
+}
+
+__all__ = sorted(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -17,63 +17,37 @@ Three passes, each feeding the next:
 by ``repro-lint effects MODULE:FUNC``.
 """
 
-from repro.lint.analysis.callgraph import (
-    CallGraph,
-    CallSite,
-    ClassInfo,
-    FunctionInfo,
-    build_call_graph,
-)
-from repro.lint.analysis.effects import (
-    ALL_EFFECTS,
-    EFFECT_AMBIENT_RNG,
-    EFFECT_ENV,
-    EFFECT_GLOBAL_WRITE,
-    EFFECT_IO,
-    EFFECT_NONDET,
-    EFFECT_PERF_COUNTER,
-    EFFECT_RNG,
-    EFFECT_WALLCLOCK,
-    IMPURE_EFFECTS,
-    NON_REPLAY_EFFECTS,
-    EffectAnalysis,
-    Origin,
-    analyze_effects,
-    declared_effects,
-)
-from repro.lint.analysis.imports import (
-    ImportGraph,
-    build_import_graph,
-    module_name_for,
-    resolve_external,
-)
-from repro.lint.analysis.project import ProjectContext, build_project
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ALL_EFFECTS",
-    "CallGraph",
-    "CallSite",
-    "ClassInfo",
-    "EFFECT_AMBIENT_RNG",
-    "EFFECT_ENV",
-    "EFFECT_GLOBAL_WRITE",
-    "EFFECT_IO",
-    "EFFECT_NONDET",
-    "EFFECT_PERF_COUNTER",
-    "EFFECT_RNG",
-    "EFFECT_WALLCLOCK",
-    "EffectAnalysis",
-    "FunctionInfo",
-    "IMPURE_EFFECTS",
-    "ImportGraph",
-    "NON_REPLAY_EFFECTS",
-    "Origin",
-    "ProjectContext",
-    "analyze_effects",
-    "build_call_graph",
-    "build_import_graph",
-    "build_project",
-    "declared_effects",
-    "module_name_for",
-    "resolve_external",
-]
+_EXPORTS = {
+    "CallGraph": "repro.lint.analysis.callgraph",
+    "CallSite": "repro.lint.analysis.callgraph",
+    "ClassInfo": "repro.lint.analysis.callgraph",
+    "FunctionInfo": "repro.lint.analysis.callgraph",
+    "build_call_graph": "repro.lint.analysis.callgraph",
+    "ALL_EFFECTS": "repro.lint.analysis.effects",
+    "EFFECT_AMBIENT_RNG": "repro.lint.analysis.effects",
+    "EFFECT_ENV": "repro.lint.analysis.effects",
+    "EFFECT_GLOBAL_WRITE": "repro.lint.analysis.effects",
+    "EFFECT_IO": "repro.lint.analysis.effects",
+    "EFFECT_NONDET": "repro.lint.analysis.effects",
+    "EFFECT_PERF_COUNTER": "repro.lint.analysis.effects",
+    "EFFECT_RNG": "repro.lint.analysis.effects",
+    "EFFECT_WALLCLOCK": "repro.lint.analysis.effects",
+    "IMPURE_EFFECTS": "repro.lint.analysis.effects",
+    "NON_REPLAY_EFFECTS": "repro.lint.analysis.effects",
+    "EffectAnalysis": "repro.lint.analysis.effects",
+    "Origin": "repro.lint.analysis.effects",
+    "analyze_effects": "repro.lint.analysis.effects",
+    "declared_effects": "repro.lint.analysis.effects",
+    "ImportGraph": "repro.lint.analysis.imports",
+    "build_import_graph": "repro.lint.analysis.imports",
+    "module_name_for": "repro.lint.analysis.imports",
+    "resolve_external": "repro.lint.analysis.imports",
+    "ProjectContext": "repro.lint.analysis.project",
+    "build_project": "repro.lint.analysis.project",
+}
+
+__all__ = sorted(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

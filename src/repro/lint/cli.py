@@ -10,13 +10,17 @@ Usage::
     repro-lint --explain R7
     repro-lint effects MODULE:FUNC [--root src/repro]
 
-(Equivalently ``python -m repro lint ...``.)  With no paths the linter
+(Equivalently ``python -m repro lint ...``, which mounts
+:func:`add_arguments` and :func:`dispatch`.)  With no paths the linter
 checks ``src/repro``.  Exit status: 0 clean, 1 findings (after baseline
 subtraction), 2 usage error.
 
 ``effects`` dumps the inferred transitive effect signature of one
 function — e.g. ``repro-lint effects repro.sim.engine:Engine.run`` —
 with the witness chain that introduces each effect.
+
+Importing this module loads no rule and no analysis: each command
+imports what it runs.
 """
 
 from __future__ import annotations
@@ -26,38 +30,13 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from repro.lint.baseline import (
-    load_baseline,
-    partition,
-    prune,
-    write_baseline,
-    write_baseline_counts,
-)
-from repro.lint.registry import all_rules
-from repro.lint.reporters import render_json, render_sarif, render_text
-from repro.lint.runner import iter_python_files, lint_paths, load_module
-
 #: Default baseline location (repo root), used by ``--update-baseline``
 #: when ``--baseline`` is not given explicitly.
 DEFAULT_BASELINE = "lint-baseline.json"
 
-_RENDERERS = {"text": render_text, "json": render_json, "sarif": render_sarif}
 
-
-def build_parser() -> argparse.ArgumentParser:
-    """The ``repro-lint`` argument parser."""
-    parser = argparse.ArgumentParser(
-        prog="repro-lint",
-        description=(
-            "Static analysis enforcing the PODC'15 model invariants: "
-            "seeded randomness, no wall clock, no salted hashes, protocol "
-            "isolation, frozen records, deterministic iteration, and the "
-            "whole-program effect rules (parallel purity, RNG-stream "
-            "discipline, cache-key purity, effect-signature drift, "
-            "vector-export contracts, worker-shared state, float "
-            "determinism)."
-        ),
-    )
+def add_arguments(parser: argparse.ArgumentParser) -> None:
+    """Attach the linter's arguments to *parser* (``repro-lint`` or ``repro lint``)."""
     parser.add_argument(
         "paths",
         nargs="*",
@@ -127,6 +106,23 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="file set the 'effects' subcommand analyses (default: src/repro)",
     )
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The ``repro-lint`` argument parser."""
+    parser = argparse.ArgumentParser(
+        prog="repro-lint",
+        description=(
+            "Static analysis enforcing the PODC'15 model invariants: "
+            "seeded randomness, no wall clock, no salted hashes, protocol "
+            "isolation, frozen records, deterministic iteration, and the "
+            "whole-program effect rules (parallel purity, RNG-stream "
+            "discipline, cache-key purity, effect-signature drift, "
+            "vector-export contracts, worker-shared state, float "
+            "determinism)."
+        ),
+    )
+    add_arguments(parser)
     return parser
 
 
@@ -147,6 +143,16 @@ def run(
     prune_baseline: bool = False,
 ) -> int:
     """Lint *paths* and print a report; returns the process exit code."""
+    from repro.lint.baseline import (
+        load_baseline,
+        partition,
+        prune,
+        write_baseline,
+        write_baseline_counts,
+    )
+    from repro.lint.reporters import render_json, render_sarif, render_text
+    from repro.lint.runner import lint_paths
+
     if update_baseline and prune_baseline:
         print(
             "repro-lint: --update-baseline and --prune-baseline are "
@@ -203,7 +209,8 @@ def run(
         findings, baselined = partition(findings, known)
         known_count = len(baselined)
 
-    output = _RENDERERS[output_format](findings)
+    renderers = {"text": render_text, "json": render_json, "sarif": render_sarif}
+    output = renderers[output_format](findings)
     print(output)
     if known_count and output_format == "text":
         print(
@@ -216,6 +223,8 @@ def run(
 
 def list_rules() -> int:
     """Print every registered rule with the invariant it guards."""
+    from repro.lint.registry import all_rules
+
     for rule_id, rule in all_rules().items():
         print(f"{rule_id}  {rule.title}")
         print(f"      {rule.invariant}")
@@ -224,6 +233,8 @@ def list_rules() -> int:
 
 def explain(rule_id: str) -> int:
     """Print one rule's full documentation (its module docstring)."""
+    from repro.lint.registry import all_rules
+
     rules = all_rules()
     rule = rules.get(rule_id.upper())
     if rule is None:
@@ -242,6 +253,8 @@ def explain(rule_id: str) -> int:
 def effects_command(target: str, root: str = "src/repro") -> int:
     """Print the transitive effect signature of ``module:function``."""
     from repro.lint.analysis import build_project
+    from repro.lint.findings import Finding
+    from repro.lint.runner import iter_python_files, load_module
 
     try:
         files = iter_python_files([root])
@@ -251,8 +264,6 @@ def effects_command(target: str, root: str = "src/repro") -> int:
     if not files:
         print(f"repro-lint: no python files under {root}", file=sys.stderr)
         return 2
-    from repro.lint.findings import Finding
-
     modules = [load_module(path) for path in files]
     project = build_project(
         module for module in modules if not isinstance(module, Finding)
@@ -269,9 +280,8 @@ def effects_command(target: str, root: str = "src/repro") -> int:
     return 0
 
 
-def main(argv: Sequence[str] | None = None) -> int:
-    """CLI entry point; returns a process exit code."""
-    args = build_parser().parse_args(argv)
+def dispatch(args: argparse.Namespace) -> int:
+    """Run the linter from parsed *args* (``repro-lint`` or ``repro lint``)."""
     if args.list_rules:
         return list_rules()
     if args.explain is not None:
@@ -293,6 +303,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         update_baseline=args.update_baseline,
         prune_baseline=args.prune_baseline,
     )
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    """CLI entry point; returns a process exit code."""
+    return dispatch(build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":  # pragma: no cover

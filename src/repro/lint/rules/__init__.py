@@ -10,7 +10,8 @@ on :mod:`repro.lint.analysis` (import graph → call graph → transitive
 effect signatures).
 """
 
-from repro.lint.rules import (  # noqa: F401  (import registers the rules)
+# Eager, unlike every other package: importing these modules registers the rules.
+from repro.lint.rules import (  # noqa: F401
     ambient_randomness,
     cache_purity,
     effect_drift,

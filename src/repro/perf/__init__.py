@@ -29,22 +29,21 @@ machinery.  Protocol modules (anything defining a
 lint rule R4 enforces the boundary.
 """
 
-from repro.perf.executor import (
-    default_jobs,
-    pmap_trials,
-    pool_fingerprint,
-    resolve_jobs,
-    set_default_jobs,
-)
-from repro.perf.merge import merge_telemetry, merged_metrics, worker_telemetry_path
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "default_jobs",
-    "merge_telemetry",
-    "merged_metrics",
-    "pmap_trials",
-    "pool_fingerprint",
-    "resolve_jobs",
-    "set_default_jobs",
-    "worker_telemetry_path",
-]
+#: Every exported name and the module that defines it, imported on first
+#: use: ``from repro.perf import pmap_trials`` loads no telemetry code.
+_EXPORTS = {
+    "default_jobs": "repro.perf.executor",
+    "pmap_trials": "repro.perf.executor",
+    "pool_fingerprint": "repro.perf.executor",
+    "resolve_jobs": "repro.perf.executor",
+    "set_default_jobs": "repro.perf.executor",
+    "merge_telemetry": "repro.perf.merge",
+    "merged_metrics": "repro.perf.merge",
+    "worker_telemetry_path": "repro.perf.merge",
+}
+
+__all__ = sorted(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

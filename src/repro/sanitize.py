@@ -542,6 +542,8 @@ def sanitize(
     explicitly).  The ``backend`` check is skipped with a note when
     numpy is unavailable — the vector backend cannot run without it.
     The ``jobs`` check needs *jobs* >= 2 (:class:`ValueError` otherwise).
+    An unknown *target* raises from :func:`resolve_entry` before any
+    capture starts.
     """
     import tempfile
 
@@ -559,8 +561,7 @@ def sanitize(
             f"the jobs check compares jobs=1 with jobs={jobs}, which perturbs "
             "nothing; use 2 or more workers or leave the jobs check out"
         )
-    if ":" not in target:
-        resolve_entry(target)  # an unknown id raises before any capture starts
+    resolve_entry(target)  # an unknown target raises before any capture starts
 
     report = SanitizeReport(
         experiment=target, control=CONTROL, pool=pool_fingerprint()
@@ -682,10 +683,10 @@ def dispatch(args: Any) -> int:
             checks=checks,
             workdir=args.workdir,
         )
-    except (SanitizeError, ValueError, ImportError, AttributeError) as error:
+    except (SanitizeError, ValueError) as error:
         print(f"repro sanitize: {error}", file=sys.stderr)
         return 2
-    except KeyError as error:
+    except (KeyError, ImportError, AttributeError) as error:  # an unknown target
         print(f"repro sanitize: error: {error.args[0]}", file=sys.stderr)
         return 2
     print(report.render())

@@ -28,7 +28,6 @@ import itertools
 import random
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable
 
 from repro.types import Channel, InvalidAssignmentError, LocalLabel, NodeId
@@ -70,28 +69,14 @@ class ChannelAssignment:
         """Translate *node*'s local *label* to a physical channel."""
         return self.channels[node][label]
 
-    @cached_property
-    def _label_maps(self) -> tuple[dict[Channel, LocalLabel], ...]:
-        """Per-node reverse map (channel -> label), built once on demand.
-
-        The dataclass is frozen but not slotted, so ``cached_property``
-        can stash the tables in ``__dict__`` without tripping the
-        frozen ``__setattr__``; equality and hashing still consider
-        only the declared fields.
-        """
-        return tuple(
-            {channel: label for label, channel in enumerate(chans)}
-            for chans in self.channels
-        )
-
     def label_of(self, node: NodeId, channel: Channel) -> LocalLabel:
-        """Translate a physical *channel* to *node*'s local label, O(1).
+        """Translate a physical *channel* to *node*'s local label.
 
         Raises ``ValueError`` if the node cannot tune the channel.
         """
         try:
-            return self._label_maps[node][channel]
-        except KeyError:
+            return self.channels[node].index(channel)
+        except ValueError:
             raise ValueError(
                 f"node {node} cannot tune channel {channel}"
             ) from None

@@ -5,20 +5,17 @@ transmitters (TV whitespace style), turning the paper's abstract
 ``(n, c, k)`` inputs into emergent, measured quantities.
 """
 
-from repro.spectrum.model import (
-    PrimaryUser,
-    SecondaryNode,
-    SpectrumWorld,
-    churning_schedule,
-    min_overlap_over,
-    random_world,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "PrimaryUser",
-    "SecondaryNode",
-    "SpectrumWorld",
-    "churning_schedule",
-    "min_overlap_over",
-    "random_world",
-]
+_EXPORTS = {
+    "PrimaryUser": "repro.spectrum.model",
+    "SecondaryNode": "repro.spectrum.model",
+    "SpectrumWorld": "repro.spectrum.model",
+    "churning_schedule": "repro.spectrum.model",
+    "min_overlap_over": "repro.spectrum.model",
+    "random_world": "repro.spectrum.model",
+}
+
+__all__ = sorted(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

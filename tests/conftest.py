@@ -43,6 +43,23 @@ def medium_network() -> Network:
 
 
 @pytest.fixture(scope="session")
+def shipped_project():
+    """The whole-program analysis of ``src/repro``, built once per session.
+
+    The analysis tests and the ``effects`` dumps read this one build.
+    """
+    from repro.lint.analysis import build_project
+    from repro.lint.context import ModuleContext
+    from repro.lint.runner import iter_python_files, load_module
+
+    source = Path(__file__).resolve().parent.parent / "src" / "repro"
+    modules = [load_module(path) for path in iter_python_files([source])]
+    return build_project(
+        module for module in modules if isinstance(module, ModuleContext)
+    )
+
+
+@pytest.fixture(scope="session")
 def cli_report(tmp_path_factory) -> tuple[int, Path, str, Path]:
     """One ``repro report --fast --trials 2 --telemetry`` pass.
 

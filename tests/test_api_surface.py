@@ -31,9 +31,12 @@ PACKAGES = [
     "repro.experiments",
     "repro.games",
     "repro.lint",
+    "repro.lint.analysis",
     "repro.lint.rules",
     "repro.obs",
+    "repro.perf",
     "repro.sim",
+    "repro.sim.backends",
     "repro.spectrum",
 ]
 

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import argparse
+
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 from repro.experiments.harness import Table, mean, median, trial_seeds
 from repro.experiments.registry import get, load_all
 
@@ -125,3 +127,23 @@ class TestCli:
         assert captured.err.splitlines() == [
             f"repro run: error: unknown experiment 'E77'; known: {', '.join(ALL_IDS)}"
         ]
+
+    def test_run_and_report_share_their_options(self):
+        (subcommands,) = [
+            action
+            for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        shared = ("trials", "seed", "fast", "jobs", "telemetry", "backend")
+
+        def options(command):
+            return {
+                action.dest: (
+                    action.option_strings, action.type, action.default, action.help
+                )
+                for action in subcommands.choices[command]._actions
+                if action.dest in shared
+            }
+
+        assert sorted(options("run")) == sorted(shared)
+        assert options("report") == options("run")

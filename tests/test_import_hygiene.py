@@ -1,14 +1,21 @@
 """Import hygiene: each entry point loads only the layers it uses.
 
-Every check runs in a fresh interpreter with ``PYTHONPATH=src``, so
-nothing this test session has already imported can hide a stray
-import.  The engine and the runners load neither the observability
-stack, the experiment registry nor ``subprocess``; trace persistence
-does not load the runners; and the obs read path (the CLI parser, then
-the query, store and regression modules) loads none of the engine,
-the protocols, the experiments, the span and watchdog probes or numpy,
-so it runs on the standard library alone.  ``repro --version`` names
-the backends that can run here without loading a kernel or numpy.
+Every package but ``repro.lint.rules`` resolves its exports on first
+use (one ``_EXPORTS`` table each), so importing a module loads only
+what that module imports.  Every check runs in a fresh interpreter
+with ``PYTHONPATH=src``, so nothing this test session has already
+imported can hide a stray import.  The engine and the runners load
+neither the observability stack, the experiment registry nor
+``subprocess``; the protocol modules load neither the engine, a runner
+nor the observability stack; an uninstrumented experiment run loads no
+telemetry code; trace persistence does not load the runners; the
+linter's parser loads no rule and no analysis; and the obs read path
+(the CLI parser, then the query, store and regression modules) loads
+none of the engine, the protocols, the experiments, the span and
+watchdog probes, the linter's rules or numpy, and of ``repro.analysis``
+only the bootstrap, so it runs on the standard library alone.
+``repro --version`` names the backends that can run here without
+loading a kernel or numpy.
 """
 
 from __future__ import annotations
@@ -16,6 +23,7 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import pkgutil
 import subprocess
 import sys
 
@@ -25,11 +33,42 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 SIMULATION_FORBIDS = ("repro.obs", "repro.experiments", "subprocess")
 
+LINT_LAYERS = ("repro.lint.rules", "repro.lint.analysis", "repro.lint.runner")
+
+#: Every ``repro.analysis`` module but the bootstrap ``obs diff`` uses.
+ANALYSIS_BUT_BOOTSTRAP = tuple(
+    f"repro.analysis.{info.name}"
+    for info in pkgutil.iter_modules([str(ROOT / "src" / "repro" / "analysis")])
+    if info.name != "bootstrap"
+)
+
 #: ``name -> (code run in a fresh interpreter, modules it must not load)``;
 #: a forbidden name covers its submodules too.
 CASES = {
     "sim-engine": ("import repro.sim.engine", SIMULATION_FORBIDS),
     "core-runners": ("import repro.core.runners", SIMULATION_FORBIDS),
+    "protocol-modules": (
+        "import importlib, pkgutil, repro.baselines, repro.core\n"
+        "for package in (repro.core, repro.baselines):\n"
+        "    for info in pkgutil.iter_modules(package.__path__):\n"
+        "        if info.name != 'runners':\n"
+        "            importlib.import_module(f'{package.__name__}.{info.name}')",
+        (
+            "repro.sim.engine",
+            "repro.core.runners",
+            "repro.baselines.runners",
+            "repro.obs",
+        ),
+    ),
+    "experiment-run": (
+        "from repro.experiments import registry\n"
+        "registry.get('E01').run(trials=1, fast=True)",
+        ("repro.obs", "repro.perf.merge"),
+    ),
+    "lint-parser": (
+        "import repro.lint.cli\nrepro.lint.cli.build_parser()",
+        LINT_LAYERS,
+    ),
     "sim-persistence": (
         "import repro.sim.persistence",
         ("repro.core.runners", "repro.obs"),
@@ -45,6 +84,8 @@ CASES = {
             "repro.obs.spans",
             "repro.obs.watchdog",
             "numpy",
+            *LINT_LAYERS,
+            *ANALYSIS_BUT_BOOTSTRAP,
         ),
     ),
     "version": (

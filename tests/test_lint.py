@@ -14,6 +14,7 @@ import textwrap
 
 import pytest
 
+from repro.cli import main as repro_main
 from repro.lint import Finding, all_rules, lint_file, lint_paths
 from repro.lint.cli import main as lint_main
 
@@ -1403,6 +1404,34 @@ class TestRunnerAndCli:
             assert rule_id in out
 
 
+class TestMountedCli:
+    """``repro lint`` mounts the ``repro-lint`` parser and dispatch."""
+
+    @staticmethod
+    def options_help(main, argv, capsys):
+        """The ``--help`` text from the argument list on."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 0
+        out = capsys.readouterr().out
+        return out[out.index("positional arguments:") :]
+
+    def test_help_offers_the_same_options(self, capsys):
+        mounted = self.options_help(repro_main, ["lint", "--help"], capsys)
+        standalone = self.options_help(lint_main, ["--help"], capsys)
+        assert mounted == standalone
+        assert "report format (default: text)" in mounted
+
+    def test_effects_without_function_prints_one_usage_line(self, capsys):
+        assert lint_main(["effects"]) == 2
+        standalone = capsys.readouterr().err
+        assert repro_main(["lint", "effects"]) == 2
+        assert capsys.readouterr().err == standalone
+        assert standalone.splitlines() == [
+            "repro-lint: usage: repro-lint effects MODULE:FUNC [--root PATH]"
+        ]
+
+
 class TestRunnerRobustness:
     def test_non_python_path_exits_two_with_message(self, tmp_path, capsys):
         """Regression: `repro-lint README.md` used to crash with an
@@ -1587,23 +1616,21 @@ class TestExplainAndEffects:
     def test_explain_unknown_rule_exits_two(self, capsys):
         assert lint_main(["--explain", "R99"]) == 2
 
-    def test_effects_dump_for_engine_run(self, capsys):
-        assert (
-            lint_main(
-                ["effects", "repro.sim.engine:Engine.run", "--root", str(SRC)]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
+    @staticmethod
+    def effects_dump(project, target):
+        """What ``repro-lint effects TARGET`` prints for *project*."""
+        return project.effects.describe(project.resolve_callable_qualname(target))
+
+    def test_effects_dump_for_engine_run(self, shipped_project):
+        out = self.effects_dump(shipped_project, "repro.sim.engine:Engine.run")
         assert "repro.sim.engine:Engine.run" in out
         assert "rng" in out
         # The engine reads no clock: run timing belongs to the harness.
         assert "perf-counter" not in out
 
-    def test_effects_dump_for_vector_engine_run(self, capsys):
+    def test_effects_dump_for_vector_engine_run(self, shipped_project):
         target = "repro.sim.backends.vector:VectorEngine.run"
-        assert lint_main(["effects", target, "--root", str(SRC)]) == 0
-        out = capsys.readouterr().out
+        out = self.effects_dump(shipped_project, target)
         assert target in out
         # Reached through the columnar kernel, which run calls directly.
         assert "rng" in out

@@ -8,10 +8,7 @@ one section checks the analysis of the real shipped sources.
 from __future__ import annotations
 
 import ast
-import pathlib
 import textwrap
-
-import pytest
 
 from repro.lint.analysis import (
     EFFECT_AMBIENT_RNG,
@@ -24,9 +21,6 @@ from repro.lint.analysis import (
 )
 from repro.lint.context import ModuleContext
 from repro.lint.runner import iter_python_files, load_module
-
-ROOT = pathlib.Path(__file__).resolve().parent.parent
-SRC = ROOT / "src" / "repro"
 
 
 def project_from(tmp_path, files):
@@ -366,15 +360,6 @@ class TestQualnameResolution:
             == "repro.mod:Thing.act"
         )
         assert project.resolve_callable_qualname("repro.mod:Missing.act") is None
-
-
-@pytest.fixture(scope="module")
-def shipped_project():
-    """The whole-program analysis of ``src/repro``, built once per module."""
-    modules = [load_module(path) for path in iter_python_files([SRC])]
-    return build_project(
-        module for module in modules if isinstance(module, ModuleContext)
-    )
 
 
 class TestShippedSources:

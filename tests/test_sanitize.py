@@ -248,6 +248,29 @@ class TestSanitizeCli:
         assert line.startswith("repro sanitize: error: unknown experiment 'E99'; ")
         assert line.endswith("known: " + ", ".join(f"E{i:02d}" for i in range(1, 30)))
 
+    @pytest.mark.parametrize(
+        ("target", "message"),
+        [
+            (
+                "tests.sanitize_entry:nope",
+                "module 'tests.sanitize_entry' has no attribute 'nope'",
+            ),
+            ("no_such_module:run", "No module named 'no_such_module'"),
+        ],
+        ids=["function", "module"],
+    )
+    def test_cli_unknown_entry_point_refused_before_capture(
+        self, target, message, monkeypatch, capsys
+    ):
+        def no_capture(*args, **kwargs):
+            raise AssertionError("a capture child started")
+
+        monkeypatch.setattr("repro.sanitize.capture_subprocess", no_capture)
+        assert repro_main(["sanitize", target, "--checks", "hashseed"]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"repro sanitize: error: {message}"
+        ]
+
     def test_cli_jobs_below_two_needs_no_jobs_check(self, child_path, capsys):
         entry = ["sanitize", "tests.sanitize_entry:run_clean", "--trials", "2"]
         assert repro_main([*entry, "--jobs", "0"]) == 2
