@@ -1,13 +1,14 @@
 """Benchmarks for the observability subsystem: instrument overhead.
 
-The ``repro.obs`` design promise is that a probe sees only the run —
-every kernel hands it one set of run totals — so it never costs a
-kernel, while per-event observers are event sinks that select the
-general kernel.  These benchmarks time the same seeded COGCAST run
-bare, with the metrics probe a runner attaches for ``metrics=`` (which
-keeps the fast kernel), and with the span sink plus metrics (which
-take the general kernel), so a hot-path regression shows up as a ratio
-between adjacent rows of ``pytest benchmarks/ --benchmark-only``.
+The ``repro.obs`` design promise is that counting a run costs no
+kernel — every kernel returns the same run totals from
+``run(totals=True)`` — while per-event observers are event sinks that
+select the general kernel.  These benchmarks time the same seeded
+COGCAST run bare, with the run totals a runner asks for and counts for
+``metrics=`` (which keep the fast kernel), and with the span sink plus
+metrics (which take the general kernel), so a hot-path regression
+shows up as a ratio between adjacent rows of
+``pytest benchmarks/ --benchmark-only``.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ def test_broadcast_metrics(benchmark):
         return result, registry
 
     result, registry = benchmark.pedantic(run, rounds=ROUNDS, iterations=1)
-    # The probe observes without perturbing: same run, counted slots.
+    # Counting observes without perturbing: same run, counted slots.
     assert result.completed
     slots = registry.counter("sim_slots", "slots executed", labels=("protocol",))
     assert slots.value(protocol="cogcast") == result.slots

@@ -21,6 +21,7 @@ appends one JSONL manifest per experiment to the given file.)
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
 import time
 from typing import Any, Sequence
@@ -38,6 +39,48 @@ def _version_string() -> str:
     return f"repro {__version__} — backends: {described}"
 
 
+# The argparse types of every verb (``repro.obs.cli`` and
+# ``repro.sanitize`` import them): a value out of range is a usage error
+# (exit 2), never a traceback.
+
+
+def _non_negative(text: str) -> int:
+    """An argparse type: an integer that is zero or more."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def _positive(text: str) -> int:
+    """An argparse type: an integer that is one or more."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    """An argparse type: a number above zero."""
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
+    return value
+
+
+#: The verbs another module declares and runs: name -> (module, help).
+#: Each module has ``add_arguments(parser)`` and ``dispatch(args)``.
+_MOUNTED_VERBS = {
+    "obs": ("repro.obs.cli", "inspect telemetry files / export causal traces"),
+    "sanitize": (
+        "repro.sanitize",
+        "dual-run determinism sanitizer: perturb hashseed/jobs/"
+        "backend and bit-diff the captured tables and telemetry",
+    ),
+    "lint": ("repro.lint.cli", "check sources against the model-soundness rules"),
+}
+
+
 class _Parser(argparse.ArgumentParser):
     """The CLI's parser; ``--version`` builds its text only when passed."""
 
@@ -47,15 +90,17 @@ class _Parser(argparse.ArgumentParser):
         return _version_string()
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """Build the argparse CLI (list / run / report subcommands)."""
-    from repro.obs.cli import (
-        _non_negative,
-        _positive,
-        _positive_float,
-        add_subcommands as add_obs_subcommands,
-    )
+def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
+    """Build the argparse CLI for the command line *argv*.
+
+    Every verb is listed with its help line, but of
+    :data:`_MOUNTED_VERBS` only the one *argv* invokes gets its
+    arguments, so ``repro run E01`` imports neither the obs CLI, the
+    sanitizer nor the linter.
+    """
     from repro.sim.backends import BACKEND_NAMES
+
+    verb = next((arg for arg in argv if not arg.startswith("-")), None)
 
     parser = _Parser(
         prog="repro-experiments",
@@ -112,11 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
             "configuration has no columnar form",
         )
 
-    obs_parser = subparsers.add_parser(
-        "obs", help="inspect telemetry files / export causal traces"
-    )
-    add_obs_subcommands(obs_parser.add_subparsers(dest="obs_command", required=True))
-
     bench_parser = subparsers.add_parser(
         "bench", help="benchmark-trajectory tools (regression gating)"
     )
@@ -158,22 +198,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true", help="print the JSON report instead of text"
     )
 
-    sanitize_parser = subparsers.add_parser(
-        "sanitize",
-        help="dual-run determinism sanitizer: perturb hashseed/jobs/"
-        "backend and bit-diff the captured tables and telemetry",
-    )
-    from repro.sanitize import add_arguments as add_sanitize_arguments
-
-    add_sanitize_arguments(sanitize_parser)
-
-    from repro.lint.cli import add_arguments as add_lint_arguments
-
-    add_lint_arguments(
-        subparsers.add_parser(
-            "lint", help="check sources against the model-soundness rules"
-        )
-    )
+    for name, (module, help_text) in _MOUNTED_VERBS.items():
+        verb_parser = subparsers.add_parser(name, help=help_text)
+        if name == verb:
+            importlib.import_module(module).add_arguments(verb_parser)
     return parser
 
 
@@ -239,7 +267,8 @@ def _open_sink(path: str | None) -> object | None:
 
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     if args.command == "list":
         from repro.experiments.registry import load_all
 
@@ -289,18 +318,9 @@ def main(argv: Sequence[str] | None = None) -> int:
                 sink.close()  # type: ignore[attr-defined]
         print(f"wrote {args.output}")
         return 0
-    if args.command == "lint":
-        from repro.lint.cli import dispatch as lint_dispatch
-
-        return lint_dispatch(args)
-    if args.command == "sanitize":
-        from repro.sanitize import dispatch as sanitize_dispatch
-
-        return sanitize_dispatch(args)
-    if args.command == "obs":
-        from repro.obs import cli as obs_cli
-
-        return obs_cli.dispatch(args)
+    if args.command in _MOUNTED_VERBS:
+        module = importlib.import_module(_MOUNTED_VERBS[args.command][0])
+        return module.dispatch(args)
     if args.command == "bench":
         from repro.obs.regress import bench_check
 

@@ -11,10 +11,10 @@ defining :class:`~repro.sim.protocol.Protocol` subclasses must never
 import the engine or the channel world-model.
 
 Every runner optionally takes observability instruments from
-:mod:`repro.obs`: a *metrics* registry, fed by the one probe a run
-attaches (:class:`repro.obs.metrics.MetricsProbe`), and a *telemetry*
-sink that receives one ``kind="run"`` manifest per call — emitted even
-when ``require_completion`` raises, so failed runs leave a record.  The
+:mod:`repro.obs`: a *metrics* registry, counted from the run's totals
+(:func:`repro.obs.metrics.count_run`), and a *telemetry* sink that
+receives one ``kind="run"`` manifest per call — emitted even when
+``require_completion`` raises, so failed runs leave a record.  The
 broadcast and aggregation runners also take the event sinks, a *trace*
 and a *spans* sink (:class:`repro.obs.spans.SpanProbe`) for causal
 tracing, and *watchdogs* (:class:`repro.obs.watchdog.WatchdogProbe`)
@@ -105,14 +105,15 @@ def run_protocol(
 
     Builds the engine from *factory* and times :meth:`Engine.run` under
     ``stop(protocols)`` with ``perf_counter``, which leaves the fast
-    kernel engaged.  The engine gets at most one probe, a
-    :class:`MetricsProbe` given *metrics*, which keeps the fast (or
-    columnar) kernel.  Its one event sink is *trace*, *spans* or a
-    watchdog that defines ``record``, or a fan-out to all of them, so a
-    bounded *trace* bounds only itself.  *spans* (given COGCOMP's
-    *phase1_slots*) and each watchdog are started before the run and
-    finished after it, a watchdog with the final protocols and the
-    network; the others cost no kernel.  Broadcast runners pass
+    kernel engaged.  Given *metrics*, the run keeps its totals, which
+    keeps the fast (or columnar) kernel, and :func:`count_run` folds
+    them into the registry once the run returns; a run whose kernel
+    raises counts nothing.  The engine's one event sink is *trace*,
+    *spans* or a watchdog that defines ``record``, or a fan-out to all
+    of them, so a bounded *trace* bounds only itself.  *spans* (given
+    COGCOMP's *phase1_slots*) and each watchdog are started before the
+    run and finished after it, a watchdog with the final protocols and
+    the network; the others cost no kernel.  Broadcast runners pass
     :class:`AllInformed` itself as *stop*: the columnar kernel
     recognises it, and a closure around it would run exact.  Given
     *telemetry*, emits the run record (``outcome(protocols, result)``
@@ -137,11 +138,6 @@ def run_protocol(
     sinks = [sink for sink in (trace, spans, *streaming) if sink is not None]
     if len(sinks) > 1:
         sinks = [_Fanout(sinks)]
-    probe = None
-    if metrics is not None:
-        from repro.obs.metrics import MetricsProbe
-
-        probe = MetricsProbe(metrics, protocol=protocol)
     engine = build_engine(
         network,
         factory,
@@ -149,13 +145,18 @@ def run_protocol(
         collision=collision,
         trace=sinks[0] if sinks else None,
         jammer=jammer,
-        probe=probe,
         backend=backend_name,
     )
     protocols: list[Any] = engine.protocols
     run_start = perf_counter()
-    result = engine.run(max_slots, stop_when=stop(protocols))
+    result = engine.run(
+        max_slots, stop_when=stop(protocols), totals=metrics is not None
+    )
     elapsed_s = perf_counter() - run_start
+    if metrics is not None:
+        from repro.obs.metrics import count_run
+
+        count_run(metrics, result, protocol=protocol)
     if spans is not None:
         spans.finish(result.slots)
     for watchdog in watchdogs:
@@ -211,8 +212,8 @@ def run_local_broadcast(
     (:class:`repro.obs.spans.SpanProbe`); *watchdogs* check invariants
     on the finished run, their anomalies flowing to *telemetry* when
     given.
-    *metrics* (a :class:`repro.obs.metrics.MetricsRegistry`) attaches a
-    :class:`~repro.obs.metrics.MetricsProbe` and embeds its snapshot in
+    *metrics* (a :class:`repro.obs.metrics.MetricsRegistry`) counts the
+    run (:func:`~repro.obs.metrics.count_run`) and embeds its snapshot in
     the run record; *resources* (a started
     :class:`~repro.obs.metrics.ResourceSampler`) embeds its delta.
     Run records always carry ``elapsed_s`` (harness ``perf_counter``
@@ -291,8 +292,8 @@ def run_data_aggregation(
     watchdogs:
         Optional invariant watchdogs; anomalies flow to *telemetry*.
     metrics:
-        Optional :class:`repro.obs.metrics.MetricsRegistry`; attaches a
-        metrics probe and embeds the snapshot in the run record.
+        Optional :class:`repro.obs.metrics.MetricsRegistry`; counts the
+        run and embeds the snapshot in the run record.
     resources:
         Optional started :class:`repro.obs.metrics.ResourceSampler`;
         its delta rides on the run record as ``resources``.

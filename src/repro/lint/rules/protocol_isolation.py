@@ -5,11 +5,11 @@ identity, ``(n, c, k)``, and private coins.  In code that contract is
 the :class:`repro.sim.protocol.NodeView`.  A module that *defines* a
 :class:`~repro.sim.protocol.Protocol` subclass is node-algorithm code
 and must therefore never import the engine, the channel world-model, the
-observability layer (:mod:`repro.obs` probes see engine-side ground
+observability layer (:mod:`repro.obs` sees engine-side ground
 truth — physical channels, global winner identity — which a node must
 not consult), or the performance layer (:mod:`repro.perf` is harness
 machinery for fanning out whole trials) — the runner harnesses that
-build engines and attach probes live in sibling ``runners`` modules.  Inside a protocol class body, reaching into another object's
+build engines and count their runs live in sibling ``runners`` modules.  Inside a protocol class body, reaching into another object's
 underscore-prefixed attributes is flagged for the same reason: it is how
 engine internals (collision state, physical channel maps) leak into a
 node's decisions.

@@ -6,12 +6,13 @@ run took the slots it did previously required recording a full
 analysing it after the fact.  This package provides the always-on,
 constant-memory alternative:
 
-- **Probes** (:class:`SlotProbe`) — run-level hook objects: every
-  engine kernel fires ``on_run_start``, one ``on_run_totals`` and
-  ``on_run_end`` and nothing else, so a probe (e.g.
-  :class:`MetricsProbe`) never costs the fast or columnar kernel.
-  Per-event observers are *event sinks* on the engine's ``trace``
-  instead: the spans and the mediator-uniqueness watchdog below.
+- **Run totals** — ``Engine.run(totals=True)`` returns what the run's
+  channel events add up to (:class:`~repro.sim.engine.RunTotals`) on
+  its result; every kernel keeps them, so asking never costs the fast
+  or columnar kernel, and :func:`count_run` folds them into a metrics
+  registry.  Per-event observers are *event sinks* on the engine's
+  ``trace`` instead: the spans and the mediator-uniqueness watchdog
+  below.
 - **Streaming aggregators** (:class:`StreamingStat`,
   :class:`FixedHistogram`) — constant-memory moments and buckets, the
   building blocks of the metrics histograms, span statistics and query
@@ -42,8 +43,8 @@ constant-memory alternative:
   instrument registry with label sets, snapshot/restore/merge (so
   :func:`repro.perf.pmap_trials` workers consolidate
   deterministically), a Prometheus text exporter
-  (:func:`render_prometheus`), the run-totals counter
-  (:class:`MetricsProbe`, whose ``sim_*`` counters equal
+  (:func:`render_prometheus`), the run-totals fold (:func:`count_run`,
+  whose ``sim_*`` counters equal
   :func:`~repro.sim.metrics.compute_metrics` over a full trace of the
   same run), and a :class:`ResourceSampler` (RSS, CPU time, GC) whose
   deltas ride on run records.
@@ -63,15 +64,15 @@ constant-memory alternative:
   a watchdog anomaly back to its run's span tree and metrics snapshot
   (:func:`explain_records`).
 
-Everything here is analysis-side: protocols never see probes, sinks
-or registries (lint rule R4 forbids protocol modules from importing
-this package).
+Everything here is analysis-side: protocols never see run totals,
+sinks or registries (lint rule R4 forbids protocol modules from
+importing this package).
 """
 
 from repro._lazy import lazy_exports
 
 #: Every exported name and the module that defines it, imported on first
-#: use: ``from repro.obs import RunStore`` loads the store, not the probes.
+#: use: ``from repro.obs import RunStore`` loads the store, not the spans.
 _EXPORTS = {
     "FixedHistogram": "repro.obs.aggregators",
     "StreamingStat": "repro.obs.aggregators",
@@ -80,9 +81,9 @@ _EXPORTS = {
     "Gauge": "repro.obs.metrics",
     "Histogram": "repro.obs.metrics",
     "MetricsError": "repro.obs.metrics",
-    "MetricsProbe": "repro.obs.metrics",
     "MetricsRegistry": "repro.obs.metrics",
     "ResourceSampler": "repro.obs.metrics",
+    "count_run": "repro.obs.metrics",
     "merge_snapshots": "repro.obs.metrics",
     "render_prometheus": "repro.obs.metrics",
     "validate_snapshot": "repro.obs.metrics",
@@ -90,7 +91,6 @@ _EXPORTS = {
     "span_summary": "repro.obs.export",
     "validate_chrome_trace": "repro.obs.export",
     "write_chrome_trace": "repro.obs.export",
-    "SlotProbe": "repro.obs.probe",
     "CODE_VERSION": "repro.obs.provenance",
     "canonical_json": "repro.obs.provenance",
     "config_hash": "repro.obs.provenance",

@@ -1,10 +1,10 @@
 """Constant-memory streaming aggregators.
 
-The building blocks the concrete probes are made of: an online
-min/max/mean/variance accumulator (Welford's algorithm, numerically
-stable over million-slot runs) and a fixed-bucket histogram whose
-memory never depends on how many samples it absorbs.  Both are plain
-value types — no engine coupling — so they are equally usable for
+The building blocks of the metrics histograms and span statistics: an
+online min/max/mean/variance accumulator (Welford's algorithm,
+numerically stable over million-slot runs) and a fixed-bucket histogram
+whose memory never depends on how many samples it absorbs.  Both are
+plain value types — no engine coupling — so they are equally usable for
 ad-hoc analysis scripts.
 """
 
@@ -67,10 +67,9 @@ class StreamingStat:
         self._m2 += other._m2 + delta * delta * self.count * other.count / total
         self._mean += delta * other.count / total
         self.count = total
-        if other.minimum is not None and other.minimum < (self.minimum or other.minimum + 1):
-            self.minimum = other.minimum
-        if other.maximum is not None and other.maximum > (self.maximum or other.maximum - 1):
-            self.maximum = other.maximum
+        # Both sides are non-empty here, so both have extremes.
+        self.minimum = min(self.minimum, other.minimum)
+        self.maximum = max(self.maximum, other.maximum)
 
     def as_dict(self) -> dict[str, float | int | None]:
         """JSON-ready summary of the stream."""

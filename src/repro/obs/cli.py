@@ -42,6 +42,7 @@ import json
 import sys
 from typing import Any, Sequence
 
+from repro.cli import _non_negative, _positive
 from repro.obs.telemetry import (
     decode_line,
     expand_paths,
@@ -50,41 +51,14 @@ from repro.obs.telemetry import (
 )
 
 
-# The argparse types of both CLIs (``repro.cli`` imports them): a value
-# out of range is a usage error (exit 2), never a traceback.
-
-
-def _non_negative(text: str) -> int:
-    """An argparse type: an integer that is zero or more."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
-
-
-def _positive(text: str) -> int:
-    """An argparse type: an integer that is one or more."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    """An argparse type: a number above zero."""
-    value = float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
-    return value
-
-
-def add_subcommands(sub: Any) -> None:
-    """Register the obs subcommands on an argparse subparsers object.
+def add_arguments(parser: argparse.ArgumentParser) -> None:
+    """Attach the obs subcommands to *parser*.
 
     Shared between the standalone ``repro-obs`` parser and the ``obs``
-    subcommand of the main ``repro-experiments`` CLI, so the two
-    surfaces cannot drift apart.
+    verb of the main ``repro-experiments`` CLI, so the two surfaces
+    cannot drift apart.
     """
+    sub = parser.add_subparsers(dest="obs_command", required=True)
     for name, help_text in (
         ("validate", "schema-check every record; exit 1 on problems"),
         ("summary", "grouped digest of runs / experiments / campaigns"),
@@ -255,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro-obs",
         description="Inspect repro telemetry (JSONL run manifests)",
     )
-    add_subcommands(parser.add_subparsers(dest="obs_command", required=True))
+    add_arguments(parser)
     return parser
 
 

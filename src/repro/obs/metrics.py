@@ -32,10 +32,10 @@ legitimately vary run to run).  The cross-run diff layer
 (:mod:`repro.obs.regress`) uses the category to demand bit-equality
 from protocol metrics while treating timing metrics statistically.
 
-Engine wiring is probe-shaped: :class:`MetricsProbe` takes the one
-``on_run_totals`` call every engine kernel makes per run and feeds a
-registry, so the engine itself never imports this module and a
-metrics run keeps the fast (or columnar) kernel.
+Engine wiring is one function: :func:`count_run` folds the
+:class:`~repro.sim.engine.RunTotals` that ``Engine.run(totals=True)``
+returns into a registry, so the engine itself never imports this
+module and a metrics run keeps the fast (or columnar) kernel.
 :class:`ResourceSampler` captures RSS / CPU-time / GC deltas around a
 run for the ``resources`` telemetry field.  Prometheus text-format
 export (:func:`render_prometheus`) makes every snapshot scrapeable by
@@ -50,10 +50,12 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
 from repro.obs.aggregators import FixedHistogram, StreamingStat
-from repro.obs.probe import SlotProbe
+
+if TYPE_CHECKING:  # pragma: no cover - types only
+    from repro.sim.engine import RunResult
 
 #: Version stamped into (and required of) every metrics snapshot.
 METRICS_SCHEMA_VERSION = 1
@@ -561,110 +563,87 @@ def _number(value: float) -> str:
 
 
 # ----------------------------------------------------------------------
-# Engine wiring: the metrics probe
+# Engine wiring: counting a run
 # ----------------------------------------------------------------------
 
 
-class MetricsProbe(SlotProbe):
-    """Feed a :class:`MetricsRegistry` from the engine's run totals.
+def count_run(registry: MetricsRegistry, result: "RunResult", *, protocol: str) -> None:
+    """Fold one engine run's slots and totals into *registry*.
 
-    It maintains the standard simulation instrument set — slots,
+    Maintains the standard simulation instrument set — slots, runs,
     broadcasts, collisions, deliveries, wasted listens, contention
-    distribution — labelled by protocol name, with the accounting of
+    distribution — labelled by *protocol*, with the accounting of
     :func:`repro.sim.metrics.compute_metrics`, so ``sim_broadcasts`` /
     ``sim_collisions`` / ``sim_deliveries`` / ``sim_wasted_listens`` /
     ``sim_peak_contention`` equal the matching
     :class:`~repro.sim.metrics.TraceMetrics` fields of a full trace of
-    the same run, jamming included.  Every kernel feeds it the same
+    the same run, jamming included.  Every kernel returns the same
     totals, so the snapshot is byte-identical whichever kernel ran, and
     the registry's protocol-category values stay a pure function of
     ``(config, seed)``.
+
+    *result* must come from ``run(totals=True)``; one without totals
+    raises ``ValueError``.  The contention counts are folded in their
+    (slot, ascending channel) order, so histogram and streaming-stat
+    state match a fold of the run's channel events observation for
+    observation.  Series are created only for quantities the run had
+    (e.g. no ``sim_collisions`` series in a collision-free run).
     """
-
-    def __init__(self, registry: MetricsRegistry, *, protocol: str = "unknown") -> None:
-        self.registry = registry
-        self.protocol = protocol
-        self.slots = registry.counter(
-            "sim_slots", "slots executed", labels=("protocol",)
-        )
-        self.runs = registry.counter(
-            "sim_runs", "engine runs observed", labels=("protocol",)
-        )
-        self.broadcasts = registry.counter(
-            "sim_broadcasts", "broadcast attempts", labels=("protocol",)
-        )
-        self.collisions = registry.counter(
-            "sim_collisions", "contended channel-slots", labels=("protocol",)
-        )
-        self.deliveries = registry.counter(
-            "sim_deliveries", "messages delivered to listeners", labels=("protocol",)
-        )
-        self.wasted_listens = registry.counter(
-            "sim_wasted_listens", "listens that heard nothing", labels=("protocol",)
-        )
-        self.contention = registry.histogram(
-            "sim_contention",
-            "broadcasters per active channel-slot",
-            labels=("protocol",),
-            width=1.0,
-            buckets=16,
-        )
-        self.peak_contention = registry.gauge(
-            "sim_peak_contention", "largest contender group", labels=("protocol",)
-        )
-
-    # -- SlotProbe hook surface ----------------------------------------
-
-    def on_run_start(self, *, num_nodes: int, num_channels: int, overlap: int) -> None:
-        """Count the run; network shape is carried by telemetry records."""
-        self.runs.inc(protocol=self.protocol)
-
-    def on_run_totals(
-        self,
-        *,
-        slots: int,
-        contention: "Sequence[int]",
-        deliveries: int,
-        wasted_listens: int,
-    ) -> None:
-        """Fold one run's totals in bulk.
-
-        Every kernel accumulates these quantities and feeds them here
-        once per run, just before ``on_run_end``.  *contention* is the
-        per-contended-channel contender count in chronological (slot,
-        ascending channel) order, so histogram and streaming-stat state
-        match a fold of the run's channel events observation for
-        observation.  Series are created only for quantities the run
-        had (e.g. no ``sim_collisions`` series in a collision-free
-        run).
-        """
-        protocol = self.protocol
-        if slots:
-            self.slots.inc(slots, protocol=protocol)
-        if contention:
-            broadcasts = 0
-            collisions = 0
-            # One child lookup for the run, not one per observation.
-            histogram, stat = self.contention._child({"protocol": protocol})
-            peak = self.peak_contention.value(protocol=protocol)
-            with self.contention._lock:
-                for contenders in contention:
-                    histogram.push(contenders)
-                    stat.push(contenders)
-                    broadcasts += contenders
-                    if contenders >= 2:
-                        collisions += 1
-                    # Gauge min/max track every set() call, so replay the
-                    # running-maximum set sequence, not one final set.
-                    if contenders > peak:
-                        peak = contenders
-                        self.peak_contention.set(contenders, protocol=protocol)
-            self.broadcasts.inc(broadcasts, protocol=protocol)
-            if collisions:
-                self.collisions.inc(collisions, protocol=protocol)
-            self.deliveries.inc(deliveries, protocol=protocol)
-        if wasted_listens:
-            self.wasted_listens.inc(wasted_listens, protocol=protocol)
+    totals = result.totals
+    if totals is None:
+        raise ValueError("count_run needs a result from run(totals=True)")
+    by_protocol = ("protocol",)
+    slots = registry.counter("sim_slots", "slots executed", labels=by_protocol)
+    runs = registry.counter("sim_runs", "engine runs observed", labels=by_protocol)
+    broadcasts = registry.counter(
+        "sim_broadcasts", "broadcast attempts", labels=by_protocol
+    )
+    collisions = registry.counter(
+        "sim_collisions", "contended channel-slots", labels=by_protocol
+    )
+    deliveries = registry.counter(
+        "sim_deliveries", "messages delivered to listeners", labels=by_protocol
+    )
+    wasted_listens = registry.counter(
+        "sim_wasted_listens", "listens that heard nothing", labels=by_protocol
+    )
+    contention = registry.histogram(
+        "sim_contention",
+        "broadcasters per active channel-slot",
+        labels=by_protocol,
+        width=1.0,
+        buckets=16,
+    )
+    peak_contention = registry.gauge(
+        "sim_peak_contention", "largest contender group", labels=by_protocol
+    )
+    runs.inc(protocol=protocol)
+    if result.slots:
+        slots.inc(result.slots, protocol=protocol)
+    if totals.contention:
+        broadcast_count = 0
+        collision_count = 0
+        # One child lookup for the run, not one per observation.
+        histogram, stat = contention._child({"protocol": protocol})
+        peak = peak_contention.value(protocol=protocol)
+        with contention._lock:
+            for contenders in totals.contention:
+                histogram.push(contenders)
+                stat.push(contenders)
+                broadcast_count += contenders
+                if contenders >= 2:
+                    collision_count += 1
+                # Gauge min/max track every set() call, so replay the
+                # running-maximum set sequence, not one final set.
+                if contenders > peak:
+                    peak = contenders
+                    peak_contention.set(contenders, protocol=protocol)
+        broadcasts.inc(broadcast_count, protocol=protocol)
+        if collision_count:
+            collisions.inc(collision_count, protocol=protocol)
+        deliveries.inc(totals.deliveries, protocol=protocol)
+    if totals.wasted_listens:
+        wasted_listens.inc(totals.wasted_listens, protocol=protocol)
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Causal spans: distribution trees and phase spans from engine ground truth.
 
-The metrics probe (:class:`repro.obs.metrics.MetricsProbe`) answers
-*how much*; this module answers *why* and *in what order*.  A
+The run totals a metrics registry counts
+(:func:`repro.obs.metrics.count_run`) answer *how much*; this module
+answers *why* and *in what order*.  A
 :class:`SpanProbe` is a streaming event sink: it folds the engine's
 :class:`~repro.sim.trace.ChannelEvent` stream as it arrives, keeping no
 events, and reconstructs the run's causal structure:
@@ -18,9 +19,9 @@ Spans export to Chrome-trace / Perfetto JSON via
 records (:func:`repro.obs.telemetry.run_record` ``spans=``).
 
 Message payloads are classified structurally (:func:`payload_kind`)
-rather than by importing :mod:`repro.core.messages` — the probe layer
+rather than by importing :mod:`repro.core.messages` — the span layer
 stays import-independent of protocol code, mirroring how lint rule R4
-keeps protocol code import-independent of the probe layer.
+keeps protocol code import-independent of :mod:`repro.obs`.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ def payload_kind(payload: Any) -> str | None:
 
     Returns one of :data:`PAYLOAD_KINDS` or ``None`` for payloads this
     layer does not recognize.  Classification is structural (attribute
-    names) so the probe layer never imports protocol message classes:
+    names) so the span layer never imports protocol message classes:
 
     - ``origin`` → ``"init"`` (COGCAST / phase-one broadcast);
     - ``node`` + ``informed_slot`` → ``"census"`` (phase two);

@@ -615,7 +615,7 @@ def add_arguments(parser: Any) -> None:
     """Attach the ``sanitize`` subcommand's arguments to *parser*."""
     import argparse
 
-    from repro.obs.cli import _positive
+    from repro.cli import _positive
 
     parser.add_argument(
         "experiment",

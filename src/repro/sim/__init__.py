@@ -35,6 +35,7 @@ _EXPORTS = {
     "SingleWinnerCollision": "repro.sim.collision",
     "Engine": "repro.sim.engine",
     "RunResult": "repro.sim.engine",
+    "RunTotals": "repro.sim.engine",
     "build_engine": "repro.sim.engine",
     "make_views": "repro.sim.engine",
     "CrashFault": "repro.sim.faults",

@@ -47,13 +47,13 @@ node ever terminates on its own).  Any run it cannot prove equivalent
 — jammers, non-default collision models, event sinks (traces, spans,
 the mediator-uniqueness watchdog), unknown protocols, unknown stop
 conditions — falls back transparently: the same engine runs it on the
-exact kernels (``Engine.run``), with one slot clock, one collision
-stream and one probe across every run, so ``backend="vector"`` is
-always safe to request.  Probes (e.g. :class:`repro.obs.metrics.MetricsProbe`) keep
-working on the columnar path: it keeps the same run totals as the
-exact kernels and feeds them through the engine's one run end.  So do
-the run-end watchdogs (:mod:`repro.obs.watchdog`), which read the
-protocols' state after :meth:`~VectorEngine.run` imports it back.
+exact kernels (``Engine.run``), with one slot clock and one collision
+stream across every run, so ``backend="vector"`` is always safe to
+request.  ``run(totals=True)`` keeps the columnar path: it keeps the
+same :class:`~repro.sim.engine.RunTotals` as the exact kernels and
+returns them through the engine's one run end.  So do the run-end
+watchdogs (:mod:`repro.obs.watchdog`), which read the protocols'
+state after :meth:`~VectorEngine.run` imports it back.
 
 numpy itself is imported lazily: constructing the engine without
 numpy installed raises one actionable error instead of an ImportError
@@ -105,9 +105,9 @@ class VectorEngine(Engine):
     :meth:`run` takes the columnar kernel when it can prove the run
     equivalent and otherwise runs as :class:`~repro.sim.engine.Engine`
     does, on the same object: every kernel advances one slot clock,
-    draws from one collision stream and feeds one probe.  Whether the
-    most recent ``run`` used the columnar kernel is recorded in
-    :attr:`vector_engaged`; when it fell back,
+    draws from one collision stream and keeps the same run totals.
+    Whether the most recent ``run`` used the columnar kernel is recorded
+    in :attr:`vector_engaged`; when it fell back,
     :attr:`vector_fallback_reason` says why.
 
     Parameters are :class:`~repro.sim.engine.Engine`'s, plus:
@@ -150,6 +150,7 @@ class VectorEngine(Engine):
         *,
         stop_when: Any = None,
         require_completion: bool = False,
+        totals: bool = False,
     ) -> RunResult:
         """Run columnar when provably equivalent; otherwise as ``Engine`` does.
 
@@ -160,15 +161,15 @@ class VectorEngine(Engine):
         self.vector_engaged = reason is None
         if reason is not None:
             return super().run(
-                max_slots, stop_when=stop_when, require_completion=require_completion
+                max_slots,
+                stop_when=stop_when,
+                require_completion=require_completion,
+                totals=totals,
             )
         self.fast_path_engaged = False
-        probe = self._start_run()
-        try:
-            executed, completed = self._run_vector(max_slots, stop_when, exports)
-        finally:
-            self._run_active = False
-        return self._end_run(probe, max_slots, executed, completed, require_completion)
+        self._start_run(totals)
+        executed, completed = self._run_vector(max_slots, stop_when, exports)
+        return self._end_run(max_slots, executed, completed, require_completion)
 
     # -- eligibility ----------------------------------------------------
 
@@ -291,7 +292,7 @@ class VectorEngine(Engine):
                 )
             np_rng = self._np_rng
 
-        track = self._probe is not None
+        track = self._contention is not None
         contention_chunks: list[Any] = []
         deliveries = 0
         wasted_listens = 0

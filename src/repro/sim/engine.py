@@ -12,15 +12,16 @@ labels and their own outcomes.  All global knowledge (physical channels,
 who collided with whom) lives here and, optionally, in an event sink for
 analysis.
 
-Outputs: the engine has two, each with one job.  Its ``trace`` is the
-one per-event output: an *event sink* — any object with
-``record(event)``, e.g. an :class:`~repro.sim.trace.EventTrace` — that
-receives every :class:`~repro.sim.trace.ChannelEvent` as the general
-kernel resolves it.  Its ``probe`` sees only the run: ``on_run_start``,
-one ``on_run_totals`` and ``on_run_end``, fired identically by every
-kernel (see :mod:`repro.obs.probe`).  Both default to ``None``; the
-engine deliberately does not import :mod:`repro.obs` (the dependency
-points the other way), and any object with the right methods works.
+Outputs: a run reports through its :class:`RunResult` and one event
+sink.  The engine's ``trace`` is the one per-event output: an *event
+sink* — any object with ``record(event)``, e.g. an
+:class:`~repro.sim.trace.EventTrace` — that receives every
+:class:`~repro.sim.trace.ChannelEvent` as the general kernel resolves
+it.  ``run(totals=True)`` adds the run's :class:`RunTotals` to its
+result, which every kernel keeps identically; a registry counts a run
+from them (:func:`repro.obs.metrics.count_run`).  The engine
+deliberately does not import :mod:`repro.obs` (the dependency points
+the other way).
 
 Kernels: :meth:`Engine.step` is the general kernel.  :meth:`Engine.run`
 detects the common configuration — static schedule, no jammer, the
@@ -30,15 +31,15 @@ while producing bit-identical results (same outcomes, same RNG stream,
 same errors, same run totals).  The subclass
 :class:`repro.sim.backends.vector.VectorEngine` adds the third, columnar
 kernel; all three advance one slot clock, draw from one collision
-stream, and feed the probe through one run start and one run end.  See
-``docs/performance.md``.
+stream, and build the result through one run start and one run end.
+See ``docs/performance.md``.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Callable, Sequence
 
 from repro.sim.actions import Action, Broadcast, Envelope, Idle, Listen, SlotOutcome
 from repro.sim.adversary import Jammer, NullJammer
@@ -49,8 +50,27 @@ from repro.sim.rng import derive_rng
 from repro.sim.trace import ChannelEvent, EventTrace
 from repro.types import Channel, NodeId, ProtocolViolationError, SimulationError
 
-if TYPE_CHECKING:  # pragma: no cover - types only; sim must not import obs
-    from repro.obs.probe import SlotProbe
+
+@dataclass(frozen=True, slots=True)
+class RunTotals:
+    """What one run's channel events add up to, on every kernel.
+
+    Attributes
+    ----------
+    contention: the contender count of every channel-slot with at least
+        one broadcaster, in (slot, ascending channel) order; jammed
+        broadcasters contend.
+    deliveries: listeners that heard a winner.
+    wasted_listens: listeners that heard nothing, jammed listeners
+        included.
+
+    These are the sums of the run's :class:`~repro.sim.trace.ChannelEvent`
+    stream, as :func:`repro.sim.metrics.compute_metrics` folds it.
+    """
+
+    contention: tuple[int, ...]
+    deliveries: int
+    wasted_listens: int
 
 
 @dataclass(frozen=True, slots=True)
@@ -63,11 +83,14 @@ class RunResult:
     completed: whether the stop condition was met (as opposed to the
         slot budget running out).
     all_done: whether every protocol had terminated when the run ended.
+    totals: the run's :class:`RunTotals` when it was asked for them
+        (``run(totals=True)``), else ``None``.
     """
 
     slots: int
     completed: bool
     all_done: bool
+    totals: RunTotals | None = None
 
 
 class Engine:
@@ -90,12 +113,6 @@ class Engine:
         event, and attaching it selects the general kernel.
     jammer:
         Optional jamming adversary.
-    probe:
-        Optional run probe (see :mod:`repro.obs.probe`), e.g. the
-        metrics registry feeder :class:`repro.obs.metrics.MetricsProbe`.
-        Every kernel fires ``on_run_start``, one ``on_run_totals`` and
-        ``on_run_end`` on it and nothing else, so a probe never costs
-        the fast or columnar kernel.
     fast_path:
         Allow :meth:`run` to use the specialized step kernel when the
         configuration permits (see :meth:`_fast_path_eligible`).  The
@@ -114,7 +131,6 @@ class Engine:
         seed: int = 0,
         trace: EventTrace | None = None,
         jammer: Jammer | None = None,
-        probe: "SlotProbe | None" = None,
         fast_path: bool = True,
     ) -> None:
         if len(protocols) != network.num_nodes:
@@ -127,40 +143,16 @@ class Engine:
         self.rng = derive_rng(seed, "engine-collision")
         self.trace = trace
         self.jammer = jammer or NullJammer()
-        self._probe: "SlotProbe | None" = None
-        #: True while a run, on any kernel, is in flight.
-        self._run_active = False
-        self.probe = probe
-        # The run totals every kernel keeps for the probe: contenders
-        # per contended channel in (slot, ascending channel) order,
-        # listeners that heard a winner, and listeners that heard
-        # nothing.  :meth:`_start_run` resets them.
-        self._contention: list[int] = []
+        # The totals of a run that asked for them (see RunTotals), kept
+        # by every kernel; ``_contention`` is ``None`` while no run
+        # keeps them.  :meth:`_start_run` resets them.
+        self._contention: list[int] | None = None
         self._deliveries = 0
         self._wasted_listens = 0
         self.slot = 0
         self.fast_path = fast_path
         #: Whether the most recent :meth:`run` used the fast kernel.
         self.fast_path_engaged = False
-
-    @property
-    def probe(self) -> "SlotProbe | None":
-        """The attached run probe, if any."""
-        return self._probe
-
-    @probe.setter
-    def probe(self, probe: "SlotProbe | None") -> None:
-        # Every kernel feeds run totals only to the probe it started
-        # with, so a probe attached while a run is in flight (e.g. from
-        # a stop_when callback) would be silently ignored for the rest
-        # of the run — refuse instead.  Between runs, attaching is safe:
-        # the next run starts with the new probe.
-        if probe is not None and self._run_active:
-            raise SimulationError(
-                "cannot attach a probe while a run is in flight; attach it "
-                "before run() or construct the engine with it"
-            )
-        self._probe = probe
 
     @property
     def all_done(self) -> bool:
@@ -201,8 +193,8 @@ class Engine:
                 listeners.setdefault(channel, []).append(node)
 
         # Resolve contention channel by channel.
-        tally = self._probe is not None
         contention = self._contention
+        tally = contention is not None
         deliveries = 0
         wasted_listens = 0
         outcomes: dict[NodeId, SlotOutcome] = {}
@@ -340,10 +332,10 @@ class Engine:
           identical draw for draw;
         - outcomes are constructed with the same field values and
           delivered in the same order;
-        - with a probe attached it keeps the run totals the general
-          kernel keeps: contenders per contended channel in (slot,
-          ascending channel) order, listeners that heard a winner, and
-          listeners on channels nobody broadcast on.
+        - asked for totals, it keeps the ones the general kernel keeps:
+          contenders per contended channel in (slot, ascending channel)
+          order, listeners that heard a winner, and listeners on
+          channels nobody broadcast on.
 
         Per-slot scratch dicts are allocated once and cleared, not
         rebuilt, which is safe because nothing retains the containers —
@@ -364,8 +356,8 @@ class Engine:
         listeners: dict[Channel, list[tuple[NodeId, Action]]] = {}
         idles: list[tuple[NodeId, Action]] = []
         outcomes: dict[NodeId, SlotOutcome] = {}
-        track = self._probe is not None
         contention = self._contention
+        track = contention is not None
         deliveries = 0
         wasted_listens = 0
         executed = 0
@@ -463,6 +455,7 @@ class Engine:
         *,
         stop_when: Callable[["Engine"], bool] | None = None,
         require_completion: bool = False,
+        totals: bool = False,
     ) -> RunResult:
         """Run until the stop condition, all protocols terminate, or the budget.
 
@@ -477,77 +470,61 @@ class Engine:
         require_completion:
             When True, raise :class:`SimulationError` if the budget runs
             out before the stop condition is met.
+        totals:
+            When True, the result carries the run's :class:`RunTotals`
+            (``None`` otherwise).  Every kernel keeps them, so asking
+            never changes the kernel; they cost memory in proportion to
+            the run's contended channel-slots.
 
         When the configuration allows (static schedule, no jammer, the
         default collision model, no event sink — see
         :meth:`_fast_path_eligible`), the run uses a specialized kernel
         that produces bit-identical results faster; whether it engaged
-        is recorded in :attr:`fast_path_engaged`.  A probe sees
-        ``on_run_start``, ``on_run_totals`` and ``on_run_end`` on
-        either kernel.
+        is recorded in :attr:`fast_path_engaged`.
 
         Effects: rng.
         """
         condition = stop_when if stop_when is not None else (lambda engine: engine.all_done)
-        probe = self._start_run()
+        self._start_run(totals)
         self.fast_path_engaged = self._fast_path_eligible()
-        try:
-            if self.fast_path_engaged:
-                executed, completed = self._run_fast(max_slots, condition)
-            else:
-                executed = 0
+        if self.fast_path_engaged:
+            executed, completed = self._run_fast(max_slots, condition)
+        else:
+            executed = 0
+            completed = condition(self)
+            while not completed and executed < max_slots:
+                self.step()
+                executed += 1
                 completed = condition(self)
-                while not completed and executed < max_slots:
-                    self.step()
-                    executed += 1
-                    completed = condition(self)
-        finally:
-            self._run_active = False
-        return self._end_run(probe, max_slots, executed, completed, require_completion)
+        return self._end_run(max_slots, executed, completed, require_completion)
 
-    def _start_run(self) -> "SlotProbe | None":
-        """Fire ``on_run_start``; return the probe :meth:`_end_run` must end.
+    def _start_run(self, totals: bool) -> None:
+        """Reset the run totals; keep them only when *totals* is asked for.
 
         Every kernel's run starts and ends through this pair, so the
-        probe that saw the start sees the totals and the end, whichever
-        kernel ran.  Marks the run in flight; the caller clears the mark
-        when its kernel returns or raises.
+        totals mean the same whichever kernel ran.
         """
-        probe = self._probe
-        if probe is not None:
-            probe.on_run_start(
-                num_nodes=self.network.num_nodes,
-                num_channels=self.network.channels_per_node,
-                overlap=self.network.overlap,
-            )
-        self._contention = []
+        self._contention = [] if totals else None
         self._deliveries = 0
         self._wasted_listens = 0
-        self._run_active = True
-        return probe
 
     def _end_run(
-        self,
-        probe: "SlotProbe | None",
-        max_slots: int,
-        executed: int,
-        completed: bool,
-        require_completion: bool,
+        self, max_slots: int, executed: int, completed: bool, require_completion: bool
     ) -> RunResult:
-        """Feed *probe* the run totals, end it, and build the run's result."""
-        if probe is not None:
-            probe.on_run_totals(
-                slots=executed,
-                contention=self._contention,
-                deliveries=self._deliveries,
-                wasted_listens=self._wasted_listens,
-            )
-            probe.on_run_end(executed)
+        """Build the run's result, with its totals when the run kept them."""
+        contention, self._contention = self._contention, None
         if require_completion and not completed:
             raise SimulationError(
                 f"run did not complete within {max_slots} slots"
             )
-        return RunResult(slots=executed, completed=completed, all_done=self.all_done)
+        return RunResult(
+            slots=executed,
+            completed=completed,
+            all_done=self.all_done,
+            totals=None
+            if contention is None
+            else RunTotals(tuple(contention), self._deliveries, self._wasted_listens),
+        )
 
 
 def make_views(network: Network, seed: int) -> list[NodeView]:
@@ -572,7 +549,6 @@ def build_engine(
     collision: CollisionModel | None = None,
     trace: EventTrace | None = None,
     jammer: Jammer | None = None,
-    probe: "SlotProbe | None" = None,
     fast_path: bool = True,
     backend: str | None = None,
 ) -> Engine:
@@ -603,7 +579,6 @@ def build_engine(
         seed=seed,
         trace=trace,
         jammer=jammer,
-        probe=probe,
         fast_path=fast_path,
     )
     if name == "exact":

@@ -31,7 +31,7 @@ from repro.analysis.stats import mean_confidence_interval
 from repro.analysis.theory import cogcast_slot_bound
 from repro.assignment import dynamic_shared_core_schedule, shared_core
 from repro.core import CogCast, run_local_broadcast
-from repro.obs.metrics import MetricsProbe, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, count_run
 from repro.obs.watchdog import (
     InformedSetWatchdog,
     MediatorUniquenessWatchdog,
@@ -84,17 +84,16 @@ def keep_engines(monkeypatch):
     return engines
 
 
-def drive(seed: int, *, backend, network=None, probe=None):
+def drive(seed: int, *, backend, network=None, totals=False):
     """One seeded COGCAST run to completion; returns everything observable."""
     engine = build_engine(
         network if network is not None else make_network(seed),
         cogcast_factory,
         seed=seed,
-        probe=probe,
         backend=backend,
     )
     protocols = engine.protocols
-    result = engine.run(10_000, stop_when=AllInformed(protocols))
+    result = engine.run(10_000, stop_when=AllInformed(protocols), totals=totals)
     states = [
         (p.informed, p.parent, p.informed_slot, p.informed_label, p.message)
         for p in protocols
@@ -171,16 +170,14 @@ class TestTierAReplayBitIdentity:
 
     @pytest.mark.parametrize(("seed", "shape"), replay_cases(SEEDS[:3]))
     def test_metrics_snapshots_identical(self, seed, shape):
-        """Aggregate-feed probes see the same counters either way."""
+        """A registry counts the same run totals either way."""
         snapshots = []
         for backend in ("exact", "vector-replay"):
             registry = MetricsRegistry()
-            drive(
-                seed,
-                backend=backend,
-                network=make_network(seed, *shape),
-                probe=MetricsProbe(registry),
+            _, result, _, _ = drive(
+                seed, backend=backend, network=make_network(seed, *shape), totals=True
             )
+            count_run(registry, result, protocol="cogcast")
             snapshots.append(registry.snapshot())
         assert snapshots[0] == snapshots[1]
 

@@ -9,13 +9,15 @@ neither the observability stack, the experiment registry nor
 ``subprocess``; the protocol modules load neither the engine, a runner
 nor the observability stack; an uninstrumented experiment run loads no
 telemetry code; trace persistence does not load the runners; the
-linter's parser loads no rule and no analysis; and the obs read path
-(the CLI parser, then the query, store and regression modules) loads
-none of the engine, the protocols, the experiments, the span and
-watchdog probes, the linter's rules or numpy, and of ``repro.analysis``
-only the bootstrap, so it runs on the standard library alone.
-``repro --version`` names the backends that can run here without
-loading a kernel or numpy.
+linter's parser loads no rule and no analysis; the ``repro`` parser
+mounts only the verb it is given, so ``repro run E01`` loads neither
+the obs CLI, the sanitizer nor the linter; and the obs read path (the
+parser for ``obs query``, then the query, store and regression
+modules) loads none of the engine, the protocols, the experiments, the
+spans and watchdogs, the sanitizer, the linter or numpy, and of
+``repro.analysis`` only the bootstrap, so it runs on the standard
+library alone.  ``repro --version`` names the backends that can run
+here without loading a kernel or numpy.
 """
 
 from __future__ import annotations
@@ -73,9 +75,13 @@ CASES = {
         "import repro.sim.persistence",
         ("repro.core.runners", "repro.obs"),
     ),
+    "run-parser": (
+        "import repro.cli\nrepro.cli.build_parser(['run', 'E01'])",
+        ("repro.obs", "repro.sanitize", "repro.lint"),
+    ),
     "obs-read-path": (
         "import repro.cli\n"
-        "repro.cli.build_parser()\n"
+        "repro.cli.build_parser(['obs', 'query'])\n"
         "import repro.obs.query, repro.obs.store, repro.obs.regress",
         (
             "repro.sim.engine",
@@ -83,8 +89,9 @@ CASES = {
             "repro.experiments",
             "repro.obs.spans",
             "repro.obs.watchdog",
+            "repro.sanitize",
+            "repro.lint",
             "numpy",
-            *LINT_LAYERS,
             *ANALYSIS_BUT_BOOTSTRAP,
         ),
     ),

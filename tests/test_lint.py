@@ -312,7 +312,7 @@ class TestR4ProtocolIsolation:
         findings = lint_snippet(
             tmp_path,
             """
-            from repro.obs.metrics import MetricsProbe
+            from repro.obs.metrics import count_run
             from repro.sim.protocol import Protocol
 
             class Watching(Protocol):
@@ -465,14 +465,14 @@ class TestR4ProtocolIsolation:
         findings = lint_snippet(
             tmp_path,
             """
-            from repro.obs.metrics import MetricsProbe
+            from repro.obs.metrics import count_run
             from repro.sim.engine import build_engine
 
             def run(network, factory, seed, registry):
-                probe = MetricsProbe(registry, protocol="p")
-                return build_engine(
-                    network, factory, seed=seed, probe=probe
-                ).run(100)
+                engine = build_engine(network, factory, seed=seed)
+                result = engine.run(100, totals=True)
+                count_run(registry, result, protocol="p")
+                return result
             """,
             name="repro/core/runners.py",
         )

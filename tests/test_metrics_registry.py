@@ -3,8 +3,9 @@
 Covers the registry's declaration contract (idempotent, conflicting
 re-declarations rejected), each instrument's semantics, the
 snapshot/restore/merge cycle the parallel layer depends on, Prometheus
-text rendering, the engine-facing :class:`MetricsProbe` (checked
-against :func:`~repro.sim.metrics.compute_metrics` ground truth, and
+text rendering, the run totals every engine kernel returns and
+:func:`count_run`, which folds them into a registry (checked against
+:func:`~repro.sim.metrics.compute_metrics` ground truth, and
 byte-identical across the fast, general and columnar kernels), the
 :class:`ResourceSampler`, and the telemetry embedding of snapshots.
 """
@@ -14,6 +15,7 @@ from __future__ import annotations
 import functools
 import io
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -21,26 +23,34 @@ import repro.core.runners
 from repro.assignment import shared_core
 from repro.baselines.runners import run_rendezvous_broadcast
 from repro.core import CogCast
-from repro.core.runners import run_data_aggregation, run_gossip, run_local_broadcast
-from repro.obs import SlotProbe, TelemetrySink
+from repro.core.runners import (
+    run_data_aggregation,
+    run_gossip,
+    run_local_broadcast,
+    run_protocol,
+)
+from repro.obs import TelemetrySink
 from repro.obs.metrics import (
     METRICS_SCHEMA_VERSION,
     MetricsError,
-    MetricsProbe,
     MetricsRegistry,
     ResourceSampler,
+    count_run,
     merge_snapshots,
     render_prometheus,
     validate_snapshot,
 )
 from repro.obs.telemetry import read_telemetry, run_record, validate_record
+from repro.sim.actions import Listen
+from repro.sim.adversary import RandomJammer
 from repro.sim.backends import AllInformed, numpy_available
 from repro.sim.channels import Network
-from repro.sim.engine import build_engine
+from repro.sim.engine import RunResult, RunTotals, build_engine
 from repro.sim.metrics import compute_metrics
+from repro.sim.protocol import Protocol
 from repro.sim.rng import derive_rng
 from repro.sim.trace import EventTrace
-from repro.types import SimulationError
+from repro.types import ProtocolViolationError
 
 
 def small_network(seed: int = 0, n: int = 10, c: int = 5, k: int = 2) -> Network:
@@ -196,6 +206,18 @@ class TestSnapshotRestoreMerge:
         ba = merge_snapshots([b.snapshot(), a.snapshot()])
         assert ab == ba
 
+    def test_merged_snapshot_equals_single_stream(self):
+        # Merging keeps a zero extreme: 0.0 is a sample, not a missing one.
+        single = MetricsRegistry()
+        parts = []
+        for value in (0.0, 3.0):
+            part = MetricsRegistry()
+            for registry in (single, part):
+                registry.histogram("lat", "latency").observe(value)
+            parts.append(part.snapshot())
+        assert merge_snapshots(parts) == single.snapshot()
+        assert merge_snapshots(reversed(parts)) == single.snapshot()
+
     def test_merge_empty_iterable_yields_empty_snapshot(self):
         snapshot = merge_snapshots([])
         assert snapshot == {"schema": METRICS_SCHEMA_VERSION, "metrics": {}}
@@ -240,7 +262,20 @@ class TestPrometheusExport:
         assert text.endswith("\n")
 
 
+def sim_instruments(registry: MetricsRegistry) -> SimpleNamespace:
+    """The ``sim_*`` instruments ``count_run`` keeps, without the prefix."""
+    return SimpleNamespace(
+        **{
+            name.removeprefix("sim_"): instrument
+            for name, instrument in registry.instruments().items()
+            if name.startswith("sim_")
+        }
+    )
+
+
 class TestMetricsProbe:
+    """A runner given ``metrics=`` counts its run with ``count_run``."""
+
     def test_probe_matches_trace_ground_truth(self):
         registry = MetricsRegistry()
         trace = EventTrace()
@@ -249,14 +284,14 @@ class TestMetricsProbe:
             network, seed=3, max_slots=60, trace=trace, metrics=registry
         )
         truth = compute_metrics(trace)
-        probe = MetricsProbe(registry, protocol="cogcast")
-        assert probe.slots.value(protocol="cogcast") == result.slots
-        assert probe.broadcasts.value(protocol="cogcast") == truth.transmissions
-        assert probe.collisions.value(protocol="cogcast") == truth.collisions
-        assert probe.deliveries.value(protocol="cogcast") == truth.deliveries
-        assert probe.wasted_listens.value(protocol="cogcast") == truth.wasted_listens
+        sim = sim_instruments(registry)
+        assert sim.slots.value(protocol="cogcast") == result.slots
+        assert sim.broadcasts.value(protocol="cogcast") == truth.transmissions
+        assert sim.collisions.value(protocol="cogcast") == truth.collisions
+        assert sim.deliveries.value(protocol="cogcast") == truth.deliveries
+        assert sim.wasted_listens.value(protocol="cogcast") == truth.wasted_listens
         assert (
-            probe.peak_contention.value(protocol="cogcast")
+            sim.peak_contention.value(protocol="cogcast")
             == truth.peak_channel_contention
         )
 
@@ -320,19 +355,55 @@ KERNEL_PARITY_RUNNERS = {
 }
 
 
-def _cogcast_engine(probe, backend="exact", fast_path=True):
+#: Kernel name -> the ``build_engine`` options that select it.
+KERNELS = {
+    "fast": {},
+    "general": {"fast_path": False},
+    "vector-replay": {"backend": "vector-replay"},
+}
+
+
+def _cogcast_engine(kernel="fast", **options):
+    if kernel == "vector-replay" and not numpy_available():
+        pytest.skip("numpy not installed")
     return build_engine(
         small_network(),
         lambda view: CogCast(view, is_source=view.node_id == 0),
         seed=2,
-        probe=probe,
-        fast_path=fast_path,
-        backend=backend,
+        **KERNELS[kernel],
+        **options,
     )
 
 
+def _kernel_taken(engine) -> str:
+    """The kernel *engine*'s most recent run took."""
+    if getattr(engine, "vector_engaged", False):
+        return "vector-replay"
+    return "fast" if engine.fast_path_engaged else "general"
+
+
+def _jammer() -> RandomJammer:
+    universe = sorted(small_network().assignment_at(0).universe)
+    return RandomJammer(universe, 2, derive_rng(9, "metrics-test-jam"))
+
+
+def trace_totals(trace: EventTrace) -> RunTotals:
+    """What a run's channel events add up to, as ``compute_metrics`` folds them."""
+    contention, deliveries, wasted_listens = [], 0, 0
+    for event in trace:
+        if event.broadcasters:
+            contention.append(len(event.broadcasters))
+        live = [node for node in event.listeners if node not in event.jammed_nodes]
+        if event.winner is None:
+            wasted_listens += len(live)
+        else:
+            deliveries += len(live)
+        wasted_listens += len(event.listeners) - len(live)
+    return RunTotals(tuple(contention), deliveries, wasted_listens)
+
+
 class TestRunTotals:
-    """``MetricsProbe`` on every kernel, fed once through ``on_run_totals``."""
+    """``run(totals=True)`` on every kernel, and ``count_run`` over it."""
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     @pytest.mark.parametrize("runner", sorted(KERNEL_PARITY_RUNNERS))
@@ -359,42 +430,68 @@ class TestRunTotals:
         assert fast_paths["general"] is False
         assert len(set(snapshots.values())) == 1, snapshots
 
-    @pytest.mark.parametrize("backend", ["exact", "vector-replay", "general"])
-    def test_fast_kernels_fire_only_run_hooks(self, backend):
-        if backend == "vector-replay" and not numpy_available():
-            pytest.skip("numpy not installed")
-        fired: list[str] = []
-
-        class Recorder(MetricsProbe):
-            def __getattribute__(self, name):
-                if name.startswith("on_"):
-                    fired.append(name)
-                return object.__getattribute__(self, name)
-
-        engine = _cogcast_engine(
-            Recorder(MetricsRegistry()),
-            "exact" if backend == "general" else backend,
-            fast_path=backend != "general",
+    @pytest.mark.parametrize("kernel", [*KERNELS, "jammed-general"])
+    def test_totals_equal_the_trace_fold(self, kernel):
+        """Every kernel returns what a trace of the same run adds up to."""
+        jammed = kernel == "jammed-general"
+        taken = "general" if jammed else kernel
+        jam = {"jammer": _jammer()} if jammed else {}
+        engine = _cogcast_engine(taken, **jam)
+        result = engine.run(200, stop_when=AllInformed(engine.protocols), totals=True)
+        assert _kernel_taken(engine) == taken
+        trace = EventTrace()
+        jam = {"jammer": _jammer()} if jammed else {}
+        traced = _cogcast_engine("general", trace=trace, **jam)
+        assert traced.run(200, stop_when=AllInformed(traced.protocols)).slots == (
+            result.slots
         )
-        engine.run(200, stop_when=AllInformed(engine.protocols))
-        engaged = engine.fast_path_engaged or getattr(engine, "vector_engaged", False)
-        assert engaged is (backend != "general")
-        assert fired == ["on_run_start", "on_run_totals", "on_run_end"]
+        assert result.totals == trace_totals(trace)
+        assert max(result.totals.contention) >= 2  # the run had collisions
+        assert any(event.jammed_nodes for event in trace) is jammed
 
-    def test_bare_probe_keeps_the_fast_kernel(self):
-        engine = _cogcast_engine(SlotProbe())
-        engine.run(20)
-        assert engine.fast_path_engaged is True
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_no_totals_unless_asked(self, kernel):
+        engine = _cogcast_engine(kernel)
+        result = engine.run(200, stop_when=AllInformed(engine.protocols))
+        assert _kernel_taken(engine) == kernel
+        assert result.totals is None
 
-    def test_attaching_probe_mid_totals_run_raises(self):
-        engine = _cogcast_engine(MetricsProbe(MetricsRegistry()))
+    def test_count_run_refuses_a_result_without_totals(self):
+        registry = MetricsRegistry()
+        with pytest.raises(ValueError, match="totals=True"):
+            count_run(registry, RunResult(3, True, True), protocol="cogcast")
+        assert registry.snapshot()["metrics"] == {}
 
-        def sabotage(running_engine):
-            running_engine.probe = SlotProbe()
-            return False
+    @pytest.mark.parametrize("kernel", ["fast", "general"])
+    def test_raising_run_counts_and_records_nothing(self, kernel, monkeypatch):
+        """A run whose kernel raises leaves the registry and telemetry as they were."""
 
-        with pytest.raises(SimulationError):
-            engine.run(10, stop_when=sabotage)
+        class OutOfRange(Protocol):
+            def __init__(self, view):
+                self.view = view
+
+            def begin_slot(self, slot):
+                return Listen(self.view.num_channels)
+
+            def end_slot(self, slot, outcome):
+                return None
+
+        if kernel == "general":
+            force_general_kernel(monkeypatch)
+        registry, handle = MetricsRegistry(), io.StringIO()
+        with pytest.raises(ProtocolViolationError):
+            run_protocol(
+                small_network(),
+                OutOfRange,
+                protocol="out-of-range",
+                seed=0,
+                max_slots=5,
+                stop=lambda protocols: None,
+                metrics=registry,
+                telemetry=TelemetrySink(handle),
+            )
+        assert registry.snapshot()["metrics"] == {}
+        assert handle.getvalue() == ""
 
 
 class TestResourceSampler:

@@ -1,9 +1,9 @@
-"""Tests for repro.obs — probes, aggregators, telemetry.
+"""Tests for repro.obs — run counting, aggregators, telemetry.
 
-The load-bearing guarantee is probe/trace parity: the counters a
-:class:`~repro.obs.metrics.MetricsProbe` streams into its registry
-must equal *exactly* the :class:`~repro.sim.metrics.TraceMetrics` that
-analysing a full :class:`~repro.sim.trace.EventTrace` of the same
+The load-bearing guarantee is totals/trace parity: the counters
+:func:`~repro.obs.metrics.count_run` folds into a registry from a run's
+totals must equal *exactly* the :class:`~repro.sim.metrics.TraceMetrics`
+that analysing a full :class:`~repro.sim.trace.EventTrace` of the same
 seeded run does, including under jamming and under the destructive
 collision model.
 """
@@ -26,14 +26,13 @@ from repro.baselines.runners import (
 from repro.core.runners import run_data_aggregation, run_gossip, run_local_broadcast
 from repro.obs import (
     FixedHistogram,
-    MetricsProbe,
     MetricsRegistry,
-    SlotProbe,
     SpanProbe,
     StreamingStat,
     TelemetryError,
     TelemetrySink,
     campaign_record,
+    count_run,
     experiment_record,
     read_telemetry,
     run_record,
@@ -45,7 +44,7 @@ from repro.sim.adversary import RandomJammer, TargetedJammer
 from repro.sim.backends import numpy_available
 from repro.sim.channels import ChannelAssignment, Network
 from repro.sim.collision import DestructiveCollision
-from repro.sim.engine import Engine, build_engine
+from repro.sim.engine import Engine
 from repro.sim.metrics import TraceMetrics, compute_metrics
 from repro.sim.protocol import Protocol
 from repro.sim.rng import derive_rng
@@ -59,19 +58,22 @@ def small_network(n=16, c=8, k=2, seed=3) -> Network:
 
 
 def streamed_counts(registry: MetricsRegistry, protocol: str) -> dict[str, float]:
-    """A MetricsProbe's counts, keyed by the matching TraceMetrics field."""
-    probe = MetricsProbe(registry, protocol=protocol)
+    """The counts ``count_run`` folded, keyed by the matching TraceMetrics field."""
+    by_protocol = ("protocol",)
     return {
-        "transmissions": probe.broadcasts.value(protocol=protocol),
-        "collisions": probe.collisions.value(protocol=protocol),
-        "deliveries": probe.deliveries.value(protocol=protocol),
-        "wasted_listens": probe.wasted_listens.value(protocol=protocol),
-        "peak_channel_contention": probe.peak_contention.value(protocol=protocol),
+        field: instrument(name, labels=by_protocol).value(protocol=protocol)
+        for field, instrument, name in (
+            ("transmissions", registry.counter, "sim_broadcasts"),
+            ("collisions", registry.counter, "sim_collisions"),
+            ("deliveries", registry.counter, "sim_deliveries"),
+            ("wasted_listens", registry.counter, "sim_wasted_listens"),
+            ("peak_channel_contention", registry.gauge, "sim_peak_contention"),
+        )
     }
 
 
 def trace_counts(metrics: TraceMetrics) -> dict[str, int]:
-    """The TraceMetrics fields a MetricsProbe streams."""
+    """The TraceMetrics fields ``count_run`` counts."""
     return {
         name: getattr(metrics, name)
         for name in (
@@ -85,8 +87,8 @@ def trace_counts(metrics: TraceMetrics) -> dict[str, int]:
 
 
 def streamed_slots(registry: MetricsRegistry, protocol: str) -> float:
-    """The ``sim_slots`` count a MetricsProbe streamed for *protocol*."""
-    return MetricsProbe(registry, protocol=protocol).slots.value(protocol=protocol)
+    """The ``sim_slots`` count ``count_run`` folded for *protocol*."""
+    return registry.counter("sim_slots", labels=("protocol",)).value(protocol=protocol)
 
 
 class Repeat(Protocol):
@@ -159,6 +161,22 @@ class TestStreamingStat:
         assert stat.variance == 0.0  # population variance of one sample
         assert stat.minimum == stat.maximum == 42.0
 
+    @pytest.mark.parametrize(
+        ("left_samples", "right_samples"),
+        [([0.0], [3.0]), ([3.0], [0.0]), ([-5.0, -3.0], [0.0]), ([0.0], [-5.0, -3.0])],
+    )
+    def test_merge_keeps_zero_extremes(self, left_samples, right_samples):
+        # A zero extreme is a real extreme, not a missing one.
+        left, right, combined = StreamingStat(), StreamingStat(), StreamingStat()
+        for value in left_samples:
+            left.push(value)
+            combined.push(value)
+        for value in right_samples:
+            right.push(value)
+            combined.push(value)
+        left.merge(right)
+        assert (left.minimum, left.maximum) == (combined.minimum, combined.maximum)
+
 
 class TestFixedHistogram:
     def test_bucketing_and_overflow(self):
@@ -202,7 +220,7 @@ class TestFixedHistogram:
 
 
 class TestProbeTraceParity:
-    """MetricsProbe must reproduce compute_metrics exactly."""
+    """``count_run`` over a run's totals must reproduce compute_metrics exactly."""
 
     def assert_parity(self, **run_kwargs):
         network = run_kwargs.pop("network", small_network())
@@ -278,13 +296,10 @@ class TestProbeTraceParity:
         trace = EventTrace()
         registry = MetricsRegistry()
         engine = Engine(
-            network,
-            [Repeat(action) for action in actions],
-            trace=trace,
-            jammer=jammer,
-            probe=MetricsProbe(registry, protocol="p"),
+            network, [Repeat(action) for action in actions], trace=trace, jammer=jammer
         )
-        engine.run(2, stop_when=lambda _: False)
+        result = engine.run(2, stop_when=lambda _: False, totals=True)
+        count_run(registry, result, protocol="p")
         assert engine.fast_path_engaged is False
         truth = compute_metrics(trace)
         counts = (truth.transmissions, truth.deliveries, truth.wasted_listens)
@@ -339,54 +354,6 @@ class TestProbeTraceParity:
             probed.completed,
             probed.informed_slots,
         )
-
-
-class TestAttach:
-    def test_engine_fires_only_probe_api_hooks(self):
-        fired: set[str] = set()
-
-        class Recorder(SlotProbe):
-            def __getattribute__(self, name):
-                if name.startswith("on_"):
-                    fired.add(name)
-                return object.__getattribute__(self, name)
-
-        network = small_network()
-        universe = sorted(network.assignment_at(0).universe)
-        engine = build_engine(
-            network,
-            _cogcast_factory(),
-            seed=2,
-            probe=Recorder(),
-            jammer=RandomJammer(universe, 3, derive_rng(9, "test-obs-jam")),
-            collision=DestructiveCollision(),
-        )
-        engine.run(20, stop_when=lambda _: False)
-        assert engine.fast_path_engaged is False
-        assert fired == {"on_run_start", "on_run_totals", "on_run_end"}
-
-    def test_run_lifecycle_hooks(self):
-        class Lifecycle(SlotProbe):
-            def __init__(self):
-                self.events = []
-
-            def on_run_start(self, *, num_nodes, num_channels, overlap):
-                self.events.append(("start", num_nodes, num_channels, overlap))
-
-            def on_run_end(self, slots):
-                self.events.append(("end", slots))
-
-        network = small_network()
-        probe = Lifecycle()
-        engine = build_engine(network, _cogcast_factory(), seed=2, probe=probe)
-        result = engine.run(10, stop_when=lambda _: False)
-        assert probe.events[0] == (
-            "start",
-            network.num_nodes,
-            network.channels_per_node,
-            network.overlap,
-        )
-        assert probe.events[-1] == ("end", result.slots)
 
 
 class TestTelemetryRecords:
@@ -708,12 +675,3 @@ class TestHarnessTelemetry:
         for record, result in zip(records, results):
             assert record["point"] == dict(result.point)
             assert math.isclose(record["mean"], result.summary.mean)
-
-
-def _cogcast_factory(source=0, body=None):
-    from repro.core.cogcast import CogCast
-
-    def factory(view):
-        return CogCast(view, is_source=(view.node_id == source), body=body)
-
-    return factory

@@ -6,7 +6,7 @@ missing fields the kernel materializes), a population that keeps
 per-slot logs, and (replay only) node streams the batched label draws
 cannot replay.  All must fall back to the exact engine like every
 other ineligible configuration: same reason strings, same results, and
-one engine run per ``run()`` in whatever a probe observes.
+one engine run per ``run()`` in the registry that counts it.
 
 A fallback is the same engine running its exact kernels, so a columnar
 run followed by a fallback run continues one slot clock and one
@@ -22,7 +22,7 @@ import pytest
 
 from repro.assignment import shared_core
 from repro.core import CogCast
-from repro.obs.metrics import MetricsProbe, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, count_run
 from repro.sim import Network
 from repro.sim.backends import AllInformed, BACKEND_NAMES, numpy_available
 from repro.sim.engine import build_engine
@@ -86,9 +86,9 @@ def network(seed: int = 5) -> Network:
     return Network.static(shared_core(24, 6, 2, random.Random(seed)))
 
 
-def drive(factory, backend, probe=None):
-    engine = build_engine(network(), factory, seed=5, probe=probe, backend=backend)
-    result = engine.run(10_000, stop_when=AllInformed(engine.protocols))
+def drive(factory, backend, totals=False):
+    engine = build_engine(network(), factory, seed=5, backend=backend)
+    result = engine.run(10_000, stop_when=AllInformed(engine.protocols), totals=totals)
     return engine, result
 
 
@@ -155,7 +155,7 @@ def test_fallback_counts_one_engine_run(factory):
     snapshots = {}
     for backend in BACKEND_NAMES:
         registry = MetricsRegistry()
-        drive(factory, backend, probe=MetricsProbe(registry, protocol="cogcast"))
+        count_run(registry, drive(factory, backend, totals=True)[1], protocol="cogcast")
         snapshots[backend] = registry.snapshot()
     runs = snapshots["exact"]["metrics"]["sim_runs"]
     assert [series["value"] for series in runs["series"]] == [1]
