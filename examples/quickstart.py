@@ -47,7 +47,7 @@ def main() -> None:
     from repro.analysis import ascii_curve
     from repro.sim import informed_curve
 
-    curve = informed_curve(trace, root=0, num_nodes=n)
+    curve = informed_curve(trace, root=0)
     print("  epidemic growth (informed nodes per slot):")
     rendered = ascii_curve(
         [(float(slot), float(count)) for slot, count in curve],

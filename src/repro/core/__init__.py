@@ -7,7 +7,9 @@
   :func:`~repro.core.runners.run_data_aggregation` — four-phase data
   aggregation (Section 5, Theorem 10).
 - :class:`~repro.core.tree.DistributionTree` — the implicit spanning
-  tree (Lemma 5) and its verification.
+  tree (Lemma 5) and its verification;
+  :func:`~repro.core.tree.first_informs` reads who informed whom off
+  one channel event, for every analysis that asks.
 - :mod:`repro.core.clusters` — (r, c)-cluster reconstruction
   (Definitions 6 and 8).
 - :mod:`repro.core.aggregation` — associative aggregators (the small-
@@ -53,7 +55,9 @@ _EXPORTS = {
     "MediatorAnnouncePayload": "repro.core.messages",
     "ValueReportPayload": "repro.core.messages",
     "DistributionTree": "repro.core.tree",
+    "InformEdge": "repro.core.tree",
     "TreeError": "repro.core.tree",
+    "first_informs": "repro.core.tree",
 }
 
 __all__ = sorted(_EXPORTS)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from repro.core.messages import InitPayload
+from repro.core.tree import first_informs
 from repro.sim.trace import EventTrace
 from repro.types import Channel, NodeId, Slot
 
@@ -52,7 +52,8 @@ def clusters_from_trace(trace: EventTrace, root: NodeId) -> dict[ClusterKey, Clu
     """Reconstruct all (r, c)-clusters from an engine trace.
 
     A cluster forms whenever an ``InitPayload`` wins a channel that has
-    at least one not-yet-informed, unjammed listener.  Listeners already
+    at least one not-yet-informed, unjammed listener
+    (:func:`~repro.core.tree.first_informs`).  Listeners already
     informed earlier (impossible under pure COGCAST, where informed
     nodes never listen, but possible under protocol variants) are
     excluded, matching the "first informed" definition.
@@ -60,19 +61,14 @@ def clusters_from_trace(trace: EventTrace, root: NodeId) -> dict[ClusterKey, Clu
     informed: set[NodeId] = {root}
     clusters: dict[ClusterKey, ClusterInfo] = {}
     for event in trace.events:
-        if event.winner is None or not isinstance(event.winner.payload, InitPayload):
+        edges = first_informs(event, informed)
+        if not edges:
             continue
-        fresh = frozenset(
-            listener
-            for listener in event.listeners
-            if listener not in informed and listener not in event.jammed_nodes
-        )
-        if not fresh:
-            continue
-        informed.update(fresh)
         key = ClusterKey(slot=event.slot, channel=event.channel)
         clusters[key] = ClusterInfo(
-            key=key, informer=event.winner.sender, members=fresh
+            key=key,
+            informer=edges[0].parent,
+            members=frozenset(edge.child for edge in edges),
         )
     return clusters
 

@@ -5,6 +5,12 @@ the message; since an informed node never listens again, each node is
 informed exactly once, so the parent pointers form a tree rooted at the
 source.  COGCOMP aggregates along this tree.
 
+:func:`first_informs` reads that rule off one channel event; every
+analysis that asks who informed whom (:meth:`DistributionTree.from_trace`,
+:func:`~repro.core.clusters.clusters_from_trace`,
+:func:`~repro.sim.metrics.informed_curve` and the streaming
+:class:`~repro.obs.spans.SpanProbe`) folds events through it.
+
 :class:`DistributionTree` is the analysis-side representation, built
 either from protocol state (what nodes *believe*) or from an event trace
 (what *physically happened*); tests compare the two.
@@ -16,19 +22,60 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 from repro.core.messages import InitPayload
-from repro.sim.trace import EventTrace
-from repro.types import NodeId, ReproError
+from repro.sim.trace import ChannelEvent, EventTrace
+from repro.types import Channel, NodeId, ReproError, Slot
 
 
 class TreeError(ReproError):
     """The parent pointers do not form a valid distribution tree."""
 
 
+@dataclass(frozen=True, slots=True)
+class InformEdge:
+    """One edge of the distribution tree: *parent* informed *child*.
+
+    Attributes
+    ----------
+    parent: the node whose broadcast won the channel.
+    child: the node first informed by that broadcast.
+    slot: the slot in which the inform happened.
+    channel: the physical channel it happened on.
+    """
+
+    parent: NodeId
+    child: NodeId
+    slot: Slot
+    channel: Channel
+
+
+def first_informs(event: ChannelEvent, informed: set[NodeId]) -> list[InformEdge]:
+    """The nodes *event* informs first, as edges; each joins *informed*.
+
+    *informed* starts as the source.  An
+    :class:`~repro.core.messages.InitPayload` winner informs every
+    unjammed listener not yet in it; any other event informs nobody.
+    """
+    winner = event.winner
+    if winner is None or not isinstance(winner.payload, InitPayload):
+        return []
+    edges = [
+        InformEdge(winner.sender, listener, event.slot, event.channel)
+        for listener in event.listeners
+        if listener not in informed and listener not in event.jammed_nodes
+    ]
+    informed.update(edge.child for edge in edges)
+    return edges
+
+
 @dataclass(frozen=True)
 class DistributionTree:
     """A rooted tree over node ids, stored as parent pointers.
 
-    ``parents[u]`` is ``None`` exactly for the root.
+    ``parents[u]`` is ``None`` for the root and for every node the tree
+    does not reach; :attr:`nodes` are the ones it does.
+    :meth:`from_parents` and :meth:`from_trace` accept only spanning
+    trees; :attr:`repro.obs.spans.SpanProbe.tree` is one over the nodes
+    a run reached.
     """
 
     root: NodeId
@@ -57,20 +104,20 @@ class DistributionTree:
         bookkeeping.
         """
         parents: list[Optional[NodeId]] = [None] * num_nodes
-        seen: set[NodeId] = {root}
+        informed: set[NodeId] = {root}
         for event in trace.events:
-            if event.winner is None or not isinstance(event.winner.payload, InitPayload):
-                continue
-            for listener in event.listeners:
-                if listener in seen or listener in event.jammed_nodes:
-                    continue
-                parents[listener] = event.winner.sender
-                seen.add(listener)
+            for edge in first_informs(event, informed):
+                parents[edge.child] = edge.parent
         return cls.from_parents(root, parents)
 
     @property
     def num_nodes(self) -> int:
         return len(self.parents)
+
+    @property
+    def nodes(self) -> frozenset[NodeId]:
+        """The root plus every node whose parent chain reaches it."""
+        return frozenset(self._depths())
 
     def validate(self) -> None:
         """Check the spanning-tree invariants; raise :class:`TreeError`."""
@@ -102,18 +149,34 @@ class DistributionTree:
         return [child for child, parent in enumerate(self.parents) if parent == node]
 
     def depth(self, node: NodeId) -> int:
-        """Edges on the path from *node* to the root."""
+        """Edges on the path from *node* to the root.
+
+        Raises :class:`TreeError` when the tree does not reach *node*.
+        """
         depth = 0
         current: Optional[NodeId] = node
         while current != self.root:
-            assert current is not None
+            if current is None or depth == self.num_nodes:
+                raise TreeError(f"node {node} is not reached from root {self.root}")
             current = self.parents[current]
             depth += 1
         return depth
 
     def height(self) -> int:
-        """Maximum node depth."""
-        return max(self.depth(node) for node in range(self.num_nodes))
+        """Maximum depth over :attr:`nodes`."""
+        return max(self._depths().values())
+
+    def _depths(self) -> dict[NodeId, int]:
+        """Depth of every node the tree reaches, walking down from the root."""
+        children = self._children_map()
+        depths = {self.root: 0}
+        frontier = [self.root]
+        for node in frontier:
+            for child in children.get(node, ()):
+                if child not in depths:
+                    depths[child] = depths[node] + 1
+                    frontier.append(child)
+        return depths
 
     def subtree_size(self, node: NodeId) -> int:
         """Number of nodes in *node*'s subtree (including itself)."""

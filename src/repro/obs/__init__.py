@@ -17,13 +17,14 @@ constant-memory alternative:
   :class:`FixedHistogram`) — constant-memory moments and buckets, the
   building blocks of the metrics histograms, span statistics and query
   stats.
-- **Spans** (:class:`SpanProbe`, :class:`SpanTree`, :class:`Span`) —
-  the causal layer, a streaming event sink: reconstructs COGCAST's
-  distribution tree (who informed whom, when, on which channel) and
-  COGCOMP's four phase spans plus per-cluster aggregation
-  conversations from engine ground truth; :func:`chrome_trace` /
-  :func:`write_chrome_trace` export the timeline as Chrome-trace /
-  Perfetto JSON (``repro obs export-trace``).
+- **Spans** (:class:`SpanProbe`, :class:`Span`) — the causal layer, a
+  streaming event sink: reconstructs COGCAST's distribution tree (who
+  informed whom, when, on which channel: a
+  :class:`~repro.core.tree.DistributionTree` plus each node's
+  :class:`~repro.core.tree.InformEdge`) and COGCOMP's four phase spans
+  plus per-cluster aggregation conversations from engine ground truth;
+  :func:`chrome_trace` / :func:`write_chrome_trace` export the timeline
+  as Chrome-trace / Perfetto JSON (``repro obs export-trace``).
 - **Watchdogs** (:class:`WatchdogProbe` and the concrete
   :class:`SlotBudgetWatchdog`, :class:`MediatorUniquenessWatchdog`,
   :class:`ClusterSizeAgreementWatchdog`, :class:`InformedSetWatchdog`)
@@ -88,7 +89,6 @@ _EXPORTS = {
     "render_prometheus": "repro.obs.metrics",
     "validate_snapshot": "repro.obs.metrics",
     "chrome_trace": "repro.obs.export",
-    "span_summary": "repro.obs.export",
     "validate_chrome_trace": "repro.obs.export",
     "write_chrome_trace": "repro.obs.export",
     "CODE_VERSION": "repro.obs.provenance",
@@ -107,10 +107,8 @@ _EXPORTS = {
     "IngestReport": "repro.obs.store",
     "RunStore": "repro.obs.store",
     "manifest_entry": "repro.obs.store",
-    "InformEdge": "repro.obs.spans",
     "Span": "repro.obs.spans",
     "SpanProbe": "repro.obs.spans",
-    "SpanTree": "repro.obs.spans",
     "payload_kind": "repro.obs.spans",
     "TELEMETRY_SCHEMA_VERSION": "repro.obs.telemetry",
     "TelemetryError": "repro.obs.telemetry",

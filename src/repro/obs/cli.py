@@ -424,7 +424,7 @@ def export_trace(
     from repro.analysis.theory import cogcast_slot_bound
     from repro.assignment import shared_core
     from repro.core.runners import run_data_aggregation, run_local_broadcast
-    from repro.obs.export import span_summary, write_chrome_trace
+    from repro.obs.export import write_chrome_trace
     from repro.obs.spans import SpanProbe
     from repro.sim.channels import Network
     from repro.sim.rng import derive_rng
@@ -447,7 +447,7 @@ def export_trace(
     print(f"wrote {events} trace events to {output}")
     if spans_path is not None:
         with open(spans_path, "w", encoding="utf-8") as handle:
-            json.dump(span_summary(probe), handle, sort_keys=True, indent=2)
+            json.dump(probe.summary(), handle, sort_keys=True, indent=2)
             handle.write("\n")
         print(f"wrote span summary to {spans_path}")
     return 0

@@ -63,8 +63,8 @@ def chrome_trace(probe: SpanProbe, *, trace_name: str = "repro") -> dict[str, An
 
     Returns a JSON-ready dict with a ``traceEvents`` list: metadata
     events naming the process and tracks, one complete event per span,
-    and one instant event per distribution-tree inform edge (timestamps
-    in microseconds, one slot = 1 µs).
+    and one instant event per distribution-tree inform edge in informing
+    order, slot then child (timestamps in microseconds, one slot = 1 µs).
     """
     events: list[dict[str, Any]] = [
         _metadata("process_name", TRACK_PHASES, trace_name)
@@ -73,29 +73,24 @@ def chrome_trace(probe: SpanProbe, *, trace_name: str = "repro") -> dict[str, An
         events.append(_metadata("thread_name", tid, _TRACK_NAMES[tid]))
     for span in probe.spans():
         events.append(_span_event(span))
-    try:
-        tree = probe.tree
-    except ValueError:
-        tree = None
-    if tree is not None:
-        for edge in tree:
-            events.append(
-                {
-                    "ph": "i",
-                    "name": f"inform {edge.parent}->{edge.child}",
-                    "cat": "inform",
-                    "pid": 1,
-                    "tid": TRACK_INFORMS,
-                    "ts": edge.slot,
-                    "s": "t",
-                    "args": {
-                        "parent": edge.parent,
-                        "child": edge.child,
-                        "channel": edge.channel,
-                        "slot": edge.slot,
-                    },
-                }
-            )
+    for edge in sorted(probe.edges.values(), key=lambda e: (e.slot, e.child)):
+        events.append(
+            {
+                "ph": "i",
+                "name": f"inform {edge.parent}->{edge.child}",
+                "cat": "inform",
+                "pid": 1,
+                "tid": TRACK_INFORMS,
+                "ts": edge.slot,
+                "s": "t",
+                "args": {
+                    "parent": edge.parent,
+                    "child": edge.child,
+                    "channel": edge.channel,
+                    "slot": edge.slot,
+                },
+            }
+        )
     return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 
@@ -159,8 +154,3 @@ def write_chrome_trace(
         json.dump(doc, handle, sort_keys=True)
         handle.write("\n")
     return len(doc["traceEvents"])
-
-
-def span_summary(probe: SpanProbe) -> dict[str, Any]:
-    """The probe's compact JSON span summary (telemetry ``spans`` field)."""
-    return probe.summary()

@@ -8,8 +8,10 @@ answers *why* and *in what order*.  A
 events, and reconstructs the run's causal structure:
 
 - the epidemic **distribution tree** of COGCAST — who informed whom, on
-  which physical channel, at which slot — as a queryable
-  :class:`SpanTree` with depth / fanout / critical-path statistics;
+  which physical channel, at which slot — as a
+  :class:`~repro.core.tree.DistributionTree` plus each node's
+  :class:`~repro.core.tree.InformEdge`, read by the trace oracles' rule
+  (:func:`~repro.core.tree.first_informs`);
 - **phase spans** for COGCOMP's four globally-timed phases, plus one
   span per phase-four cluster-aggregation conversation, each carrying
   slot extents, contention statistics, and parent/child causal links.
@@ -18,17 +20,21 @@ Spans export to Chrome-trace / Perfetto JSON via
 :mod:`repro.obs.export` and compact summaries embed into telemetry run
 records (:func:`repro.obs.telemetry.run_record` ``spans=``).
 
-Message payloads are classified structurally (:func:`payload_kind`)
-rather than by importing :mod:`repro.core.messages` — the span layer
-stays import-independent of protocol code, mirroring how lint rule R4
-keeps protocol code import-independent of :mod:`repro.obs`.
+Who informed whom comes from :mod:`repro.core.tree`, the analysis-side
+home of Lemma 5's rule, so this module loads it and
+:mod:`repro.core.messages` but no protocol module.  Every other payload
+is classified structurally (:func:`payload_kind`) rather than by
+message class; lint rule R4 keeps the other direction clean, protocol
+code never imports :mod:`repro.obs`.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Mapping
+from typing import Any
 
+from repro.core.tree import DistributionTree, InformEdge, first_informs
 from repro.obs.aggregators import StreamingStat
 from repro.sim.trace import ChannelEvent
 from repro.types import Channel, NodeId, Slot
@@ -65,169 +71,6 @@ def payload_kind(payload: Any) -> str | None:
     if has_node:
         return "ack"
     return None
-
-
-@dataclass(frozen=True, slots=True)
-class InformEdge:
-    """One edge of the distribution tree: *parent* informed *child*.
-
-    Attributes
-    ----------
-    parent: the node whose broadcast won the channel.
-    child: the node first informed by that broadcast.
-    slot: the slot in which the inform happened.
-    channel: the physical channel it happened on.
-    """
-
-    parent: NodeId
-    child: NodeId
-    slot: Slot
-    channel: Channel
-
-
-class SpanTree:
-    """The reconstructed COGCAST distribution tree, queryable.
-
-    Built from engine-side ground truth: each informed node (other than
-    the source) has exactly one :class:`InformEdge` recording who
-    informed it, when, and on which channel.  :meth:`validate` checks
-    the structural invariants the paper's epidemic process guarantees.
-    """
-
-    def __init__(self, source: NodeId, edges: Mapping[NodeId, InformEdge]) -> None:
-        self.source = source
-        self.edges: dict[NodeId, InformEdge] = dict(edges)
-
-    @property
-    def nodes(self) -> frozenset[NodeId]:
-        """Every node in the tree (the source plus all informed nodes)."""
-        return frozenset(self.edges) | {self.source}
-
-    def __len__(self) -> int:
-        """Number of nodes in the tree."""
-        return len(self.nodes)
-
-    def __iter__(self) -> Iterator[InformEdge]:
-        """Iterate edges in informing order (slot, then child id)."""
-        return iter(sorted(self.edges.values(), key=lambda e: (e.slot, e.child)))
-
-    def parent_of(self, node: NodeId) -> NodeId | None:
-        """The node that informed *node* (``None`` for the source)."""
-        if node == self.source:
-            return None
-        return self.edges[node].parent
-
-    def children(self, node: NodeId) -> tuple[NodeId, ...]:
-        """The nodes *node* directly informed, in ascending id order."""
-        return tuple(
-            sorted(child for child, edge in self.edges.items() if edge.parent == node)
-        )
-
-    def fanout(self, node: NodeId) -> int:
-        """How many nodes *node* directly informed."""
-        return len(self.children(node))
-
-    def depth(self, node: NodeId) -> int:
-        """Edges between the source and *node* (source depth is 0)."""
-        return len(self.path_to(node))
-
-    def path_to(self, node: NodeId) -> tuple[InformEdge, ...]:
-        """The inform edges from the source down to *node*, in order."""
-        path: list[InformEdge] = []
-        current = node
-        seen = {node}
-        while current != self.source:
-            edge = self.edges.get(current)
-            if edge is None:
-                raise KeyError(f"node {current} is not in the tree")
-            path.append(edge)
-            current = edge.parent
-            if current in seen:
-                raise ValueError(f"cycle through node {current}")
-            seen.add(current)
-        return tuple(reversed(path))
-
-    def critical_path(self) -> tuple[InformEdge, ...]:
-        """The root path to the last-informed node (ties: smallest id).
-
-        The length of this chain is the sequential depth of the epidemic
-        — the part of the completion time no parallelism can hide.
-        """
-        if not self.edges:
-            return ()
-        last = min(
-            self.edges,
-            key=lambda child: (-self.edges[child].slot, child),
-        )
-        return self.path_to(last)
-
-    def validate(self) -> list[str]:
-        """Check the structural invariants; return the problems found.
-
-        An empty list means: every edge's parent is in the tree, every
-        node is reachable from the source (no cycles or orphan chains),
-        no edge re-informs the source, and slots strictly increase along
-        every root path.
-        """
-        problems: list[str] = []
-        if self.source in self.edges:
-            problems.append(f"source {self.source} has an inform edge")
-        nodes = self.nodes
-        for child in sorted(self.edges):
-            edge = self.edges[child]
-            if edge.child != child:
-                problems.append(f"edge for {child} names child {edge.child}")
-            if edge.parent not in nodes:
-                problems.append(f"edge parent {edge.parent} is not in the tree")
-        # Reachability + slot monotonicity by breadth-first walk.
-        reached = {self.source}
-        frontier = [self.source]
-        while frontier:
-            node = frontier.pop()
-            for child in self.children(node):
-                if child in reached:
-                    continue
-                reached.add(child)
-                frontier.append(child)
-                edge = self.edges[child]
-                if node != self.source:
-                    parent_slot = self.edges[node].slot
-                    if edge.slot <= parent_slot:
-                        problems.append(
-                            f"edge {node}->{child} at slot {edge.slot} does not "
-                            f"follow parent inform at slot {parent_slot}"
-                        )
-        unreachable = nodes - reached
-        if unreachable:
-            problems.append(
-                "unreachable from source: " + ", ".join(map(str, sorted(unreachable)))
-            )
-        return problems
-
-    def stats(self) -> dict[str, Any]:
-        """Aggregate tree statistics (JSON-ready)."""
-        if not self.edges:
-            return {
-                "nodes": 1,
-                "edges": 0,
-                "max_depth": 0,
-                "critical_path_slots": 0,
-                "last_informed_slot": None,
-                "max_fanout": 0,
-                "mean_fanout": 0.0,
-            }
-        critical = self.critical_path()
-        fanouts = [self.fanout(node) for node in sorted(self.nodes)]
-        informers = [fanout for fanout in fanouts if fanout > 0]
-        return {
-            "nodes": len(self.nodes),
-            "edges": len(self.edges),
-            "max_depth": len(critical),
-            "critical_path_slots": critical[-1].slot + 1,
-            "last_informed_slot": max(edge.slot for edge in self.edges.values()),
-            "max_fanout": max(fanouts),
-            "mean_fanout": round(sum(informers) / len(informers), 4),
-        }
 
 
 @dataclass
@@ -308,10 +151,12 @@ class SpanProbe:
     ``trace`` and call :meth:`start` and :meth:`finish` around the run.
     After the run:
 
-    - :attr:`tree` is the COGCAST distribution tree (:class:`SpanTree`),
-      rooted at the sender of the first winning init broadcast
-      (provably the source: only informed nodes send init, and at slot
-      0 only the source is informed);
+    - :attr:`tree` is the COGCAST distribution tree
+      (:class:`~repro.core.tree.DistributionTree`) over the nodes the
+      run reached, rooted at the sender of the first winning init
+      broadcast (provably the source: only informed nodes send init,
+      and at slot 0 only the source is informed), and :attr:`edges`
+      keeps each informed node's :class:`~repro.core.tree.InformEdge`;
     - :meth:`spans` returns the phase / cluster spans (COGCOMP phase
       spans need the phase-one length, which
       :func:`repro.core.runners.run_data_aggregation` passes to
@@ -379,24 +224,13 @@ class SpanProbe:
             return
         phase.successes += 1
         kind = payload_kind(winner.payload)
-        if kind == "init":
-            sender = winner.sender
-            if self._source is None:
-                self._source = sender
-            self._informed.add(sender)
-            for node in event.listeners:
-                if (
-                    node in event.jammed_nodes
-                    or node in self._informed
-                    or node == self._source
-                ):
-                    continue
-                self._informed.add(node)
-                self._edges[node] = InformEdge(
-                    parent=sender, child=node, slot=slot, channel=event.channel
-                )
-                phase.informs += 1
-        elif kind == "announce":
+        if kind == "init" and self._source is None:
+            self._source = winner.sender
+            self._informed.add(winner.sender)
+        for edge in first_informs(event, self._informed):
+            self._edges[edge.child] = edge
+            phase.informs += 1
+        if kind == "announce":
             cluster_slot = winner.payload.cluster_slot
             self._announced[event.channel] = cluster_slot
             cluster = self._cluster(event.channel, cluster_slot, slot)
@@ -437,15 +271,43 @@ class SpanProbe:
         return frozenset(self._informed)
 
     @property
-    def tree(self) -> SpanTree:
-        """The reconstructed distribution tree.
+    def edges(self) -> dict[NodeId, InformEdge]:
+        """Each informed node's inform edge (who, in which slot, on which channel)."""
+        return dict(self._edges)
 
-        Raises :class:`ValueError` when no init traffic was observed
-        (there is no tree to root).
+    @property
+    def tree(self) -> DistributionTree:
+        """The distribution tree over the nodes the run reached.
+
+        It has the *num_nodes* given to :meth:`start`; ``parents[u]`` is
+        ``None`` for the source and for every node no chain of inform
+        edges reaches from it.  Raises :class:`ValueError` when no init
+        traffic was observed (there is no tree to root).
         """
         if self._source is None:
             raise ValueError("no init broadcast observed")
-        return SpanTree(self._source, self._edges)
+        parents: list[NodeId | None] = [None] * self._num_nodes
+        for child, edge in self._edges.items():
+            parents[child] = edge.parent
+        return DistributionTree(self._source, tuple(parents))
+
+    def critical_path(self) -> tuple[InformEdge, ...]:
+        """The root path to the last-informed node (ties: smallest id).
+
+        The length of this chain is the sequential depth of the epidemic
+        — the part of the completion time no parallelism can hide.
+        Raises :class:`~repro.core.tree.TreeError` when the tree does
+        not reach that node.
+        """
+        edges = self._edges
+        if not edges:
+            return ()
+        node = min(edges, key=lambda child: (-edges[child].slot, child))
+        path: list[InformEdge] = []
+        for _ in range(self.tree.depth(node)):
+            path.append(edges[node])
+            node = edges[node].parent
+        return tuple(reversed(path))
 
     def node_extents(self) -> dict[NodeId, tuple[Slot, Slot]]:
         """Per-node ``(first, last)`` non-idle slots, by node id."""
@@ -531,5 +393,23 @@ class SpanProbe:
             },
         }
         if self._source is not None:
-            summary["tree"] = self.tree.stats()
+            summary["tree"] = self._tree_stats()
         return summary
+
+    def _tree_stats(self) -> dict[str, Any]:
+        """Size, height, timing and fan-out of :attr:`tree` (JSON-ready)."""
+        tree, edges = self.tree, self._edges.values()
+        nodes = tree.nodes
+        fanout = Counter(edge.parent for edge in edges)
+        informers = [fanout[node] for node in sorted(nodes) if fanout[node]]
+        mean_fanout = sum(informers) / len(informers) if informers else 0.0
+        last = max((edge.slot for edge in edges), default=None)
+        return {
+            "nodes": len(nodes),
+            "edges": len(edges),
+            "max_depth": tree.height(),
+            "critical_path_slots": 0 if last is None else last + 1,
+            "last_informed_slot": last,
+            "max_fanout": max(informers, default=0),
+            "mean_fanout": round(mean_fanout, 4),
+        }

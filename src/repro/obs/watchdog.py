@@ -16,8 +16,10 @@ final state, so they cost no kernel.  A forged ``MediatorAnnounce``
 from a node whose own state stays honest shows only on the channel, so
 :class:`MediatorUniquenessWatchdog` also defines ``record(event)``: it
 is an event sink, and the runners fan events out to it.  Payloads are
-classified structurally (:func:`~repro.obs.spans.payload_kind`), never
-by importing protocol modules.
+classified structurally (:func:`~repro.obs.spans.payload_kind`) rather
+than by message class; through :mod:`repro.obs.spans` this module loads
+:mod:`repro.core.tree` (Lemma 5's rule and its message type), but no
+protocol module.
 """
 
 from __future__ import annotations

@@ -124,28 +124,21 @@ def channel_utilization(trace: EventTrace) -> Counter[Channel]:
     return used
 
 
-def informed_curve(trace: EventTrace, root: int, num_nodes: int) -> list[tuple[Slot, int]]:
+def informed_curve(trace: EventTrace, root: int) -> list[tuple[Slot, int]]:
     """The epidemic growth curve: (slot, cumulative informed count).
 
     Counts first deliveries of :class:`~repro.core.messages.InitPayload`
-    per node, starting from the root.  Returns one point per slot in
-    which at least one node was newly informed.
+    per node (:func:`~repro.core.tree.first_informs`), starting from the
+    root.  Returns one point per slot in which at least one node was
+    newly informed.
     """
-    from repro.core.messages import InitPayload
+    from repro.core.tree import first_informs
 
     informed: set[int] = {root}
     curve: list[tuple[Slot, int]] = []
     for event in trace:
-        if event.winner is None or not isinstance(event.winner.payload, InitPayload):
+        if not first_informs(event, informed):
             continue
-        fresh = [
-            node
-            for node in event.listeners
-            if node not in informed and node not in event.jammed_nodes
-        ]
-        if not fresh:
-            continue
-        informed.update(fresh)
         if curve and curve[-1][0] == event.slot:
             curve[-1] = (event.slot, len(informed))
         else:

@@ -94,7 +94,7 @@ class TestIntegrationWithRealData:
         trace = EventTrace()
         result = run_local_broadcast(network, seed=0, max_slots=50_000, trace=trace)
         assert result.completed
-        curve = informed_curve(trace, root=0, num_nodes=16)
+        curve = informed_curve(trace, root=0)
         rendered = ascii_curve(
             [(float(slot), float(count)) for slot, count in curve],
             x_label="slot",

@@ -154,7 +154,7 @@ class TestChannelUtilization:
 
 class TestInformedCurve:
     def test_handmade(self):
-        curve = informed_curve(handmade_trace(), root=0, num_nodes=5)
+        curve = informed_curve(handmade_trace(), root=0)
         # Slot 0 informs node 1; slot 1 informs node 3 (node 4 jammed).
         assert curve == [(0, 2), (1, 3)]
 
@@ -168,7 +168,7 @@ class TestInformedCurve:
             network, seed=5, max_slots=50_000, trace=trace
         )
         assert result.completed
-        curve = informed_curve(trace, root=0, num_nodes=12)
+        curve = informed_curve(trace, root=0)
         # Monotone, ends with everyone, ends at the completion slot.
         counts = [count for _, count in curve]
         assert counts == sorted(counts)

@@ -2,10 +2,14 @@
 
 Acceptance criteria locked here:
 
-- on a seeded COGCAST run the reconstructed :class:`SpanTree` is a
-  valid tree rooted at the source whose node set equals the run's
-  informed set, agreeing edge-for-edge with the protocol-side
-  ``BroadcastResult.parents`` / ``informed_slots`` ground truth;
+- on a seeded COGCAST run the probe's
+  :class:`~repro.core.tree.DistributionTree` is a valid tree rooted at
+  the source whose node set equals the run's informed set, agreeing
+  edge-for-edge with the protocol-side ``BroadcastResult.parents`` /
+  ``informed_slots`` ground truth, and a run cut short by its budget
+  leaves a tree over the nodes it reached;
+- the summary's ``tree.max_depth`` is the tree's height, and a stream
+  in which an uninformed node's init wins still summarises;
 - on a seeded COGCOMP run the four phase spans exactly match the
   protocol's ``phase2_start`` / ``phase3_start`` / ``phase4_start``
   timetable;
@@ -38,13 +42,9 @@ from repro.core.messages import (
     ValueReportPayload,
 )
 from repro.core.runners import run_data_aggregation, run_local_broadcast
-from repro.obs.export import (
-    chrome_trace,
-    span_summary,
-    validate_chrome_trace,
-    write_chrome_trace,
-)
-from repro.obs.spans import InformEdge, Span, SpanProbe, SpanTree, payload_kind
+from repro.core.tree import DistributionTree, InformEdge, TreeError
+from repro.obs.export import chrome_trace, validate_chrome_trace, write_chrome_trace
+from repro.obs.spans import Span, SpanProbe, payload_kind
 from repro.sim.actions import Envelope, Idle
 from repro.sim.adversary import RandomJammer
 from repro.sim.backends import AllInformed
@@ -78,71 +78,142 @@ def _edge(parent, child, slot, channel=0):
     return InformEdge(parent=parent, child=child, slot=slot, channel=channel)
 
 
+def _init(slot, sender, listeners, channel=0):
+    """One channel event whose winner is *sender*'s init broadcast."""
+    return ChannelEvent(
+        slot=slot,
+        channel=channel,
+        broadcasters=(sender,),
+        listeners=tuple(listeners),
+        winner=Envelope(sender=sender, payload=InitPayload(origin=0)),
+    )
+
+
+def _fold(num_nodes, *events):
+    """A span probe that has folded *events* as one run."""
+    probe = SpanProbe()
+    probe.start(num_nodes=num_nodes)
+    for event in events:
+        probe.record(event)
+    probe.finish(events[-1].slot + 1)
+    return probe
+
+
 class TestSpanTree:
-    def _tree(self):
+    """The probe's tree, inform edges and tree summary."""
+
+    def _probe(self):
         #      0
         #     / \
         #    1   2      (slots 1, 2)
         #   / \
         #  3   4        (slots 3, 5)
-        return SpanTree(
-            0,
-            {
-                1: _edge(0, 1, 1),
-                2: _edge(0, 2, 2, channel=1),
-                3: _edge(1, 3, 3),
-                4: _edge(1, 4, 5),
-            },
+        return _fold(
+            5,
+            _init(1, 0, [1]),
+            _init(2, 0, [2], channel=1),
+            _init(3, 1, [3]),
+            _init(5, 1, [4]),
         )
 
-    def test_queries(self):
-        tree = self._tree()
-        assert tree.nodes == frozenset({0, 1, 2, 3, 4})
-        assert len(tree) == 5
-        assert tree.parent_of(0) is None
-        assert tree.parent_of(3) == 1
-        assert tree.children(0) == (1, 2)
-        assert tree.fanout(1) == 2
-        assert tree.fanout(4) == 0
-        assert tree.depth(0) == 0
-        assert tree.depth(4) == 2
-        assert [e.child for e in tree.path_to(3)] == [1, 3]
-
     def test_critical_path_is_last_informed(self):
-        tree = self._tree()
-        critical = tree.critical_path()
+        critical = self._probe().critical_path()
         assert [e.child for e in critical] == [1, 4]
         assert critical[-1].slot == 5
+        assert SpanProbe().critical_path() == ()
 
     def test_iteration_is_in_informing_order(self):
-        assert [e.child for e in self._tree()] == [1, 2, 3, 4]
+        # Fold slot 4 on channel 3 (informing 4) before channel 0 (3).
+        probe = _fold(
+            5,
+            _init(0, 0, [2, 1]),
+            _init(4, 1, [4], channel=3),
+            _init(4, 2, [3], channel=0),
+        )
+        assert list(probe.edges) == [2, 1, 4, 3]
+        informs = [
+            event["args"] for event in chrome_trace(probe)["traceEvents"]
+            if event["ph"] == "i"
+        ]
+        assert [(e["slot"], e["child"]) for e in informs] == [
+            (0, 1), (0, 2), (4, 3), (4, 4)
+        ]
 
     def test_stats(self):
-        stats = self._tree().stats()
-        assert stats["nodes"] == 5
-        assert stats["edges"] == 4
-        assert stats["max_depth"] == 2
-        assert stats["last_informed_slot"] == 5
-        assert stats["max_fanout"] == 2
-        assert SpanTree(7, {}).stats()["nodes"] == 1
+        stats = self._probe().summary()["tree"]
+        assert stats == {
+            "nodes": 5,
+            "edges": 4,
+            "max_depth": 2,
+            "critical_path_slots": 6,
+            "last_informed_slot": 5,
+            "max_fanout": 2,
+            "mean_fanout": 2.0,
+        }
+        source_only = _fold(8, _init(0, 7, [])).summary()["tree"]
+        assert source_only == {
+            "nodes": 1,
+            "edges": 0,
+            "max_depth": 0,
+            "critical_path_slots": 0,
+            "last_informed_slot": None,
+            "max_fanout": 0,
+            "mean_fanout": 0.0,
+        }
 
     def test_validate_clean(self):
-        assert self._tree().validate() == []
+        probe = self._probe()
+        tree = probe.tree
+        tree.validate()
+        assert tree == DistributionTree.from_parents(0, [None, 0, 0, 1, 1])
+        assert probe.edges == {
+            1: _edge(0, 1, 1),
+            2: _edge(0, 2, 2, channel=1),
+            3: _edge(1, 3, 3),
+            4: _edge(1, 4, 5),
+        }
 
-    def test_validate_rejects_nonincreasing_slots(self):
-        tree = SpanTree(0, {1: _edge(0, 1, 4), 2: _edge(1, 2, 4)})
-        problems = tree.validate()
-        assert any("does not follow" in p for p in problems)
+    def test_max_depth_is_the_height(self):
+        # 0 -> 1 -> 2 -> 3 early, 0 -> 4 last: the last-informed node
+        # sits at depth 1, the tree's height is 3.
+        probe = _fold(
+            5,
+            _init(0, 0, [1]),
+            _init(1, 1, [2]),
+            _init(2, 2, [3]),
+            _init(3, 0, [4]),
+        )
+        assert len(probe.critical_path()) == 1
+        assert probe.tree.height() == 3
+        assert probe.summary()["tree"]["max_depth"] == 3
 
-    def test_validate_rejects_orphans_and_cycles(self):
-        orphan = SpanTree(0, {2: _edge(9, 2, 1)})
-        assert any("not in the tree" in p for p in orphan.validate())
-        cycle = SpanTree(0, {1: _edge(2, 1, 1), 2: _edge(1, 2, 2)})
-        assert any("unreachable" in p for p in cycle.validate())
-
-    def test_validate_rejects_informed_source(self):
-        tree = SpanTree(0, {0: _edge(1, 0, 1)})
-        assert any("source" in p for p in tree.validate())
+    def test_forged_sender_still_summarises(self):
+        # Node 5 was never informed, yet its init wins and informs 6
+        # last: a planted fault the tree must survive.
+        probe = _fold(
+            7,
+            _init(0, 0, [1, 2]),
+            _init(1, 1, [3]),
+            _init(2, 5, [6]),
+        )
+        summary = probe.summary()
+        assert summary["informed"] == 5  # 0, 1, 2, 3 and the forged 6
+        assert summary["tree"] == {
+            "nodes": 4,
+            "edges": 4,
+            "max_depth": 2,
+            "critical_path_slots": 3,
+            "last_informed_slot": 2,
+            "max_fanout": 2,
+            "mean_fanout": 1.5,
+        }
+        tree = probe.tree
+        assert tree.nodes == frozenset({0, 1, 2, 3})
+        assert tree.parents[6] == 5 and tree.parents[5] is None
+        with pytest.raises(TreeError):
+            tree.validate()
+        with pytest.raises(TreeError):
+            probe.critical_path()
 
 
 class TestSpanProbeCogcast:
@@ -152,29 +223,46 @@ class TestSpanProbeCogcast:
             medium_network, seed=7, max_slots=2000, spans=probe,
             require_completion=True,
         )
-        tree = probe.tree
-        assert tree.source == 0
-        assert tree.validate() == []
+        tree, edges = probe.tree, probe.edges
+        assert tree.root == probe.source == 0
+        tree.validate()
         # Node set == the run's informed set (here: everyone).
+        assert tree.nodes == probe.informed
         assert tree.nodes == frozenset(range(medium_network.num_nodes))
         # Edge-for-edge agreement with protocol-side bookkeeping.
+        assert tree.parents == tuple(result.parents)
         for node in range(medium_network.num_nodes):
-            if node == tree.source:
+            if node == tree.root:
                 continue
-            edge = tree.edges[node]
-            assert edge.parent == result.parents[node]
-            assert edge.slot == result.informed_slots[node]
-        # Slots strictly increase along every root path.
-        for node in sorted(tree.nodes):
-            slots = [e.slot for e in tree.path_to(node)]
-            assert slots == sorted(set(slots))
+            assert edges[node].slot == result.informed_slots[node]
+            # Every parent was informed strictly before its child.
+            parent = edges[node].parent
+            if parent != tree.root:
+                assert edges[parent].slot < edges[node].slot
+
+    def test_exhausted_budget_leaves_a_partial_tree(self, medium_network):
+        probe = SpanProbe()
+        result = run_local_broadcast(
+            medium_network, seed=7, max_slots=8, spans=probe
+        )
+        assert not result.completed
+        tree = probe.tree
+        assert tree.nodes == probe.informed
+        assert len(tree.nodes) == 16 and tree.height() == 3
+        unreached = set(range(medium_network.num_nodes)) - tree.nodes
+        for node in sorted(unreached):
+            assert tree.parents[node] is None
+            with pytest.raises(TreeError, match=f"node {node} is not reached"):
+                tree.depth(node)
+        height = max(tree.depth(node) for node in tree.nodes)
+        assert probe.summary()["tree"]["max_depth"] == tree.height() == height
 
     def test_probe_resets_between_runs(self, small_network):
         probe = SpanProbe()
         run_local_broadcast(small_network, seed=1, max_slots=500, spans=probe)
-        first = dict(probe.tree.edges)
+        first = probe.edges
         run_local_broadcast(small_network, seed=1, max_slots=500, spans=probe)
-        assert probe.tree.edges == first  # identical run, not accumulated
+        assert probe.edges == first  # identical run, not accumulated
 
     def test_tree_without_init_traffic_raises(self):
         probe = SpanProbe()
@@ -255,14 +343,13 @@ class TestChromeTraceExport:
         names = [e["name"] for e in doc["traceEvents"] if e["ph"] == "X"]
         assert {"run", "phase1", "phase2", "phase3", "phase4"} <= set(names)
         informs = [e for e in doc["traceEvents"] if e["ph"] == "i"]
-        assert len(informs) == len(probe.tree.edges)
+        assert len(informs) == len(probe.edges)
 
         path = tmp_path / "trace.json"
         count = write_chrome_trace(path, probe)
         loaded = json.loads(path.read_text())
         assert validate_chrome_trace(loaded) == []
         assert len(loaded["traceEvents"]) == count
-        assert span_summary(probe) == probe.summary()
 
     def test_validator_flags_malformed_documents(self):
         assert validate_chrome_trace([]) != []
@@ -305,8 +392,7 @@ class TestSpanProbeUnit:
         )
         probe.record(event)
         probe.finish(1)
-        assert set(probe.tree.edges) == {1}
-        assert probe.tree.edges[1] == _edge(0, 1, 0)
+        assert probe.edges == {1: _edge(0, 1, 0)}
 
     def test_first_inform_wins(self):
         probe = SpanProbe()
@@ -321,8 +407,8 @@ class TestSpanProbeUnit:
         )
         probe.record(first)
         probe.record(again)
-        assert probe.tree.edges[1].slot == 0  # not overwritten at slot 1
-        assert probe.tree.edges[2].slot == 1
+        assert probe.edges[1].slot == 0  # not overwritten at slot 1
+        assert probe.edges[2].slot == 1
 
 
 class ActionLog:

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.tree import DistributionTree, TreeError
+from repro.core.messages import CountPayload, InitPayload
+from repro.core.tree import DistributionTree, InformEdge, TreeError, first_informs
+from repro.sim.actions import Envelope
+from repro.sim.trace import ChannelEvent, EventTrace
 
 
 def chain_tree() -> DistributionTree:
@@ -84,13 +87,72 @@ class TestQueries:
         assert tree.children(2) == [0, 1]
 
 
+class TestPartialTree:
+    """Trees that reach only some nodes, as a span probe builds them."""
+
+    def test_queries(self):
+        #      0
+        #     / \
+        #    1   2
+        #   / \
+        #  3   4
+        tree = DistributionTree(0, (None, 0, 0, 1, 1))
+        assert tree.nodes == frozenset({0, 1, 2, 3, 4})
+        assert tree.parents[0] is None
+        assert tree.parents[3] == 1
+        assert tree.children(0) == [1, 2]
+        assert len(tree.children(1)) == 2
+        assert len(tree.children(4)) == 0
+        assert tree.depth(0) == 0
+        assert tree.depth(4) == 2
+
+    def test_nodes_are_those_reaching_the_root(self):
+        # 2 is unreached, 3 hangs below it, 4 and 5 form a cycle.
+        tree = DistributionTree(0, (None, 0, None, 2, 5, 4))
+        assert tree.nodes == frozenset({0, 1})
+        assert tree.height() == 1
+        assert DistributionTree(0, (None, None)).height() == 0
+
+    def test_depth_of_an_unreached_node_raises(self):
+        tree = DistributionTree(0, (None, 0, None, 2, 5, 4))
+        for node in (2, 3, 4, 5):
+            with pytest.raises(TreeError, match=f"node {node} is not reached"):
+                tree.depth(node)
+        assert tree.depth(1) == 1
+
+
+def _event(sender, listeners, payload=None, jammed=()):
+    return ChannelEvent(
+        slot=4,
+        channel=7,
+        broadcasters=(sender,),
+        listeners=tuple(listeners),
+        winner=Envelope(sender, payload or InitPayload(origin=0)),
+        jammed_nodes=frozenset(jammed),
+    )
+
+
+class TestFirstInforms:
+    def test_init_informs_fresh_unjammed_listeners(self):
+        informed = {0, 2}
+        edges = first_informs(_event(0, [1, 2, 3, 4], jammed={4}), informed)
+        assert edges == [InformEdge(0, 1, 4, 7), InformEdge(0, 3, 4, 7)]
+        assert informed == {0, 1, 2, 3}
+
+    def test_other_payloads_and_silence_inform_nobody(self):
+        informed = {0}
+        census = _event(0, [1], payload=CountPayload(node=0, informed_slot=0))
+        assert first_informs(census, informed) == []
+        silent = ChannelEvent(
+            slot=0, channel=0, broadcasters=(), listeners=(1,), winner=None
+        )
+        assert first_informs(silent, informed) == []
+        assert informed == {0}
+
+
 class TestFromTrace:
     def test_reconstruction(self):
         """Build a trace by hand and check the oracle tree."""
-        from repro.core.messages import InitPayload
-        from repro.sim.actions import Envelope
-        from repro.sim.trace import ChannelEvent, EventTrace
-
         trace = EventTrace()
         # Slot 0: source 0 informs 1 and 2 on channel 5.
         trace.record(
@@ -117,10 +179,6 @@ class TestFromTrace:
         assert tree.parents == (None, 0, 0, 1)
 
     def test_jammed_listener_not_parented(self):
-        from repro.core.messages import InitPayload
-        from repro.sim.actions import Envelope
-        from repro.sim.trace import ChannelEvent, EventTrace
-
         trace = EventTrace()
         trace.record(
             ChannelEvent(

@@ -594,7 +594,7 @@ class TestSlotBudgetReference:
             network, seed=seed, max_slots=40, trace=trace, jammer=jammer,
             watchdogs=[dog],
         )
-        curve = informed_curve(trace, root=0, num_nodes=self.N)
+        curve = informed_curve(trace, root=0)
         informed = max(
             (count for slot, count in curve if slot < budget), default=1
         )
