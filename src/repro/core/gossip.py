@@ -44,11 +44,21 @@ class GossipCast(Protocol):
     view:
         The node's local view.
     initial:
-        Messages this node originates (each becomes an
-        :class:`~repro.core.messages.InitPayload` keyed by origin).
+        The message this node originates, if any: at most one body,
+        which becomes an :class:`~repro.core.messages.InitPayload`
+        keyed by this node's id.  More than one raises ``ValueError``
+        (``known`` holds one message per origin).
     """
 
+    #: Columnar program tag for the vector engine backend (duck-typed,
+    #: as on ``CogCast``): the backend batch-executes the same rule.
+    vector_kind = "gossip"
+
     def __init__(self, view: NodeView, initial: Sequence[Any] = ()) -> None:
+        if len(initial) > 1:
+            raise ValueError(
+                f"a node originates at most one message, got {len(initial)}"
+            )
         self.view = view
         self.known: dict[NodeId, InitPayload] = {}
         for body in initial:
@@ -79,6 +89,23 @@ class GossipCast(Protocol):
                 if origin not in self.known:
                     self.known[origin] = extra.payload
                     self.first_heard[origin] = slot
+
+    def vector_export(self) -> dict[str, Any]:
+        """Snapshot the state the vector backend batch-executes.
+
+        ``rng`` is the node's own stream (handed over for replay-mode
+        draws).
+        """
+        return {
+            "known": self.known,
+            "first_heard": self.first_heard,
+            "rng": self.view.rng,
+        }
+
+    def vector_import(self, state: dict[str, Any]) -> None:
+        """Restore state after a columnar run (plain Python values)."""
+        self.known = state["known"]
+        self.first_heard = state["first_heard"]
 
 
 @dataclass(frozen=True, slots=True)

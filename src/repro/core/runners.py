@@ -38,7 +38,7 @@ from repro.core.cogcast import BroadcastResult, CogCast
 from repro.core.cogcomp import AggregationResult, CogComp
 from repro.core.gossip import GossipCast, GossipResult
 from repro.sim.adversary import Jammer
-from repro.sim.backends import AllInformed, resolve_backend
+from repro.sim.backends import AllInformed, AllKnow, resolve_backend
 from repro.sim.channels import Network
 from repro.sim.collision import CollisionModel
 from repro.sim.engine import RunResult, build_engine
@@ -114,8 +114,9 @@ def run_protocol(
     COGCOMP's *phase1_slots*) and each watchdog are started before the
     run and finished after it, a watchdog with the final protocols and
     the network; the others cost no kernel.  Broadcast runners pass
-    :class:`AllInformed` itself as *stop*: the columnar kernel
-    recognises it, and a closure around it would run exact.  Given
+    :class:`AllInformed` itself as *stop*, and gossip an
+    :class:`AllKnow`: the columnar kernel recognises them, and a
+    closure around either would run exact.  Given
     *telemetry*, emits the run record (``outcome(protocols, result)``
     as its outcome), then this run's watchdog anomalies.  Returns the
     protocols and the :class:`RunResult`; the caller checks completion,
@@ -395,8 +396,11 @@ def run_gossip(
     ``sources`` maps originating node id to its message body.
     *metrics* / *resources* embed registry snapshots and sampler deltas
     in the run record, as in :func:`run_local_broadcast`.  *backend*
-    names the execution backend; gossip's stop predicate has no
-    columnar form, so the vector backends transparently run it exact.
+    names the execution backend.  The stop condition is
+    :class:`~repro.sim.backends.AllKnow`, which the vector backends
+    recognise, so an eligible run takes the columnar ``gossip``
+    program: bit-identical on ``vector-replay``, statistically
+    equivalent on ``vector``.
     """
     if not sources:
         raise ValueError("need at least one source")
@@ -409,18 +413,13 @@ def run_gossip(
         initial = [sources[view.node_id]] if view.node_id in sources else []
         return GossipCast(view, initial)
 
-    want = set(sources)
-
-    def all_covered(protocols: list[GossipCast]) -> StopCondition:
-        return lambda _: all(want <= set(protocol.known) for protocol in protocols)
-
     protocols, result = run_protocol(
         network,
         factory,
         protocol="gossip",
         seed=seed,
         max_slots=max_slots,
-        stop=all_covered,
+        stop=lambda protocols: AllKnow(protocols, sources),
         collision=collision,
         metrics=metrics,
         resources=resources,

@@ -27,6 +27,7 @@ from repro._lazy import lazy_exports
 #: use: ``from repro.sim.backends import BACKEND_NAMES`` loads no kernel.
 _EXPORTS = {
     "AllInformed": "repro.sim.backends.base",
+    "AllKnow": "repro.sim.backends.base",
     "BACKEND_NAMES": "repro.sim.backends.base",
     "BackendUnavailableError": "repro.sim.backends.base",
     "StopCondition": "repro.sim.backends.base",

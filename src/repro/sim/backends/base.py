@@ -27,7 +27,7 @@ import functools
 import importlib.util
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.types import SimulationError
 
@@ -61,6 +61,30 @@ class AllInformed:
 
     def __call__(self, engine: Any) -> bool:
         return all(protocol.informed for protocol in self.protocols)
+
+
+class AllKnow:
+    """Stop condition: every protocol's ``known`` holds every one of *origins*.
+
+    Gossip's stop predicate, named for the same reason as
+    :class:`AllInformed`: the exact engine calls it per slot (a subset
+    test against each node's ``known`` keys, building no set), while
+    the vector engine matches ``vector_condition`` and keeps a count of
+    the (node, origin) pairs still missing.
+    """
+
+    #: Columnar predicate tag recognized by the vector kernel.
+    vector_condition = "all_know"
+
+    __slots__ = ("protocols", "origins")
+
+    def __init__(self, protocols: Sequence[Any], origins: Iterable[Any]) -> None:
+        self.protocols = protocols
+        self.origins = frozenset(origins)
+
+    def __call__(self, engine: Any) -> bool:
+        origins = self.origins
+        return all(origins <= protocol.known.keys() for protocol in self.protocols)
 
 
 @dataclass(frozen=True)
@@ -110,7 +134,11 @@ class VectorContract:
 #: Declared contracts, keyed by ``vector_kind``.  The epidemic
 #: broadcast contract mirrors ``CogCast``'s exported state exactly:
 #: integer/bool columns for everything the kernel advances, object
-#: fields for the message payload and the live replay RNG handle.
+#: fields for the message payload and the live replay RNG handle.  The
+#: gossip contract mirrors ``GossipCast``'s: its ``known`` and
+#: ``first_heard`` dicts (origin -> payload, origin -> slot), which the
+#: kernel turns into a node-by-origin boolean matrix and back, and the
+#: live replay RNG handle.
 VECTOR_CONTRACTS: dict[str, VectorContract] = {
     "epidemic-broadcast": VectorContract(
         kind="epidemic-broadcast",
@@ -122,6 +150,14 @@ VECTOR_CONTRACTS: dict[str, VectorContract] = {
             VectorField("informed_label", "int64", nullable=True),
             VectorField("current_label", "int64"),
             VectorField("keep_log", "bool"),
+            VectorField("rng", "object"),
+        ),
+    ),
+    "gossip": VectorContract(
+        kind="gossip",
+        fields=(
+            VectorField("known", "object"),
+            VectorField("first_heard", "object"),
             VectorField("rng", "object"),
         ),
     ),

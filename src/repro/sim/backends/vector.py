@@ -4,12 +4,30 @@
 one kernel.  Instead of driving ``n`` Python protocol objects slot by
 slot, the columnar kernel represents the population as arrays —
 per-slot channel choices, a broadcaster mask, grouped single-winner
-collision resolution, and informed-set updates as boolean array ops —
-so the per-slot cost is a fixed number of numpy kernels over
-``n``-element arrays rather than ``~n`` Python-level calls.  On
-uninstrumented ``n >= 10^4`` COGCAST runs this is well over an order of
-magnitude faster than the exact engine's fast path
+collision resolution, and receptions as boolean array ops — so the
+per-slot cost is a fixed number of numpy kernels over ``n``-element
+arrays rather than ``~n`` Python-level calls.  On uninstrumented
+``n >= 10^4`` COGCAST runs this is well over an order of magnitude
+faster than the exact engine's fast path
 (``benchmarks/bench_backends.py``).
+
+One slot loop (:meth:`VectorEngine._run_vector`) runs every columnar
+program: it draws the labels, maps them through the label->channel
+table, resolves one winner per contended channel and keeps the run
+totals.  A program supplies the rest: who broadcasts which message,
+what a reception does, its stop test, and how its state crosses the
+``vector_export`` / ``vector_import`` boundary.  Two programs exist,
+by ``vector_kind``:
+
+- ``"epidemic-broadcast"`` (COGCAST): informed nodes broadcast their
+  one message, uninformed nodes listen and take the first message they
+  hear; stop test :class:`~repro.sim.backends.base.AllInformed`.
+- ``"gossip"`` (``GossipCast``): a node that knows any message
+  broadcasts one of them, chosen uniformly; every non-winner on a won
+  channel, losing broadcasters as well as listeners, learns the
+  winner's message; stop test :class:`~repro.sim.backends.base.AllKnow`.
+
+In neither does a node ever terminate on its own.
 
 Equivalence contract (see ``docs/performance.md`` "Backends"):
 
@@ -18,16 +36,18 @@ Equivalence contract (see ``docs/performance.md`` "Backends"):
   it takes the draws ``randrange(c)`` makes from every node's own
   :class:`random.Random` — ``getrandbits`` of ``c``'s bit length,
   redrawn while ``>= c`` — batched across nodes: one pass for all
-  nodes, then redraws for only the rejected ones.  The order across
-  nodes is free because each stream is one node's, so a population
-  whose streams are not distinct plain ``random.Random`` objects takes
-  the exact kernels.  From the engine's collision stream it takes one
-  ``choice`` per contended channel, in ascending physical channel
-  order; a lone broadcaster wins with no draw.  Final protocol states,
-  ``RunResult``, and both RNG stream states are equal draw for draw —
-  this mode exists to prove the columnar grouping/collision/delivery
-  machinery exact, and it reuses the fast path's eligibility
-  discipline (exact types only).
+  nodes, then redraws for only the rejected ones.  Gossip's
+  broadcasters then draw their message the same way on the same
+  streams (``randrange(len(known))``, the ``r``-th known origin in
+  ascending order).  The order across nodes is free because each
+  stream is one node's, so a population whose streams are not distinct
+  plain ``random.Random`` objects takes the exact kernels.  From the
+  engine's collision stream it takes one ``choice`` per contended
+  channel, in ascending physical channel order; a lone broadcaster wins
+  with no draw.  Final protocol states, ``RunResult``, and both RNG
+  stream states are equal draw for draw — this mode exists to prove the
+  columnar grouping/collision/delivery machinery exact, and it reuses
+  the fast path's eligibility discipline (exact types only).
 - **Tier B (statistical).**  The default ``rng_mode="numpy"`` draws
   from a :class:`numpy.random.Generator` seeded via the repository's
   seed discipline (``derive_seed(seed, "vector-engine")``).  Runs are
@@ -37,23 +57,18 @@ Equivalence contract (see ``docs/performance.md`` "Backends"):
   collision-rate distributions against the exact backend with
   bootstrap CIs and checks the epidemic invariants on the results.
 
-The engine only vectorizes populations whose protocols advertise a
-columnar program via the duck-typed ``vector_kind`` /
-``vector_export`` / ``vector_import`` contract (today:
-``"epidemic-broadcast"``, i.e. COGCAST — every node picks a uniform
-random label each slot, informed nodes broadcast one message,
-uninformed nodes listen and become informed on any reception, and no
-node ever terminates on its own).  Any run it cannot prove equivalent
-— jammers, non-default collision models, event sinks (traces, spans,
-the mediator-uniqueness watchdog), unknown protocols, unknown stop
-conditions — falls back transparently: the same engine runs it on the
-exact kernels (``Engine.run``), with one slot clock and one collision
-stream across every run, so ``backend="vector"`` is always safe to
-request.  ``run(totals=True)`` keeps the columnar path: it keeps the
-same :class:`~repro.sim.engine.RunTotals` as the exact kernels and
-returns them through the engine's one run end.  So do the run-end
-watchdogs (:mod:`repro.obs.watchdog`), which read the protocols'
-state after :meth:`~VectorEngine.run` imports it back.
+Any run the kernel cannot prove equivalent — jammers, non-default
+collision models, event sinks (traces, spans, the mediator-uniqueness
+watchdog), protocols without a program or a population mixing two
+programs, stop conditions without the program's tag — falls back
+transparently: the same engine runs it on the exact kernels
+(``Engine.run``), with one slot clock and one collision stream across
+every run, so ``backend="vector"`` is always safe to request.
+``run(totals=True)`` keeps the columnar path: it keeps the same
+:class:`~repro.sim.engine.RunTotals` as the exact kernels and returns
+them through the engine's one run end.  So do the run-end watchdogs
+(:mod:`repro.obs.watchdog`), which read the protocols' state after
+:meth:`~VectorEngine.run` imports it back.
 
 numpy itself is imported lazily: constructing the engine without
 numpy installed raises one actionable error instead of an ImportError
@@ -65,7 +80,7 @@ with ``rng_mode="numpy"``, and ``backend="vector-replay"`` with
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
 from repro.sim.backends.base import BackendUnavailableError, vector_contract
 from repro.sim.channels import DynamicSchedule, Network, StaticSchedule
@@ -75,12 +90,14 @@ from repro.sim.rng import derive_seed
 if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.sim.protocol import Protocol
 
-#: The columnar programs this engine implements, by ``vector_kind``.
-VECTOR_KINDS = ("epidemic-broadcast",)
-
 #: Sentinel for "never informed" in the columnar slot array (``-1`` is
 #: taken: it is the exported value for "informed before slot 0").
 _NEVER = -2
+
+#: ``draw(nodes, bounds)``: one ``randrange(bounds[i])`` for each node
+#: ``nodes[i]``, as an int64 array, from the run's random source.
+_Draw = Callable[[Any, Any], Any]
+
 
 def _numpy():
     """Import numpy on first use, with a one-line actionable error.
@@ -97,6 +114,190 @@ def _numpy():
             "(pip install 'repro[perf]') or select backend='exact'"
         ) from exc
     return numpy
+
+
+class _Epidemic:
+    """The ``epidemic-broadcast`` program (COGCAST).
+
+    Informed nodes broadcast their one message; an uninformed node that
+    hears a winner takes its message, its sender as parent, the slot
+    and its own label.
+    """
+
+    #: The ``vector_condition`` of the stop test this program evaluates.
+    condition = "all_informed"
+
+    def __init__(self, np: Any, exports: list[dict[str, Any]], stop_when: Any) -> None:
+        self.np = np
+        self.informed = np.array([bool(e["informed"]) for e in exports], dtype=bool)
+        self.messages: list[Any] = [e["message"] for e in exports]
+        self.parent = np.array(
+            [-1 if e["parent"] is None else e["parent"] for e in exports],
+            dtype=np.int64,
+        )
+        self.informed_slot = np.array(
+            [
+                _NEVER if e["informed_slot"] is None else e["informed_slot"]
+                for e in exports
+            ],
+            dtype=np.int64,
+        )
+        self.informed_label = np.array(
+            [
+                -1 if e["informed_label"] is None else e["informed_label"]
+                for e in exports
+            ],
+            dtype=np.int64,
+        )
+        self.exports = exports
+
+    def senders(self, draw: _Draw) -> Any:
+        """The broadcaster mask: every informed node, with its message."""
+        return self.informed
+
+    def receive(
+        self,
+        slot: int,
+        labels: Any,
+        channels: Any,
+        winner_node: Any,
+        heard: Any,
+        delivered: Any,
+    ) -> None:
+        """Inform every listener that heard a winner (*delivered*)."""
+        new_nodes = self.np.flatnonzero(delivered)
+        if new_nodes.size:
+            winners = winner_node[channels[new_nodes]]
+            self.parent[new_nodes] = winners
+            self.informed_slot[new_nodes] = slot
+            self.informed_label[new_nodes] = labels[new_nodes]
+            messages = self.messages
+            for node, source in zip(new_nodes.tolist(), winners.tolist()):
+                messages[node] = messages[source]
+            self.informed[new_nodes] = True
+
+    def done(self) -> bool:
+        return bool(self.informed.all())
+
+    def states(self, labels: Any) -> Iterator[dict[str, Any]]:
+        """Each node's ``vector_import`` state (*labels*: the last slot's).
+
+        Yielded one at a time, so a large population never holds them all.
+        """
+        informed = self.informed.tolist()
+        parent = self.parent.tolist()
+        slots = self.informed_slot.tolist()
+        informed_labels = self.informed_label.tolist()
+        if labels is None:
+            current = [export["current_label"] for export in self.exports]
+        else:
+            current = labels.tolist()
+        for node, message in enumerate(self.messages):
+            yield {
+                "informed": informed[node],
+                "message": message,
+                "parent": None if parent[node] < 0 else parent[node],
+                "informed_slot": None if slots[node] == _NEVER else slots[node],
+                "informed_label": (
+                    None if informed_labels[node] < 0 else informed_labels[node]
+                ),
+                "current_label": current[node],
+            }
+
+
+class _Gossip:
+    """The ``gossip`` program (``GossipCast``).
+
+    ``known`` is a node-by-origin boolean matrix whose columns are the
+    origins in ascending order.  A node that knows any message
+    broadcasts the ``r``-th origin it knows, ``r`` drawn below how many
+    it knows; every non-winner on a won channel learns the winner's
+    message.  Each origin has one payload object, the one every node
+    that knows it holds (``GossipCast`` originates at most one message
+    per node, keyed by the node's id), so receptions are recorded as
+    ``(slot, node, column)`` and rebuilt into the nodes' dicts, in the
+    order they happened, only at the end of the run.
+    """
+
+    condition = "all_know"
+
+    def __init__(self, np: Any, exports: list[dict[str, Any]], stop_when: Any) -> None:
+        self.np = np
+        self.exports = exports
+        need = frozenset(() if stop_when is None else stop_when.origins)
+        self.origins = sorted(need.union(*(e["known"] for e in exports)))
+        column = {origin: index for index, origin in enumerate(self.origins)}
+        self.payloads: list[Any] = [None] * len(self.origins)
+        self.known = np.zeros((len(exports), len(self.origins)), dtype=bool)
+        for node, export in enumerate(exports):
+            for origin, payload in export["known"].items():
+                self.known[node, column[origin]] = True
+                self.payloads[column[origin]] = payload
+        self.count = self.known.sum(axis=1)
+        self.rows = np.arange(len(exports))
+        #: The column each broadcaster sends this slot.
+        self.sent = np.zeros(len(exports), dtype=np.int64)
+        self.need = np.array([origin in need for origin in self.origins], dtype=bool)
+        self.missing = int(np.count_nonzero(~self.known[:, self.need]))
+        self.learned: list[tuple[int, list[int], list[int]]] = []
+
+    def senders(self, draw: _Draw) -> Any:
+        """The broadcaster mask; each broadcaster's message goes in ``sent``."""
+        np = self.np
+        sending = self.count > 0
+        nodes = np.flatnonzero(sending)
+        if nodes.size:
+            picks = draw(nodes, self.count[nodes])
+            # The first column where a node's running count of known
+            # origins passes its pick is its pick-th origin.
+            ranks = np.cumsum(self.known[nodes], axis=1)
+            self.sent[nodes] = np.argmax(ranks > picks[:, None], axis=1)
+        return sending
+
+    def receive(
+        self,
+        slot: int,
+        labels: Any,
+        channels: Any,
+        winner_node: Any,
+        heard: Any,
+        delivered: Any,
+    ) -> None:
+        """Every non-winner that *heard* a winner learns its message."""
+        np = self.np
+        heard_from = winner_node[channels]
+        nodes = np.flatnonzero(heard & (heard_from != self.rows))
+        if nodes.size:
+            columns = self.sent[heard_from[nodes]]
+            new = ~self.known[nodes, columns]
+            nodes, columns = nodes[new], columns[new]
+            if nodes.size:
+                self.known[nodes, columns] = True
+                self.count[nodes] += 1
+                self.missing -= int(np.count_nonzero(self.need[columns]))
+                self.learned.append((slot, nodes.tolist(), columns.tolist()))
+
+    def done(self) -> bool:
+        return self.missing == 0
+
+    def states(self, labels: Any) -> Iterator[dict[str, Any]]:
+        """Each node's ``known`` and ``first_heard``, receptions appended in order."""
+        known = [dict(export["known"]) for export in self.exports]
+        first_heard = [dict(export["first_heard"]) for export in self.exports]
+        for slot, nodes, columns in self.learned:
+            for node, column in zip(nodes, columns):
+                origin = self.origins[column]
+                known[node][origin] = self.payloads[column]
+                first_heard[node][origin] = slot
+        for node_known, node_first_heard in zip(known, first_heard):
+            yield {"known": node_known, "first_heard": node_first_heard}
+
+
+#: The columnar programs this engine implements, by ``vector_kind``.
+_PROGRAMS: dict[str, type] = {"epidemic-broadcast": _Epidemic, "gossip": _Gossip}
+
+#: The stop conditions some program evaluates, by ``vector_condition``.
+_CONDITIONS = frozenset(program.condition for program in _PROGRAMS.values())
 
 
 class VectorEngine(Engine):
@@ -156,7 +357,7 @@ class VectorEngine(Engine):
 
         Effects: rng.
         """
-        reason, exports = self._vector_ineligible_reason(stop_when)
+        reason, program, exports = self._vector_ineligible_reason(stop_when)
         self.vector_fallback_reason = reason
         self.vector_engaged = reason is None
         if reason is not None:
@@ -168,14 +369,14 @@ class VectorEngine(Engine):
             )
         self.fast_path_engaged = False
         self._start_run(totals)
-        executed, completed = self._run_vector(max_slots, stop_when, exports)
+        executed, completed = self._run_vector(max_slots, stop_when, program, exports)
         return self._end_run(max_slots, executed, completed, require_completion)
 
     # -- eligibility ----------------------------------------------------
 
     def _vector_ineligible_reason(
         self, stop_when: Any
-    ) -> tuple[str | None, list[dict[str, Any]]]:
+    ) -> tuple[str | None, type | None, list[dict[str, Any]]]:
         """Why this run must take the exact kernels (``None`` = columnar).
 
         Starts with the checks the fast kernel makes too
@@ -185,25 +386,33 @@ class VectorEngine(Engine):
         an error — the exact kernels handle everything — so requesting
         the vector backend never changes observable behavior, only speed.
 
-        Also returns the protocols' ``vector_export()`` snapshots, which
-        the last three checks read and the kernel starts from (empty when
-        an earlier check already failed).  Every check runs before any
-        state mutates, so falling back is always safe.
+        Also returns the population's program and the protocols'
+        ``vector_export()`` snapshots, which the last three checks read
+        and the kernel starts from (empty when an earlier check already
+        failed).  Every check runs before any state mutates, so falling
+        back is always safe.
         """
         reason = self._fast_ineligible_reason()
         if reason is not None:
-            return reason, []
+            return reason, None, []
         if type(self.network.schedule) not in (StaticSchedule, DynamicSchedule):
-            return "unknown schedule type", []
-        if stop_when is not None and (
-            getattr(stop_when, "vector_condition", None) != "all_informed"
-        ):
-            return "stop condition has no columnar form", []
-        for protocol in self.protocols:
-            if type(protocol).__dict__.get("vector_kind") not in VECTOR_KINDS:
-                return "protocol has no columnar program", []
+            return "unknown schedule type", None, []
+        condition = getattr(stop_when, "vector_condition", None)
+        if stop_when is not None and condition not in _CONDITIONS:
+            return "stop condition has no columnar form", None, []
+        kinds = {
+            type(protocol).__dict__.get("vector_kind") for protocol in self.protocols
+        }
+        if not kinds <= _PROGRAMS.keys():
+            return "protocol has no columnar program", None, []
+        if len(kinds) > 1:
+            return "protocols mix columnar programs", None, []
+        (kind,) = kinds or {"epidemic-broadcast"}  # an empty population runs nothing
+        program = _PROGRAMS[kind]
+        if stop_when is not None and condition != program.condition:
+            return "stop condition has no columnar form", None, []
         exports = [protocol.vector_export() for protocol in self.protocols]
-        contract = vector_contract("epidemic-broadcast")
+        contract = vector_contract(kind)
         if contract is not None:
             for export in exports:
                 # A protocol whose export omits fields the kernel
@@ -213,27 +422,37 @@ class VectorEngine(Engine):
                 if missing:
                     return (
                         "vector export missing contract fields: " + ", ".join(missing),
+                        None,
                         [],
                     )
         if any(export.get("keep_log") for export in exports):
             # Logs are per-slot Python records; populations that keep
             # them (COGCOMP phase one) take the exact engine.
-            return "protocol keeps a per-slot log", []
+            return "protocol keeps a per-slot log", None, []
         if self.rng_mode == "replay":
-            # The batched label draws reproduce randrange only on
-            # distinct plain random.Random streams.
+            # The batched draws reproduce randrange only on distinct
+            # plain random.Random streams.
             streams = [export["rng"] for export in exports]
             plain = all(type(stream) is random.Random for stream in streams)
             if not plain or len(set(streams)) < len(streams):
-                return "node streams are not distinct random.Random instances", []
-        return None, exports
+                return "node streams are not distinct random.Random instances", None, []
+        return None, program, exports
 
     # -- the columnar kernel --------------------------------------------
 
     def _run_vector(
-        self, max_slots: int, stop_when: Any, exports: list[dict[str, Any]]
+        self,
+        max_slots: int,
+        stop_when: Any,
+        program_type: type,
+        exports: list[dict[str, Any]],
     ) -> tuple[int, bool]:
-        """Run the ``epidemic-broadcast`` columnar program from *exports*.
+        """Run *program_type*'s columnar program from *exports*.
+
+        The one slot loop every program shares: labels, channels,
+        winners and totals are drawn and kept here, and the program
+        says who broadcasts which message, what a reception does and
+        when the run is done.
 
         Effects: rng.
         """
@@ -241,28 +460,7 @@ class VectorEngine(Engine):
         network = self.network
         n = network.num_nodes
         c = network.channels_per_node
-        protocols = self.protocols
-
-        informed = np.array([bool(e["informed"]) for e in exports], dtype=bool)
-        messages: list[Any] = [e["message"] for e in exports]
-        parent = np.array(
-            [-1 if e["parent"] is None else e["parent"] for e in exports],
-            dtype=np.int64,
-        )
-        informed_slot = np.array(
-            [
-                _NEVER if e["informed_slot"] is None else e["informed_slot"]
-                for e in exports
-            ],
-            dtype=np.int64,
-        )
-        informed_label = np.array(
-            [
-                -1 if e["informed_label"] is None else e["informed_label"]
-                for e in exports
-            ],
-            dtype=np.int64,
-        )
+        program = program_type(np, exports, stop_when)
 
         schedule = network.schedule
         static = type(schedule) is StaticSchedule
@@ -282,9 +480,39 @@ class VectorEngine(Engine):
         replay = self.rng_mode == "replay"
         if replay:
             rng_choice = self.rng.choice
-            label_bits = c.bit_length()
-            label_draws = [e["rng"].getrandbits for e in exports]
+            streams = [e["rng"].getrandbits for e in exports]
             np_rng = None
+
+            def below(draws: list[Any], bound: int) -> Any:
+                """``randrange(bound)`` on each of *draws*' streams, batched.
+
+                ``randrange`` on a plain ``random.Random`` draws
+                ``getrandbits`` of the bound's bit length, redrawn while
+                ``>= bound``.  Each stream is one node's, so drawing
+                stream after stream leaves every stream where per-node
+                ``randrange`` would.  The redraws stay inline in one
+                Python loop: numpy redraw rounds cost more in fixed
+                per-round overhead than they save (docs/performance.md).
+                """
+                bits = bound.bit_length()
+                values = []
+                append = values.append
+                for getrandbits in draws:
+                    value = getrandbits(bits)
+                    while value >= bound:
+                        value = getrandbits(bits)
+                    append(value)
+                return np.array(values, dtype=np.int64)
+
+            def draw(nodes: Any, bounds: Any) -> Any:
+                """Per-node bounds: one :func:`below` batch per distinct bound."""
+                values = np.empty(nodes.size, dtype=np.int64)
+                for bound in np.unique(bounds).tolist():
+                    at = np.flatnonzero(bounds == bound)
+                    at_streams = [streams[node] for node in nodes[at].tolist()]
+                    values[at] = below(at_streams, bound)
+                return values
+
         else:
             if self._np_rng is None:
                 self._np_rng = np.random.default_rng(
@@ -292,50 +520,40 @@ class VectorEngine(Engine):
                 )
             np_rng = self._np_rng
 
+            def draw(nodes: Any, bounds: Any) -> Any:
+                return np_rng.integers(0, bounds)
+
         track = self._contention is not None
         contention_chunks: list[Any] = []
         deliveries = 0
         wasted_listens = 0
 
         if stop_when is None:
-            # Eligible populations never self-terminate (the
-            # epidemic-broadcast contract), so the engine's default
-            # "all protocols done" condition is constantly false and
-            # the run consumes the whole budget, like the exact engine.
-            def condition() -> bool:
+            # Eligible populations never self-terminate, so the
+            # engine's default "all protocols done" condition is
+            # constantly false and the run consumes the whole budget,
+            # like the exact engine.
+            def done() -> bool:
                 return False
 
         else:
-
-            def condition() -> bool:
-                return bool(informed.all())
+            done = program.done
 
         labels = None
         executed = 0
-        completed = condition()
+        completed = done()
         while not completed and executed < max_slots:
             slot = self.slot
             if not static:
                 table, num_channels = table_for(slot)
             if replay:
-                # randrange(c) on a plain random.Random: getrandbits of
-                # c's bit length, redrawn while >= c.  Each stream is
-                # one node's, so drawing node by node per round leaves
-                # every stream where per-node randrange would.
-                labels = np.array(
-                    [draw(label_bits) for draw in label_draws], dtype=np.int64
-                )
-                redraw = np.flatnonzero(labels >= c)
-                while redraw.size:
-                    labels[redraw] = [
-                        label_draws[node](label_bits) for node in redraw.tolist()
-                    ]
-                    redraw = redraw[labels[redraw] >= c]
+                labels = below(streams, c)
             else:
                 labels = np_rng.integers(0, c, size=n)
             channels = table[rows, labels]
-            broadcaster_nodes = rows[informed]
-            broadcaster_channels = channels[informed]
+            sending = program.senders(draw)
+            broadcaster_nodes = rows[sending]
+            broadcaster_channels = channels[sending]
             counts = np.bincount(broadcaster_channels, minlength=num_channels)
             winner_node = np.full(num_channels, -1, dtype=np.int64)
             if broadcaster_nodes.size:
@@ -371,49 +589,20 @@ class VectorEngine(Engine):
                     )
             has_winner = counts > 0
             heard = has_winner[channels]
-            listeners = ~informed
-            newly = heard & listeners
-            new_nodes = np.flatnonzero(newly)
+            listening = ~sending
+            delivered = heard & listening
             if track:
                 contention_chunks.append(counts[has_winner])
-                deliveries += int(new_nodes.size)
-                wasted_listens += int(listeners.sum()) - int(new_nodes.size)
-            if new_nodes.size:
-                winners = winner_node[channels[new_nodes]]
-                parent[new_nodes] = winners
-                informed_slot[new_nodes] = slot
-                informed_label[new_nodes] = labels[new_nodes]
-                for node, source in zip(new_nodes.tolist(), winners.tolist()):
-                    messages[node] = messages[source]
-                informed[new_nodes] = True
+                heard_count = int(np.count_nonzero(delivered))
+                deliveries += heard_count
+                wasted_listens += int(np.count_nonzero(listening)) - heard_count
+            program.receive(slot, labels, channels, winner_node, heard, delivered)
             self.slot = slot + 1
             executed += 1
-            completed = condition()
+            completed = done()
 
-        informed_list = informed.tolist()
-        parent_list = parent.tolist()
-        slot_list = informed_slot.tolist()
-        label_list = informed_label.tolist()
-        current_labels = (
-            [export["current_label"] for export in exports]
-            if labels is None
-            else labels.tolist()
-        )
-        for node, protocol in enumerate(protocols):
-            protocol.vector_import(
-                {
-                    "informed": informed_list[node],
-                    "message": messages[node],
-                    "parent": None if parent_list[node] < 0 else parent_list[node],
-                    "informed_slot": (
-                        None if slot_list[node] == _NEVER else slot_list[node]
-                    ),
-                    "informed_label": (
-                        None if label_list[node] < 0 else label_list[node]
-                    ),
-                    "current_label": current_labels[node],
-                }
-            )
+        for protocol, state in zip(self.protocols, program.states(labels)):
+            protocol.vector_import(state)
         if contention_chunks:
             self._contention = np.concatenate(contention_chunks).tolist()
         self._deliveries = deliveries

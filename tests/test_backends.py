@@ -6,7 +6,9 @@ exist because these tests hold:
 - **Tier A** — with ``rng_mode="replay"`` the columnar kernel must be
   bit-identical to the exact engine on every configuration where it
   engages: same ``RunResult``, same final protocol states, same
-  messages, same engine and node RNG stream states.
+  messages, same engine and node RNG stream states.  This holds for
+  both columnar programs, COGCAST's ``epidemic-broadcast`` and
+  ``gossip``, whose broadcasters also draw which message to send.
 - **Tier B** — the default numpy RNG mode follows a different (still
   seeded, still replayable) stream, so it is cross-validated
   statistically: completion-slot and collision-count confidence
@@ -23,14 +25,15 @@ from __future__ import annotations
 
 import random
 import sys
+from functools import partial
 
 import pytest
 
 import repro.core.runners
 from repro.analysis.stats import mean_confidence_interval
 from repro.analysis.theory import cogcast_slot_bound
-from repro.assignment import dynamic_shared_core_schedule, shared_core
-from repro.core import CogCast, run_local_broadcast
+from repro.assignment import dynamic_shared_core_schedule, identical, shared_core
+from repro.core import CogCast, GossipCast, run_gossip, run_local_broadcast
 from repro.obs.metrics import MetricsRegistry, count_run
 from repro.obs.watchdog import (
     InformedSetWatchdog,
@@ -41,6 +44,7 @@ from repro.sim import EventTrace, Network
 from repro.sim.adversary import RandomJammer
 from repro.sim.backends import (
     AllInformed,
+    AllKnow,
     BACKEND_NAMES,
     BackendUnavailableError,
     VectorEngine,
@@ -182,6 +186,108 @@ class TestTierAReplayBitIdentity:
         assert snapshots[0] == snapshots[1]
 
 
+def gossip_factory(sources):
+    """Nodes of a gossip run; each source originates its one message."""
+
+    def factory(view):
+        initial = [sources[view.node_id]] if view.node_id in sources else []
+        return GossipCast(view, initial)
+
+    return factory
+
+
+def drive_gossip(seed, network, sources, *, backend, max_slots=100_000):
+    """One seeded gossip run with totals; returns everything observable."""
+    engine = build_engine(network, gossip_factory(sources), seed=seed, backend=backend)
+    result = engine.run(
+        max_slots, stop_when=AllKnow(engine.protocols, sources), totals=True
+    )
+    return engine, result, gossip_states(engine)
+
+
+def gossip_states(engine):
+    """Every node's ``known`` and ``first_heard`` items in order, every stream."""
+    return (
+        [
+            (list(p.known.items()), list(p.first_heard.items()), p.view.rng.getstate())
+            for p in engine.protocols
+        ],
+        engine.rng.getstate(),
+    )
+
+
+def sources_of(*nodes):
+    return {node: f"msg-{node}" for node in nodes}
+
+
+#: Gossip replay cases, by id: ``(seed, make, sources)``, the network
+#: being ``make(seed)``.  The default network carries three sources and
+#: one; every node of an n = 6, c = 4 network is a source;
+#: ``identical(6, 1)`` gives every node the same one channel.
+GOSSIP_STATIC = {
+    **{
+        f"three-sources-{seed}": (seed, make_network, sources_of(0, 5, 11))
+        for seed in SEEDS[:3]
+    },
+    "one-source": (3, make_network, sources_of(4)),
+    "every-node-a-source": (2, partial(make_network, n=6, c=4), sources_of(*range(6))),
+    "identical-c1": (3, lambda _: Network.static(identical(6, 1)), sources_of(0, 1)),
+    "c16": (1, partial(make_network, c=16, k=4), sources_of(2, 9, 20)),
+    "n300-c16-k4": (
+        11,
+        partial(make_network, n=300, c=16, k=4),
+        sources_of(7, 101, 202, 299),
+    ),
+}
+
+#: Dynamic schedules: a fresh assignment every slot.
+GOSSIP_DYNAMIC = {
+    **{
+        f"three-sources-{seed}": (seed, make_dynamic_network, sources_of(0, 5, 11))
+        for seed in SEEDS[:2]
+    },
+    "c1": (0, partial(make_dynamic_network, n=12, c=1, k=1), sources_of(0, 6)),
+    "c16": (1, partial(make_dynamic_network, c=16, k=4), sources_of(2, 9, 20)),
+}
+
+GOSSIP_CASE = ("seed", "make", "sources")
+
+
+@needs_numpy
+class TestGossipTierA:
+    """``vector-replay`` gossip equals the exact engine draw for draw."""
+
+    @staticmethod
+    def check_identical(seed, make, sources):
+        exact = drive_gossip(seed, make(seed), sources, backend="exact")
+        vector = drive_gossip(seed, make(seed), sources, backend="vector-replay")
+        assert vector[0].vector_engaged, vector[0].vector_fallback_reason
+        assert exact[1].completed
+        assert exact[1] == vector[1]  # RunResult, totals included
+        assert exact[2] == vector[2]  # known / first_heard in order, streams
+
+    @pytest.mark.parametrize(GOSSIP_CASE, GOSSIP_STATIC.values(), ids=GOSSIP_STATIC)
+    def test_static_schedule_identical(self, seed, make, sources):
+        self.check_identical(seed, make, sources)
+
+    @pytest.mark.parametrize(GOSSIP_CASE, GOSSIP_DYNAMIC.values(), ids=GOSSIP_DYNAMIC)
+    def test_dynamic_schedule_identical(self, seed, make, sources):
+        self.check_identical(seed, make, sources)
+
+    def test_runner_results_identical(self, monkeypatch):
+        """``run_gossip`` takes the columnar kernel on ``vector-replay``."""
+        engines = keep_engines(monkeypatch)
+        results = [
+            run_gossip(
+                make_network(5), sources_of(1, 8), seed=5, max_slots=5000, backend=backend
+            )
+            for backend in ("exact", "vector-replay")
+        ]
+        assert engines[1].vector_engaged
+        assert results[0] == results[1]
+        assert results[0].completed
+
+
 @needs_numpy
 class TestTierBStatistical:
     GRID = [(48, 6, 2), (64, 8, 3)]
@@ -281,6 +387,54 @@ class TestTierBStatistical:
         assert informed.anomalies == []
 
 
+@needs_numpy
+class TestGossipTierB:
+    """``vector`` gossip against exact, over 30 seeds of one grid point."""
+
+    N, C, K = 24, 6, 2
+    SOURCES = sources_of(0, 7, 13)
+    TRIALS = 30
+
+    def runs(self, backend, monkeypatch):
+        engines = keep_engines(monkeypatch)
+        results = [
+            run_gossip(
+                make_network(trial, self.N, self.C, self.K),
+                self.SOURCES,
+                seed=trial,
+                max_slots=10_000,
+                backend=backend,
+            )
+            for trial in range(self.TRIALS)
+        ]
+        return results, engines
+
+    def test_completion_slot_cis_overlap(self, monkeypatch):
+        exact, _ = self.runs("exact", monkeypatch)
+        vector, engines = self.runs("vector", monkeypatch)
+        assert all(engine.vector_engaged for engine in engines)
+        _, exact_low, exact_high = mean_confidence_interval(
+            [float(result.slots) for result in exact]
+        )
+        _, vec_low, vec_high = mean_confidence_interval(
+            [float(result.slots) for result in vector]
+        )
+        assert exact_low <= vec_high and vec_low <= exact_high
+
+    def test_coverage_and_first_heard_slots(self, monkeypatch):
+        results, engines = self.runs("vector", monkeypatch)
+        for result, engine in zip(results, engines):
+            assert result.completed
+            assert result.coverage == (len(self.SOURCES),) * self.N
+            for node, protocol in enumerate(engine.protocols):
+                assert set(protocol.known) == set(self.SOURCES)
+                assert set(protocol.first_heard) == set(self.SOURCES) - {node}
+                slots = protocol.first_heard.values()
+                assert all(0 <= slot < result.slots for slot in slots)
+                for origin, payload in protocol.known.items():
+                    assert payload is engine.protocols[origin].known[origin]
+
+
 class Opaque(Protocol):
     """A protocol with no columnar program: must force the exact engine."""
 
@@ -337,6 +491,44 @@ class TestFallbackTransparency:
         engine.run(5, stop_when=lambda _: all(p.informed for p in protocols))
         assert not engine.vector_engaged
         assert engine.vector_fallback_reason == "stop condition has no columnar form"
+
+    def test_opaque_gossip_stop_condition_falls_back(self):
+        engine = build_engine(
+            make_network(0), gossip_factory(sources_of(0, 3)), seed=0, backend="vector"
+        )
+        protocols = engine.protocols
+        engine.run(5, stop_when=lambda _: all(len(p.known) == 2 for p in protocols))
+        assert not engine.vector_engaged
+        assert engine.vector_fallback_reason == "stop condition has no columnar form"
+
+    @pytest.mark.parametrize("program", ["epidemic-broadcast", "gossip"])
+    def test_other_programs_stop_condition_falls_back(self, program):
+        """A stop condition is columnar only for the program that tags it.
+
+        The exact kernels then evaluate it as they would on the exact
+        backend, and it reads an attribute these protocols lack.
+        """
+        if program == "gossip":
+            factory, stop = gossip_factory(sources_of(0)), AllInformed
+        else:
+            factory, stop = cogcast_factory, lambda protocols: AllKnow(protocols, [0])
+        engine = build_engine(make_network(0), factory, seed=0, backend="vector")
+        with pytest.raises(AttributeError):
+            engine.run(5, stop_when=stop(engine.protocols))
+        assert not engine.vector_engaged
+        assert engine.vector_fallback_reason == "stop condition has no columnar form"
+
+    def test_mixed_programs_fall_back(self):
+        def mixed(view):
+            if view.node_id % 2:
+                return GossipCast(view, ["odd"] if view.node_id == 1 else [])
+            return cogcast_factory(view)
+
+        engine = build_engine(make_network(0), mixed, seed=0, backend="vector-replay")
+        result = engine.run(5)
+        assert not engine.vector_engaged
+        assert engine.vector_fallback_reason == "protocols mix columnar programs"
+        assert result == build_engine(make_network(0), mixed, seed=0).run(5)
 
     def test_per_slot_probe_falls_back(self):
         # The mediator watchdog is a per-event sink: it rides the trace.

@@ -70,6 +70,17 @@ class TestGossipProtocolUnit:
         protocol = GossipCast(view)
         assert isinstance(protocol.begin_slot(0), Listen)
 
+    def test_more_than_one_initial_message_is_refused(self):
+        """``known`` is keyed by origin, so a second message would be dropped."""
+        from repro.sim.rng import derive_rng
+        from repro.sim.protocol import NodeView
+
+        view = NodeView(2, 4, 2, 8, derive_rng(0, "g", 2))
+        with pytest.raises(ValueError, match="at most one message, got 2"):
+            GossipCast(view, initial=["a", "b"])
+        assert list(GossipCast(view, initial=["a"]).known) == [2]
+        assert GossipCast(view, initial=()).known == {}
+
     def test_source_broadcasts_own_message(self):
         from repro.sim import Broadcast
         from repro.sim.rng import derive_rng

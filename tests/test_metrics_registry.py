@@ -412,7 +412,7 @@ class TestRunTotals:
         network = Network.static(shared_core(12, 6, 2, rng).shuffled_labels(rng))
         kernels = ["fast", "vector-replay"] if numpy_available() else ["fast"]
         kernels.append("general")  # last: its patch lasts to the end of the test
-        snapshots, fast_paths = {}, {}
+        snapshots, records = {}, {}
         for kernel in kernels:
             if kernel == "general":
                 force_general_kernel(monkeypatch)
@@ -425,9 +425,13 @@ class TestRunTotals:
                 backend="vector-replay" if kernel == "vector-replay" else "exact",
             )
             snapshots[kernel] = json.dumps(registry.snapshot(), sort_keys=True)
-            fast_paths[kernel] = json.loads(handle.getvalue())["fast_path"]
-        assert fast_paths["fast"] is True
-        assert fast_paths["general"] is False
+            records[kernel] = json.loads(handle.getvalue())
+        assert records["fast"]["fast_path"] is True
+        assert records["general"]["fast_path"] is False
+        if "vector-replay" in records and runner in ("cogcast", "gossip"):
+            # Both have a columnar program, so these runs took it.
+            assert records["vector-replay"]["fast_path"] is False
+            assert "vector_fallback_reason" not in records["vector-replay"]
         assert len(set(snapshots.values())) == 1, snapshots
 
     @pytest.mark.parametrize("kernel", [*KERNELS, "jammed-general"])

@@ -10,7 +10,8 @@ one engine run per ``run()`` in the registry that counts it.
 
 A fallback is the same engine running its exact kernels, so a columnar
 run followed by a fallback run continues one slot clock and one
-collision stream, exactly as two runs of the exact engine do.
+collision stream, exactly as two runs of the exact engine do, for
+COGCAST and for gossip alike.
 """
 
 from __future__ import annotations
@@ -21,10 +22,10 @@ from dataclasses import replace
 import pytest
 
 from repro.assignment import shared_core
-from repro.core import CogCast
+from repro.core import CogCast, GossipCast
 from repro.obs.metrics import MetricsRegistry, count_run
 from repro.sim import Network
-from repro.sim.backends import AllInformed, BACKEND_NAMES, numpy_available
+from repro.sim.backends import AllInformed, AllKnow, BACKEND_NAMES, numpy_available
 from repro.sim.engine import build_engine
 
 pytestmark = pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
@@ -195,3 +196,44 @@ def test_fallback_after_columnar_run_continues_the_slot_clock():
     assert [p.view.rng.getstate() for p in engine.protocols] == [
         p.view.rng.getstate() for p in exact_engine.protocols
     ]
+
+
+def test_gossip_continues_after_a_columnar_run_cut_by_its_budget():
+    """A columnar gossip run out of budget, then a fallback run, equals two exact runs.
+
+    The fallback run starts from the imported ``known`` and
+    ``first_heard`` dicts, so their order, the slot clock and every
+    stream must be where the exact kernels would have left them.
+    """
+    sources = {0: "a", 9: "b", 17: "c"}
+
+    def factory(view):
+        initial = [sources[view.node_id]] if view.node_id in sources else []
+        return GossipCast(view, initial)
+
+    def two_runs(backend):
+        engine = build_engine(network(), factory, seed=4, backend=backend)
+        first = engine.run(20, stop_when=AllKnow(engine.protocols, sources))
+        engaged = getattr(engine, "vector_engaged", False)
+        # The cut run learned some messages but not all of them.
+        learned = sum(len(p.first_heard) for p in engine.protocols)
+        assert 0 < learned < len(engine.protocols) * len(sources) - len(sources)
+        second = engine.run(
+            10_000,
+            stop_when=lambda e: all(len(p.known) == len(sources) for p in e.protocols),
+        )
+        states = [
+            (list(p.known.items()), list(p.first_heard.items()), p.view.rng.getstate())
+            for p in engine.protocols
+        ]
+        return engine, (first, second), engaged, states
+
+    engine, results, engaged, states = two_runs("vector-replay")
+    assert engaged
+    assert engine.vector_fallback_reason == "stop condition has no columnar form"
+    exact_engine, exact_results, _, exact_states = two_runs("exact")
+    assert not results[0].completed and results[1].completed
+    assert results == exact_results
+    assert engine.slot == exact_engine.slot
+    assert states == exact_states
+    assert engine.rng.getstate() == exact_engine.rng.getstate()
