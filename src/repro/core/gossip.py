@@ -93,13 +93,14 @@ class GossipCast(Protocol):
     def vector_export(self) -> dict[str, Any]:
         """Snapshot the state the vector backend batch-executes.
 
-        ``rng`` is the node's own stream (handed over for replay-mode
-        draws).
+        ``view`` is the node's :class:`~repro.sim.protocol.NodeView`,
+        whose stream only replay mode reads (so a ``vector`` run seeds
+        none).
         """
         return {
             "known": self.known,
             "first_heard": self.first_heard,
-            "rng": self.view.rng,
+            "view": self.view,
         }
 
     def vector_import(self, state: dict[str, Any]) -> None:

@@ -19,8 +19,8 @@ in its body:
   inherited; the call graph walks project-resolvable bases);
 - field symmetry: every ``state["key"]`` that ``vector_import`` reads
   must be a key ``vector_export`` returns (the reverse is allowed —
-  exports like a live ``rng`` handle are consumed by the kernel, not
-  restored);
+  exports like the node's ``view``, whose stream replay draws from,
+  are consumed by the kernel, not restored);
 - hidden state: every ``self.<attr>`` assigned, augmented, or mutated
   in place (``append``/``update``/…) inside a step-like method
   (``begin_slot``, ``end_slot``, ``step``, message handlers) — or any

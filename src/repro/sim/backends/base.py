@@ -93,7 +93,7 @@ class VectorField:
 
     ``dtype`` names the column representation the kernel materializes
     (``"bool"``, ``"int64"``, or ``"object"`` for values that stay
-    Python-side, like a live RNG handle); ``nullable`` marks fields
+    Python-side, like the node's view); ``nullable`` marks fields
     whose per-node value may be ``None`` (unset parent, not-yet-informed
     slot).  Declared dtypes are deliberately wide — ``int64`` and
     ``bool`` are exact under any reduction order, which is what keeps
@@ -134,11 +134,13 @@ class VectorContract:
 #: Declared contracts, keyed by ``vector_kind``.  The epidemic
 #: broadcast contract mirrors ``CogCast``'s exported state exactly:
 #: integer/bool columns for everything the kernel advances, object
-#: fields for the message payload and the live replay RNG handle.  The
-#: gossip contract mirrors ``GossipCast``'s: its ``known`` and
-#: ``first_heard`` dicts (origin -> payload, origin -> slot), which the
-#: kernel turns into a node-by-origin boolean matrix and back, and the
-#: live replay RNG handle.
+#: fields for the message payload and the node's ``view``.  The gossip
+#: contract mirrors ``GossipCast``'s: its ``known`` and ``first_heard``
+#: dicts (origin -> payload, origin -> slot), which the kernel turns
+#: into a node-by-origin boolean matrix and back, and the ``view``.
+#: Only ``vector-replay`` reads a view, for its stream
+#: (``export["view"].rng``); ``vector`` never does, so it seeds no
+#: node stream.
 VECTOR_CONTRACTS: dict[str, VectorContract] = {
     "epidemic-broadcast": VectorContract(
         kind="epidemic-broadcast",
@@ -150,7 +152,7 @@ VECTOR_CONTRACTS: dict[str, VectorContract] = {
             VectorField("informed_label", "int64", nullable=True),
             VectorField("current_label", "int64"),
             VectorField("keep_log", "bool"),
-            VectorField("rng", "object"),
+            VectorField("view", "object"),
         ),
     ),
     "gossip": VectorContract(
@@ -158,7 +160,7 @@ VECTOR_CONTRACTS: dict[str, VectorContract] = {
         fields=(
             VectorField("known", "object"),
             VectorField("first_heard", "object"),
-            VectorField("rng", "object"),
+            VectorField("view", "object"),
         ),
     ),
 }

@@ -41,7 +41,9 @@ Equivalence contract (see ``docs/performance.md`` "Backends"):
   streams (``randrange(len(known))``, the ``r``-th known origin in
   ascending order).  The order across nodes is free because each
   stream is one node's, so a population whose streams are not distinct
-  plain ``random.Random`` objects takes the exact kernels.  From the
+  plain ``random.Random`` objects takes the exact kernels.  It reads
+  each stream through the ``view`` the program exports
+  (``export["view"].rng``), which seeds it when the run starts.  From the
   engine's collision stream it takes one ``choice`` per contended
   channel, in ascending physical channel order; a lone broadcaster wins
   with no draw.  Final protocol states, ``RunResult``, and both RNG
@@ -50,7 +52,8 @@ Equivalence contract (see ``docs/performance.md`` "Backends"):
   the fast path's eligibility discipline (exact types only).
 - **Tier B (statistical).**  The default ``rng_mode="numpy"`` draws
   from a :class:`numpy.random.Generator` seeded via the repository's
-  seed discipline (``derive_seed(seed, "vector-engine")``).  Runs are
+  seed discipline (``derive_seed(seed, "vector-engine")``) and reads
+  no node's stream, so it seeds none.  Runs are
   deterministic per seed but follow a different stream than the exact
   engine, so equivalence is established statistically:
   ``tests/test_backends.py`` cross-validates completion-slot and
@@ -114,6 +117,29 @@ def _numpy():
             "(pip install 'repro[perf]') or select backend='exact'"
         ) from exc
     return numpy
+
+
+def _dense_channels(np: Any, labels: Any) -> tuple[Any, int]:
+    """A label->channel table with its channels renumbered ``0..m-1``.
+
+    Returns the ``n`` by ``c`` table of dense ids and ``m``, the number
+    of distinct channels.  The ids keep ascending physical order, the
+    order the exact kernels resolve channels in and replay's collision
+    draws follow.  One presence pass over the span of channel ids and a
+    cumulative sum number them, in O(n·c) instead of ``np.unique``'s
+    sort of the table; channel ids too sparse for a presence array (a
+    span over four times the table's size) are sorted instead.
+    """
+    table = np.asarray(labels, dtype=np.int64)
+    table = table - table.min()
+    span = int(table.max()) + 1
+    if span > 4 * table.size:
+        ids, dense = np.unique(table, return_inverse=True)
+        return dense.reshape(table.shape), len(ids)
+    present = np.zeros(span, dtype=bool)
+    present[table] = True
+    dense = np.cumsum(present) - 1
+    return dense[table], int(dense[-1]) + 1
 
 
 class _Epidemic:
@@ -414,12 +440,13 @@ class VectorEngine(Engine):
         exports = [protocol.vector_export() for protocol in self.protocols]
         contract = vector_contract(kind)
         if contract is not None:
+            names = contract.field_names
             for export in exports:
-                # A protocol whose export omits fields the kernel
-                # materializes is not an error either: name the missing
-                # fields so the gap is visible.
-                missing = contract.missing_fields(export)
-                if missing:
+                if not export.keys() >= names:
+                    # A protocol whose export omits fields the kernel
+                    # materializes is not an error either: name the
+                    # missing fields so the gap is visible.
+                    missing = contract.missing_fields(export)
                     return (
                         "vector export missing contract fields: " + ", ".join(missing),
                         None,
@@ -431,8 +458,9 @@ class VectorEngine(Engine):
             return "protocol keeps a per-slot log", None, []
         if self.rng_mode == "replay":
             # The batched draws reproduce randrange only on distinct
-            # plain random.Random streams.
-            streams = [export["rng"] for export in exports]
+            # plain random.Random streams.  Reading a view's stream
+            # seeds it, so replay seeds every node's stream here.
+            streams = [export["view"].rng for export in exports]
             plain = all(type(stream) is random.Random for stream in streams)
             if not plain or len(set(streams)) < len(streams):
                 return "node streams are not distinct random.Random instances", None, []
@@ -465,22 +493,11 @@ class VectorEngine(Engine):
         schedule = network.schedule
         static = type(schedule) is StaticSchedule
         rows = np.arange(n)
-
-        def table_for(slot: int) -> tuple[Any, int]:
-            """Label->channel table for *slot*, remapped to dense channel ids.
-
-            ``np.unique`` sorts ascending, so the dense ids preserve the
-            physical channel order the exact engine resolves channels in.
-            """
-            table = np.asarray(schedule.labels_at(slot), dtype=np.int64)
-            uniq, inverse = np.unique(table, return_inverse=True)
-            return inverse.reshape(n, c), len(uniq)
-
-        table, num_channels = table_for(self.slot)
+        table, num_channels = _dense_channels(np, schedule.labels_at(self.slot))
         replay = self.rng_mode == "replay"
         if replay:
             rng_choice = self.rng.choice
-            streams = [e["rng"].getrandbits for e in exports]
+            streams = [e["view"].rng.getrandbits for e in exports]
             np_rng = None
 
             def below(draws: list[Any], bound: int) -> Any:
@@ -545,7 +562,7 @@ class VectorEngine(Engine):
         while not completed and executed < max_slots:
             slot = self.slot
             if not static:
-                table, num_channels = table_for(slot)
+                table, num_channels = _dense_channels(np, schedule.labels_at(slot))
             if replay:
                 labels = below(streams, c)
             else:

@@ -528,17 +528,17 @@ class Engine:
 
 
 def make_views(network: Network, seed: int) -> list[NodeView]:
-    """Construct one :class:`NodeView` per node with independent RNGs."""
-    return [
-        NodeView(
-            node_id=node,
-            num_channels=network.channels_per_node,
-            overlap=network.overlap,
-            num_nodes=network.num_nodes,
-            rng=derive_rng(seed, "node", node),
-        )
-        for node in range(network.num_nodes)
-    ]
+    """Construct one :class:`NodeView` per node, each keeping the root *seed*.
+
+    Building a view derives nothing: node ``u``'s stream,
+    ``derive_rng(seed, "node", u)``, is seeded the first time the view's
+    ``rng`` is read (:attr:`NodeView.rng`), so a node that never draws
+    never seeds one — none does in a columnar ``vector`` run.
+    """
+    c = network.channels_per_node
+    k = network.overlap
+    n = network.num_nodes
+    return [NodeView(node, c, k, n, seed=seed) for node in range(n)]
 
 
 def build_engine(

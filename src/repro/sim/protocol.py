@@ -19,14 +19,15 @@ overlap structure: the paper's model gives nodes none of that.
 from __future__ import annotations
 
 import abc
+import functools
 import random
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 
 from repro.sim.actions import Action, SlotOutcome
+from repro.sim.rng import derive_rng
 from repro.types import NodeId
 
 
-@dataclass(frozen=True, slots=True)
 class NodeView:
     """A node's local view of the network.
 
@@ -44,18 +45,81 @@ class NodeView:
         ``n`` — used by the paper's algorithms only to size their running
         time (Theorem 4's discussion notes no other dependence).
     rng:
-        This node's private random stream.
+        This node's private random stream.  A view built with a root
+        ``seed`` (as :func:`repro.sim.engine.make_views` builds every
+        engine's views) derives it, ``derive_rng(seed, "node",
+        node_id)``, the first time it is read and returns that same
+        object on every later read, so a node that never draws seeds no
+        stream.  A view built with ``rng`` uses that stream as given.
+
+    Construct with exactly one of ``rng`` (positional or keyword) and
+    the keyword ``seed``.  A view is immutable: assigning or deleting
+    an attribute raises :class:`dataclasses.FrozenInstanceError`.
     """
+
+    __slots__ = ("node_id", "num_channels", "overlap", "num_nodes", "_rng", "_seed")
 
     node_id: NodeId
     num_channels: int
     overlap: int
     num_nodes: int
-    rng: random.Random
+
+    def __init__(
+        self,
+        node_id: NodeId,
+        num_channels: int,
+        overlap: int,
+        num_nodes: int,
+        rng: random.Random | None = None,
+        *,
+        seed: int | None = None,
+    ) -> None:
+        if (rng is None) == (seed is None):
+            raise TypeError("NodeView takes exactly one of rng and seed")
+        object.__setattr__(self, "node_id", node_id)
+        object.__setattr__(self, "num_channels", num_channels)
+        object.__setattr__(self, "overlap", overlap)
+        object.__setattr__(self, "num_nodes", num_nodes)
+        object.__setattr__(self, "_rng", rng)
+        object.__setattr__(self, "_seed", seed)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return (
+            f"NodeView(node_id={self.node_id!r}, num_channels={self.num_channels!r}, "
+            f"overlap={self.overlap!r}, num_nodes={self.num_nodes!r})"
+        )
+
+    def __reduce__(self) -> tuple:
+        # Copies and pickles rebuild the view through __init__, since
+        # its attributes cannot be set; an unread view keeps its seed.
+        fields = (self.node_id, self.num_channels, self.overlap, self.num_nodes)
+        if self._rng is None:
+            return functools.partial(NodeView, seed=self._seed), fields
+        return NodeView, fields + (self._rng,)
+
+    @property
+    def rng(self) -> random.Random:
+        """This node's stream, derived from the root seed on first read."""
+        rng = self._rng
+        if rng is None:
+            rng = derive_rng(self._seed, "node", self.node_id)
+            object.__setattr__(self, "_rng", rng)
+        return rng
 
     def random_label(self) -> int:
         """A local channel label chosen uniformly at random."""
-        return self.rng.randrange(self.num_channels)
+        # The exact kernels call this every node-slot: read the slot,
+        # and take the property only for the first draw.
+        rng = self._rng
+        if rng is None:
+            rng = self.rng
+        return rng.randrange(self.num_channels)
 
 
 class Protocol(abc.ABC):

@@ -15,6 +15,7 @@ is any tuple of strings/ints naming the consumer, e.g.
 from __future__ import annotations
 
 import hashlib
+import operator
 import random
 from typing import Iterable
 
@@ -24,13 +25,18 @@ def derive_seed(root_seed: int, *scope: object) -> int:
 
     Uses BLAKE2b over the textual representation of the root seed and
     scope path.  Python's ``hash()`` is salted per process, so it must
-    not be used here.
+    not be used here.  An integer root seed that is not a Python
+    ``int`` (a numpy integer, whose repr names its type under numpy 2)
+    is converted with :func:`operator.index` first, so it derives the
+    streams of the equal ``int``.
 
     >>> derive_seed(0, "node", 1) == derive_seed(0, "node", 1)
     True
     >>> derive_seed(0, "node", 1) != derive_seed(0, "node", 2)
     True
     """
+    if not isinstance(root_seed, int) and hasattr(root_seed, "__index__"):
+        root_seed = operator.index(root_seed)
     text = repr((root_seed,) + scope).encode("utf-8")
     digest = hashlib.blake2b(text, digest_size=8).digest()
     return int.from_bytes(digest, "big")

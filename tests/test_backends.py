@@ -40,7 +40,7 @@ from repro.obs.watchdog import (
     MediatorUniquenessWatchdog,
     SlotBudgetWatchdog,
 )
-from repro.sim import EventTrace, Network
+from repro.sim import ChannelAssignment, DynamicSchedule, EventTrace, Network
 from repro.sim.adversary import RandomJammer
 from repro.sim.backends import (
     AllInformed,
@@ -56,6 +56,7 @@ from repro.sim.backends import (
 )
 from repro.sim.engine import RunResult, build_engine
 from repro.sim.protocol import Protocol
+from repro.sim.rng import derive_seed
 
 SEEDS = [0, 1, 7, 11, 42]
 
@@ -286,6 +287,70 @@ class TestGossipTierA:
         assert engines[1].vector_engaged
         assert results[0] == results[1]
         assert results[0].completed
+
+
+def sparse_assignment(seed, relabel=None, n=24, c=6, k=2):
+    """Every other node of a ``2n``-node shared core, channels *relabel*-ed.
+
+    Half of the private channels never appear, so the universe has gaps.
+    """
+    rng = random.Random(seed)
+    channels = shared_core(2 * n, c, k, rng).shuffled_labels(rng).channels[::2]
+    if relabel is not None:
+        channels = tuple(tuple(relabel(channel) for channel in row) for row in channels)
+    return ChannelAssignment(channels, overlap=k)
+
+
+def sparse_static_network(seed, relabel=None):
+    return Network.static(sparse_assignment(seed, relabel))
+
+
+def sparse_dynamic_network(seed, relabel=None):
+    """A fresh sparse assignment every slot."""
+    return Network(
+        DynamicSchedule(
+            lambda slot: sparse_assignment(derive_seed(seed, "sparse", slot), relabel)
+        )
+    )
+
+
+#: Channel renumberings: none; shifted below zero; spread so far apart
+#: that the kernel sorts them instead of marking a presence array.
+RELABELS = {
+    "sparse": None,
+    "negative": lambda channel: channel - 50,
+    "spread": lambda channel: (channel - 50) * 10**9,
+}
+
+
+@needs_numpy
+class TestChannelMap:
+    """The columnar kernel's dense channel ids are ``np.unique``'s."""
+
+    @pytest.mark.parametrize("relabel", RELABELS.values(), ids=RELABELS)
+    @pytest.mark.parametrize("make", [sparse_static_network, sparse_dynamic_network])
+    def test_dense_ids_equal_unique_inverse(self, make, relabel):
+        import numpy as np
+
+        from repro.sim.backends.vector import _dense_channels
+
+        schedule = make(3, relabel).schedule
+        for slot in range(4):
+            table = np.asarray(schedule.labels_at(slot), dtype=np.int64)
+            ids, inverse = np.unique(table, return_inverse=True)
+            assert len(ids) < table.max() - table.min() + 1  # the universe has gaps
+            dense, count = _dense_channels(np, schedule.labels_at(slot))
+            assert count == len(ids)
+            assert dense.tolist() == inverse.reshape(table.shape).tolist()
+
+    @pytest.mark.parametrize("relabel", RELABELS.values(), ids=RELABELS)
+    @pytest.mark.parametrize("make", [sparse_static_network, sparse_dynamic_network])
+    def test_replay_identical_on_a_sparse_universe(self, make, relabel):
+        exact = drive(5, backend="exact", network=make(5, relabel))
+        vector = drive(5, backend="vector-replay", network=make(5, relabel))
+        assert vector[0].vector_engaged
+        assert exact[1:] == vector[1:]
+        assert exact[0].rng.getstate() == vector[0].rng.getstate()
 
 
 @needs_numpy

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+import random
+from dataclasses import FrozenInstanceError
+
 import pytest
 
 from repro.sim import (
@@ -18,6 +23,7 @@ from repro.sim import (
     build_engine,
     make_views,
 )
+from repro.sim.rng import derive_rng
 from repro.types import ProtocolViolationError, SimulationError
 
 
@@ -203,6 +209,68 @@ class TestHelpers:
     def test_make_views_independent_rngs(self):
         views = make_views(two_node_network(), seed=0)
         assert views[0].rng.random() != views[1].rng.random()
+
+    def test_make_views_seeds_each_stream_on_first_read(self):
+        """``rng`` is ``derive_rng(seed, "node", u)``, one object on every read."""
+        for node, view in enumerate(make_views(two_node_network(), seed=9)):
+            stream = view.rng
+            assert view.rng is stream
+            expected = derive_rng(9, "node", node)
+            assert [stream.random() for _ in range(5)] == [
+                expected.random() for _ in range(5)
+            ]
+
+    def test_random_label_draws_from_the_views_stream(self):
+        """A first draw before any read of ``rng`` seeds the same stream."""
+        view = make_views(two_node_network(), seed=4)[1]
+        expected = derive_rng(4, "node", 1)
+        labels = [view.random_label() for _ in range(8)]
+        assert labels == [expected.randrange(2) for _ in range(8)]
+        assert view.rng.getstate() == expected.getstate()
+
+    def test_numpy_integer_seed_derives_the_equal_ints_streams(self):
+        np = pytest.importorskip("numpy")
+        views = make_views(two_node_network(), seed=np.int64(9))
+        assert views[1].rng.getstate() == derive_rng(9, "node", 1).getstate()
+
+    def test_explicit_stream_is_used_as_given(self):
+        stream = random.Random(4)
+        positional = NodeView(0, 2, 2, 2, stream)
+        keyword = NodeView(node_id=0, num_channels=2, overlap=2, num_nodes=2, rng=stream)
+        assert positional.rng is stream and keyword.rng is stream
+        positional.random_label()
+        assert keyword.rng.getstate() != random.Random(4).getstate()
+
+    def test_view_takes_exactly_one_of_rng_and_seed(self):
+        with pytest.raises(TypeError, match="exactly one of rng and seed"):
+            NodeView(0, 2, 2, 2)
+        with pytest.raises(TypeError, match="exactly one of rng and seed"):
+            NodeView(0, 2, 2, 2, random.Random(0), seed=0)
+
+    @pytest.mark.parametrize(
+        "name", ["node_id", "num_channels", "overlap", "num_nodes", "rng", "_rng", "_seed"]
+    )
+    def test_view_fields_cannot_be_assigned(self, name):
+        view = make_views(two_node_network(), seed=0)[0]
+        with pytest.raises(FrozenInstanceError):
+            setattr(view, name, 1)
+        with pytest.raises(FrozenInstanceError):
+            delattr(view, name)
+        assert view.node_id == 0 and view.num_channels == 2
+
+    @pytest.mark.parametrize(
+        "clone",
+        [copy.copy, copy.deepcopy, lambda view: pickle.loads(pickle.dumps(view))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_views_copy_and_pickle(self, clone):
+        """A clone draws what the view draws, whether or not it was read."""
+        unread, read = make_views(two_node_network(), seed=3)
+        read.random_label()
+        for view in (unread, read, NodeView(0, 2, 2, 2, random.Random(8))):
+            twin = clone(view)
+            assert repr(twin) == repr(view)
+            assert twin.rng.getstate() == view.rng.getstate()
 
     def test_build_engine_factory_sees_views(self):
         seen: list[NodeView] = []

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
 from repro.sim.rng import derive_rng, derive_seed, sample_distinct, spawn_rngs
 
 
@@ -31,6 +33,20 @@ class TestDeriveSeed:
     def test_distinct_across_many_scopes(self):
         seeds = {derive_seed(0, "node", index) for index in range(1000)}
         assert len(seeds) == 1000
+
+    def test_int_seeds_keep_their_streams(self):
+        assert derive_seed(3, "node", 1) == 11440499460468026996
+
+    def test_numpy_integer_seed_derives_the_equal_ints_streams(self):
+        """A seed read from a numpy array derives what the equal int derives.
+
+        Under numpy 2 a numpy integer's repr names its type
+        (``np.int64(3)``), which the hashed text must not see.
+        """
+        np = pytest.importorskip("numpy")
+        for root in (np.int64(3), np.int32(3), np.uint8(3), np.array([3])[0]):
+            assert derive_seed(root, "node", 1) == derive_seed(3, "node", 1)
+        assert derive_rng(np.int64(3), "x").random() == derive_rng(3, "x").random()
 
 
 class TestDeriveRng:

@@ -12,21 +12,26 @@ A fallback is the same engine running its exact kernels, so a columnar
 run followed by a fallback run continues one slot clock and one
 collision stream, exactly as two runs of the exact engine do, for
 COGCAST and for gossip alike.
+
+A node's stream is seeded at its first read: a columnar ``vector`` run
+reads none, ``vector-replay`` reads every one when its run starts, and
+the exact kernels read each at the node's first draw.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 
 import pytest
 
+import repro.sim.protocol
 from repro.assignment import shared_core
 from repro.core import CogCast, GossipCast
 from repro.obs.metrics import MetricsRegistry, count_run
 from repro.sim import Network
 from repro.sim.backends import AllInformed, AllKnow, BACKEND_NAMES, numpy_available
 from repro.sim.engine import build_engine
+from repro.sim.protocol import NodeView
 
 pytestmark = pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
 
@@ -38,7 +43,7 @@ class PartialExport(CogCast):
 
     def vector_export(self):
         export = super().vector_export()
-        del export["rng"], export["parent"]
+        del export["view"], export["parent"]
         return export
 
     def vector_import(self, state):
@@ -58,6 +63,11 @@ class Stream(random.Random):
     """A ``random.Random`` subclass, which may draw by rules of its own."""
 
 
+def with_stream(view, stream):
+    """*view* with an explicitly passed *stream*."""
+    return NodeView(view.node_id, view.num_channels, view.overlap, view.num_nodes, stream)
+
+
 def shared_stream_factory():
     """A factory whose node 1 draws labels from node 0's stream."""
     node_zero = []
@@ -66,7 +76,7 @@ def shared_stream_factory():
         if view.node_id == 0:
             node_zero.append(view.rng)
         elif view.node_id == 1:
-            view = replace(view, rng=node_zero[0])
+            view = with_stream(view, node_zero[0])
         return CogCast(view, is_source=(view.node_id == 0))
 
     return factory
@@ -78,7 +88,7 @@ def subclass_stream_factory():
     def factory(view):
         stream = Stream()
         stream.setstate(view.rng.getstate())
-        return CogCast(replace(view, rng=stream), is_source=(view.node_id == 0))
+        return CogCast(with_stream(view, stream), is_source=(view.node_id == 0))
 
     return factory
 
@@ -97,7 +107,7 @@ def drive(factory, backend, totals=False):
     ("factory", "reason"),
     [
         (logging_factory, "protocol keeps a per-slot log"),
-        (partial_factory, "vector export missing contract fields: parent, rng"),
+        (partial_factory, "vector export missing contract fields: parent, view"),
     ],
 )
 @pytest.mark.parametrize("backend", ["vector", "vector-replay"])
@@ -237,3 +247,86 @@ def test_gossip_continues_after_a_columnar_run_cut_by_its_budget():
     assert engine.slot == exact_engine.slot
     assert states == exact_states
     assert engine.rng.getstate() == exact_engine.rng.getstate()
+
+
+GOSSIP_SOURCES = {0: "a", 9: "b", 17: "c"}
+
+
+def gossip_factory(view):
+    initial = [GOSSIP_SOURCES[view.node_id]] if view.node_id in GOSSIP_SOURCES else []
+    return GossipCast(view, initial)
+
+
+#: Per program: its factory, its columnar stop condition, and a closure
+#: that stops at the same point but has no columnar form.
+PROGRAMS = {
+    "cogcast": (
+        lambda view: CogCast(view, is_source=(view.node_id == 0)),
+        AllInformed,
+        lambda engine: all(p.informed for p in engine.protocols),
+    ),
+    "gossip": (
+        gossip_factory,
+        lambda protocols: AllKnow(protocols, GOSSIP_SOURCES),
+        lambda engine: all(len(p.known) == len(GOSSIP_SOURCES) for p in engine.protocols),
+    ),
+}
+
+
+@pytest.fixture
+def seeded_nodes(monkeypatch):
+    """The node of every stream a view seeds, in seeding order."""
+    nodes = []
+    derive_rng = repro.sim.protocol.derive_rng
+
+    def counting(seed, *scope):
+        nodes.append(scope[1])
+        return derive_rng(seed, *scope)
+
+    monkeypatch.setattr(repro.sim.protocol, "derive_rng", counting)
+    return nodes
+
+
+def node_states(engine):
+    """Every node's exported state, with its stream's state for its view."""
+    return [
+        {**p.vector_export(), "view": p.view.rng.getstate()} for p in engine.protocols
+    ]
+
+
+@pytest.mark.parametrize("program", sorted(PROGRAMS))
+@pytest.mark.parametrize("backend", ["vector", "vector-replay"])
+def test_columnar_runs_seed_node_streams_only_to_replay_them(
+    backend, program, seeded_nodes
+):
+    """``vector`` seeds no node stream; the fallback after it seeds each once.
+
+    The fallback run seeds each stream at its node's first draw and
+    must then equal the same two runs on an engine whose streams were
+    all seeded before the first: same results, protocol states, node
+    streams, slot clock and collision stream.
+    """
+    factory, columnar_stop, closure_stop = PROGRAMS[program]
+    nodes = list(range(24))
+
+    def two_runs(engine):
+        first = engine.run(3, stop_when=columnar_stop(engine.protocols))
+        assert engine.vector_engaged and not first.completed
+        seeded_by_first = list(seeded_nodes)
+        second = engine.run(10_000, stop_when=closure_stop)
+        assert engine.vector_fallback_reason == "stop condition has no columnar form"
+        assert second.completed
+        return (first, second), seeded_by_first
+
+    engine = build_engine(network(), factory, seed=6, backend=backend)
+    results, seeded_by_first = two_runs(engine)
+    assert seeded_by_first == ([] if backend == "vector" else nodes)
+    assert sorted(seeded_nodes) == nodes
+
+    eager = build_engine(network(), factory, seed=6, backend=backend)
+    for protocol in eager.protocols:
+        protocol.view.rng
+    assert two_runs(eager)[0] == results
+    assert node_states(engine) == node_states(eager)
+    assert engine.slot == eager.slot
+    assert engine.rng.getstate() == eager.rng.getstate()
